@@ -10,9 +10,10 @@ stability  spectra, kernel residuals, and the solvability identity
 sweep      fan a subcommand out over a parameter product (process pool)
 
 Configuration is a flat ``key = value`` text file (``--config``) plus
-command-line flags; flags win. Unknown config keys are rejected. Every
-run writes ``manifest.json`` with the fully resolved configuration (all
-defaults the CLI filled in are listed under ``defaulted``; preset values
+command-line flags; flags win over the file, and both win over a
+``--preset``. Unknown config keys are rejected. Every run writes
+``manifest.json`` with the fully resolved configuration (keys whose value
+equals the CLI default are listed under ``defaulted``; preset values
 the underlying sources do not pin down are listed under ``assumed``), a
 deterministic ``run_id``, and data CSVs with 17-significant-digit floats
 and no timestamps. ``--svg`` adds dependency-free line plots.
@@ -129,9 +130,10 @@ _SWEEP_OPTIONS = [
 ]
 
 
-def _add_options(parser: argparse.ArgumentParser, options) -> None:
+def _add_options(parser: argparse.ArgumentParser, options, **override) -> None:
     for name, kwargs in options:
-        parser.add_argument(f"--{name}", dest=name.replace("-", "_"), **kwargs)
+        parser.add_argument(f"--{name}", dest=name.replace("-", "_"),
+                            **dict(kwargs, **override))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _OPTIONS.items():
         p = sub.add_parser(command)
-        _add_options(p, _COMMON + options)
+        _add_options(p, _COMMON)
+        # Flags not given stay absent, so _resolve can tell them from
+        # preset values and fill in the registry defaults itself.
+        _add_options(p, options, default=argparse.SUPPRESS)
     p = sub.add_parser(
         "sweep",
         epilog="flags after a literal -- are passed to every swept run",
@@ -496,17 +501,19 @@ _PRESET_ASSUMED = {
 
 
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
+    """Flags given win, then preset values, then the registry defaults.
+
+    ``defaulted`` lists the keys whose resolved value equals the registry
+    default.
+    """
     params = {}
     defaulted = []
-    defaults = {name.replace("-", "_"): kwargs.get("default")
-                for name, kwargs in _OPTIONS[command]
-                if kwargs.get("action") != "store_true"}
-    preset = getattr(args, "preset", None)
-    preset_vals = _PRESET_DEFAULTS.get((command, preset), {})
-    for key, default in defaults.items():
-        value = getattr(args, key)
-        if value == default and key in preset_vals:
-            value = preset_vals[key]
+    passed = vars(args)
+    preset_vals = _PRESET_DEFAULTS.get((command, passed.get("preset")), {})
+    for name, kwargs in _OPTIONS[command]:
+        key = name.replace("-", "_")
+        default = kwargs.get("default")
+        value = passed.get(key, preset_vals.get(key, default))
         params[key] = value
         if value == default:
             defaulted.append(key)
@@ -635,7 +642,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if args.config:
             config_argv = parse_config_file(args.config, command)
-            user_argv = [tok for tok in argv if tok != command]
+            user_argv = list(argv)
+            user_argv.remove(command)  # the subcommand token only
             args = parser.parse_args([command] + config_argv + user_argv)
         outdir, _summary = dispatch(command, args)
         print(outdir)

@@ -28,8 +28,11 @@ half reaction):
     control). Speeds measured here convert to the original frame by the
     factor sigma/sqrt(2).
 
-Diffusion uses Crank-Nicolson by default (explicit stepping is available
-behind a CFL guard) with no-flux or pinned boundaries. Runs are
+Each simulator builds its reaction right-hand side once per run and hands
+it to the shared loop. Diffusion acts on the whole (components, nodes)
+state at once: Crank-Nicolson by default, one tridiagonal solve with a
+right-hand-side column per component; explicit stepping is available
+behind a CFL guard. Boundaries are no-flux or pinned. Runs are
 deterministic given their config; independent runs share no state.
 """
 
@@ -117,6 +120,13 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
+def _out_of_range(tag: str, values: np.ndarray) -> bool:
+    """The range rule: |D| <= 1/4 and frequencies in [0, 1], up to RANGE_TOL."""
+    if tag == "D":
+        return float(np.max(np.abs(values))) > 0.25 + RANGE_TOL
+    return float(np.min(values)) < -RANGE_TOL or float(np.max(values)) > 1.0 + RANGE_TOL
+
+
 @dataclass(frozen=True)
 class Field1D:
     """A spatial profile tagged with the quantity it represents."""
@@ -125,13 +135,13 @@ class Field1D:
     tag: str
 
     def __post_init__(self):
-        if self.tag in ("p", "q", "u", "v", "w", "z", "u_reduced"):
-            lo, hi = float(np.min(self.values)), float(np.max(self.values))
-            if lo < -RANGE_TOL or hi > 1.0 + RANGE_TOL:
-                raise ValueError(f"{self.tag} field outside [0,1]: [{lo}, {hi}]")
-        elif self.tag == "D":
-            if float(np.max(np.abs(self.values))) > 0.25 + RANGE_TOL:
-                raise ValueError("D field outside [-1/4, 1/4]")
+        ranged = self.tag in ("p", "q", "u", "v", "w", "z", "u_reduced", "D")
+        if not (ranged and _out_of_range(self.tag, self.values)):
+            return
+        if self.tag == "D":
+            raise ValueError("D field outside [-1/4, 1/4]")
+        lo, hi = float(np.min(self.values)), float(np.max(self.values))
+        raise ValueError(f"{self.tag} field outside [0,1]: [{lo}, {hi}]")
 
 
 @dataclass
@@ -149,9 +159,6 @@ class Trajectory:
     fields: dict[str, np.ndarray]
     front_positions: dict[str, np.ndarray] = field(default_factory=dict)
     config_summary: dict = field(default_factory=dict)
-
-    def snapshot(self, index: int) -> dict[str, Field1D]:
-        return {tag: Field1D(arr[index], tag) for tag, arr in self.fields.items()}
 
     def to_csv(self, path) -> None:
         """One row per (t, x) with every field as a column."""
@@ -202,61 +209,46 @@ def logistic_front(x: np.ndarray, S: float, center: float = 0.0,
 
 
 class _Diffusion:
-    """One-step diffusion operators on a fixed grid, boundary-aware.
+    """One diffusion step on a fixed grid for a (components, nodes) state.
 
     Crank-Nicolson solves (I - a T) u+ = (I + a T) u with a = nu dt / (2 dx^2)
     and T the second-difference stencil; no-flux doubles the inner neighbor
-    in the boundary rows, pinned freezes the edge values.
+    in the boundary rows, pinned freezes the edge values. The explicit
+    scheme applies (I + 2a T) u.
     """
 
-    def __init__(self, grid: Grid1D, nu: float, dt: float, boundary: str):
-        self.nu = nu
-        self.dt = dt
+    def __init__(self, grid: Grid1D, nu: float, dt: float, boundary: str, scheme: str):
         self.boundary = boundary
-        self.n = grid.n
-        self.dx = grid.dx
-        a = nu * dt / (2.0 * self.dx**2)
+        self.scheme = scheme
+        a = nu * dt / (2.0 * grid.dx**2)
         self.a = a
-        n = grid.n
-        lower = np.full(n, a)
-        upper = np.full(n, a)
-        diag = np.full(n, 1.0 + 2.0 * a)
+        ab = np.zeros((3, grid.n))  # (upper, diagonal, lower) of I - a T
+        ab[0, 1:] = ab[2, :-1] = -a
+        ab[1] = 1.0 + 2.0 * a
         if boundary == "no-flux":
-            upper[1] = 2.0 * a   # ghost mirror at the left edge
-            lower[-2] = 2.0 * a  # ghost mirror at the right edge
+            ab[0, 1] = ab[2, -2] = -2.0 * a  # ghost mirrors at the edges
         else:  # pinned: identity rows at the edges
-            diag[0] = diag[-1] = 1.0
-            upper[1] = 0.0
-            lower[-2] = 0.0
-        self._ab = np.zeros((3, n))
-        self._ab[0, 1:] = -upper[1:]
-        self._ab[1] = diag
-        self._ab[2, :-1] = -lower[:-1]
+            ab[1, 0] = ab[1, -1] = 1.0
+            ab[0, 1] = ab[2, -2] = 0.0
+        self._ab = ab
 
-    def _apply_explicit_half(self, u: np.ndarray) -> np.ndarray:
-        """(I + a T) u with the configured boundary treatment."""
+    def _stencil(self, u: np.ndarray, coef: float) -> np.ndarray:
+        """(I + coef T) u along the last axis, with the boundary treatment."""
         out = u.copy()
-        out[1:-1] += self.a * (u[2:] - 2.0 * u[1:-1] + u[:-2])
+        out[..., 1:-1] += coef * (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2])
         if self.boundary == "no-flux":
-            out[0] += self.a * (2.0 * u[1] - 2.0 * u[0])
-            out[-1] += self.a * (2.0 * u[-2] - 2.0 * u[-1])
+            out[..., 0] += coef * (2.0 * u[..., 1] - 2.0 * u[..., 0])
+            out[..., -1] += coef * (2.0 * u[..., -2] - 2.0 * u[..., -1])
         return out
 
-    def step_cn(self, u: np.ndarray) -> np.ndarray:
-        rhs = self._apply_explicit_half(u)
-        return solve_banded((1, 1), self._ab, rhs)
-
-    def step_explicit(self, u: np.ndarray) -> np.ndarray:
-        b = 2.0 * self.a  # nu dt / dx^2
-        out = u.copy()
-        out[1:-1] += b * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-        if self.boundary == "no-flux":
-            out[0] += b * (2.0 * u[1] - 2.0 * u[0])
-            out[-1] += b * (2.0 * u[-2] - 2.0 * u[-1])
-        return out
-
-    def step(self, u: np.ndarray, scheme: str) -> np.ndarray:
-        return self.step_cn(u) if scheme == "strang-cn" else self.step_explicit(u)
+    def step(self, state: np.ndarray) -> np.ndarray:
+        if self.scheme == "strang-explicit":
+            return self._stencil(state, 2.0 * self.a)
+        rhs = self._stencil(state, self.a)
+        # No finiteness scan here: the loop checks the state just before
+        # diffusion, and a non-finite solve (only by overflow) is caught by
+        # that check on the next step.
+        return solve_banded((1, 1), self._ab, rhs.T, check_finite=False).T
 
 
 def _check_cfl(cfg: SimConfig, grid: Grid1D, nu: float) -> None:
@@ -294,8 +286,13 @@ def _rk4(rhs, y, dt):
 
 
 def _gradient(u: np.ndarray, dx: float) -> np.ndarray:
-    """Central differences, one-sided at the edges."""
-    return np.gradient(u, dx)
+    """Central differences, one-sided at the edges: np.gradient(u, dx), bit for bit."""
+    out = np.empty_like(u)
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dx
+    out[0] = (u[1] - u[0]) / dx
+    out[-1] = (u[-1] - u[-2]) / dx
+    return out
 
 
 def _front_of(tag: str, values: np.ndarray, x: np.ndarray) -> float:
@@ -338,36 +335,32 @@ class _Recorder:
 
 def _range_guard(t: float, fields: dict[str, np.ndarray]) -> None:
     for tag, arr in fields.items():
-        if tag == "D":
-            if np.max(np.abs(arr)) > 0.25 + RANGE_TOL:
-                raise FieldInvariantError(
-                    f"|D| exceeded 1/4 + {RANGE_TOL} at t={t}", t, dict(fields)
-                )
-        else:
-            if np.min(arr) < -RANGE_TOL or np.max(arr) > 1.0 + RANGE_TOL:
-                raise FieldInvariantError(
-                    f"{tag} left [0,1] by more than {RANGE_TOL} at t={t}", t, dict(fields)
-                )
+        if _out_of_range(tag, arr):
+            if tag == "D":
+                message = f"|D| exceeded 1/4 + {RANGE_TOL} at t={t}"
+            else:
+                message = f"{tag} left [0,1] by more than {RANGE_TOL} at t={t}"
+            raise FieldInvariantError(message, t, dict(fields))
 
 
-def _run_strang(fields, tags, grid, cfg, nu, make_reaction, config_summary):
+def _run_strang(fields, tags, grid, cfg, nu, rhs, config_summary):
     """Shared Strang loop: half reaction, diffusion, half reaction.
 
-    make_reaction(fields) -> rhs closure over the frozen quantities for
-    one substep; it is rebuilt at each substep entry.
+    rhs(state) -> d(state)/dt for the (components, nodes) state, built once
+    per run by the simulator. It returns a fresh array on every call, since
+    the RK4 stages are kept side by side.
     """
     _check_cfl(cfg, grid, nu)
     n_steps = int(round(cfg.t_end / cfg.dt))
     n_records = n_steps // cfg.record_every + 1
     rec = _Recorder(grid, tags, n_records)
     rec.record(0.0, fields)
-    diff = _Diffusion(grid, nu, cfg.dt, cfg.boundary)
+    diff = _Diffusion(grid, nu, cfg.dt, cfg.boundary, cfg.scheme)
 
     state = np.array([fields[tag] for tag in tags])
     half = 0.5 * cfg.dt
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            rhs = make_reaction(dict(zip(tags, state)))
             state = _rk4(rhs, state, half)
             if not np.isfinite(state).all():
                 raise FieldInvariantError(
@@ -375,8 +368,7 @@ def _run_strang(fields, tags, grid, cfg, nu, make_reaction, config_summary):
                     "(reaction overshoot; reduce dt or smooth the initial data)",
                     step * cfg.dt, dict(zip(tags, state)),
                 )
-            state = np.array([diff.step(comp, cfg.scheme) for comp in state])
-            rhs = make_reaction(dict(zip(tags, state)))
+            state = diff.step(state)
             state = _rk4(rhs, state, half)
             if step % cfg.record_every == 0:
                 t = step * cfg.dt
@@ -404,22 +396,21 @@ def simulate_pqd(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Traje
     _range_guard(0.0, fields)
     dx = grid.dx
 
-    def make_reaction(_current):
-        def rhs(state):
-            p, q, D = state
-            grad_term = fp.sigma2 * _gradient(p, dx) * _gradient(q, dx)
-            selA = fp.SA * (2.0 * p - 1.0) + fp.sA
-            selB = fp.SB * (2.0 * q - 1.0) + fp.sB
-            dp = selA * p * (1.0 - p) + selB * D
-            dq = selB * q * (1.0 - q) + selA * D
-            dD = grad_term - (fp.r + (2.0 * p - 1.0) * selA + (2.0 * q - 1.0) * selB) * D
-            return np.array([dp, dq, dD])
-
-        return rhs
+    def rhs(state):
+        p, q, D = state
+        out = np.empty_like(state)
+        hA = 2.0 * p - 1.0
+        hB = 2.0 * q - 1.0
+        selA = fp.SA * hA + fp.sA
+        selB = fp.SB * hB + fp.sB
+        out[0] = selA * p * (1.0 - p) + selB * D
+        out[1] = selB * q * (1.0 - q) + selA * D
+        out[2] = (fp.sigma2 * _gradient(p, dx) * _gradient(q, dx)
+                  - (fp.r + hA * selA + hB * selB) * D)
+        return out
 
     summary = {"model": "pqd", "params": _fp_dict(fp), "config": _cfg_dict(cfg)}
-    return _run_strang(fields, ["p", "q", "D"], grid, cfg, fp.sigma2 / 2.0,
-                       make_reaction, summary)
+    return _run_strang(fields, ["p", "q", "D"], grid, cfg, fp.sigma2 / 2.0, rhs, summary)
 
 
 def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Trajectory:
@@ -433,17 +424,12 @@ def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> T
     _check_boundary_init(fields)
     _range_guard(0.0, fields)
 
-    def make_reaction(_current):
-        def rhs(state):
-            u, v, w, z = state
-            nu_, nv_, nw_, nz_ = genetics._step_arrays(u, v, w, z, fp)
-            return np.array([nu_ - u, nv_ - v, nw_ - w, nz_ - z])
-
-        return rhs
+    def rhs(state):
+        return np.array(genetics._step_arrays(*state, fp)) - state
 
     summary = {"model": "gametes", "params": _fp_dict(fp), "config": _cfg_dict(cfg)}
     return _run_strang(fields, ["u", "v", "w", "z"], grid, cfg, fp.sigma2 / 2.0,
-                       make_reaction, summary)
+                       rhs, summary)
 
 
 def simulate_reduced(init, S: float, eps: float, r: float,
@@ -462,20 +448,17 @@ def simulate_reduced(init, S: float, eps: float, r: float,
     dx = grid.dx
     two_over_r = 0.0 if math.isinf(r) else 2.0 / r
 
-    def make_reaction(_current):
-        def rhs(state):
-            u = state[0]
-            ux = _gradient(u, dx)
-            du = (S * bistable_f(u) + eps * logistic_g(u)
-                  + two_over_r * (S * (2.0 * u - 1.0) + eps) * ux * ux)
-            return du[np.newaxis, :]
-
-        return rhs
+    def rhs(state):
+        u = state[0]
+        ux = _gradient(u, dx)
+        du = (S * bistable_f(u) + eps * logistic_g(u)
+              + two_over_r * (S * (2.0 * u - 1.0) + eps) * ux * ux)
+        return du[np.newaxis, :]
 
     summary = {"model": "reduced",
                "params": {"S": S, "eps": eps, "r": r},
                "config": _cfg_dict(cfg)}
-    return _run_strang(fields, ["u_reduced"], grid, cfg, 1.0, make_reaction, summary)
+    return _run_strang(fields, ["u_reduced"], grid, cfg, 1.0, rhs, summary)
 
 
 def _fp_dict(fp: FitnessParams) -> dict:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from clinewave.cli import main
+from clinewave.cli import _resolve, build_parser, main
 
 
 def run_cli(args, tmp_path, name="run"):
@@ -68,6 +68,24 @@ class TestConfigHandling:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["resolved"]["S"] == 0.25
         assert manifest["resolved"]["r"] == 0.3  # flag wins
+
+    def test_config_keeps_flag_values_equal_to_the_command(self, tmp_path, monkeypatch):
+        # "--out standing" must survive the re-parse that adds the config
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("S = 0.25\nr = 0.25\ndx = 0.05\n")
+        monkeypatch.chdir(tmp_path)
+        code = main(["standing", "--config", str(cfg), "--out", "standing"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "standing" / "manifest.json").read_text())
+        assert manifest["resolved"]["S"] == 0.25
+
+    def test_explicit_flag_beats_preset(self):
+        args = build_parser().parse_args(["simulate", "--preset", "fig1", "--dt", "0.2"])
+        params, defaulted = _resolve(args, "simulate")
+        assert params["dt"] == 0.2        # given, though equal to the parser default
+        assert params["t_end"] == 3000.0  # not given: the preset's value
+        assert params["boundary"] == "no-flux"
+        assert "t_end" not in defaulted
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
