@@ -9,9 +9,11 @@ compare    theory versus full-system measured speeds
 stability  spectra, kernel residuals, and the solvability identity
 sweep      fan a subcommand out over a parameter product (process pool)
 
-Configuration is a flat ``key = value`` text file (``--config``) plus
-command-line flags; flags win over the file, and both win over a
-``--preset``. Unknown config keys are rejected. Every run writes
+Every run takes one path: resolve the parameters, pick the run
+directory, call the subcommand's runner, write the manifest. Flags win
+over a flat ``key = value`` file (``--config``), both win over the
+values of a ``--preset``, which are plain data like the registry
+defaults; unknown config keys are rejected. Every run writes
 ``manifest.json`` with the fully resolved configuration (keys whose value
 equals the CLI default are listed under ``defaulted``; preset values
 the underlying sources do not pin down are listed under ``assumed``), a
@@ -19,8 +21,12 @@ deterministic ``run_id``, and data CSVs with 17-significant-digit floats
 and no timestamps. ``--svg`` adds dependency-free line plots.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation,
-4 numerical failure. Failures also write ``error.json`` with the
-diagnostic payload.
+4 numerical failure. A failure writes ``error.json`` with the diagnostic
+payload into the run's own directory (keyed by argv if the run fails
+before its parameters resolve). ``sweep`` runs each point through
+``main``: a failing point leaves its own ``error.json``, the others still
+run, the sweep manifest records each point's exit code, and the sweep
+returns the worst.
 
 The default output root is ``./clinewave-runs``, overridable by the
 ``CLINEWAVE_OUT`` environment variable or ``--out``.
@@ -205,24 +211,23 @@ def _parse_r_grid(expr: str) -> list[float]:
     return [round(start + i * step, 12) for i in range(count + 1)]
 
 
-def _out_dir(args: dict, command: str, resolved: dict) -> Path:
-    if args.get("out"):
-        return Path(args["out"])
+def _out_dir(out: str | None, name: str, resolved: dict) -> Path:
+    if out:
+        return Path(out)
     root = Path(os.environ.get("CLINEWAVE_OUT", "clinewave-runs"))
-    return root / f"{command}-{run_id(resolved)}"
+    return root / f"{name}-{run_id(resolved)}"
 
 
 def _manifest(outdir: Path, command: str, resolved: dict, defaulted: list[str],
-              assumed: list[str], extra: dict | None = None) -> None:
+              assumed: list[str], **extra) -> None:
     payload = {
         "command": command,
         "toolkit_version": __version__,
         "resolved": resolved,
         "defaulted": sorted(defaulted),
         "assumed": sorted(assumed),
+        **extra,
     }
-    if extra:
-        payload.update(extra)
     payload["run_id"] = run_id({"command": command, "resolved": resolved})
     write_json(outdir / "manifest.json", payload)
 
@@ -248,6 +253,13 @@ def _profile_report(prof, label: str) -> dict:
 
 
 def run_standing(params: dict, outdir: Path, make_svg: bool) -> dict:
+    if params["preset"] == "fig2":  # both phase-plane regimes
+        summary = {}
+        for label, (S, r) in (("condition-holds", (0.6, 0.25)),
+                              ("condition-fails", (0.85, 0.15))):
+            summary[label] = run_standing(dict(params, S=S, r=r, preset=None),
+                                          outdir / label, make_svg)
+        return summary
     S, r = params["S"], params["r"]
     quad = standing.profile_from_quadrature(S, r, x_max=params["x_max"], dx=params["dx"])
     shot = standing.profile_from_shooting(S, r, x_max=params["x_max"], dx=params["dx"])
@@ -273,11 +285,9 @@ def run_standing(params: dict, outdir: Path, make_svg: bool) -> dict:
     return report
 
 
-def run_simulate(params: dict, outdir: Path, make_svg: bool) -> dict:
-    model = params["model"]
+def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
+    """Set up the grid, time stepping and initial data of one model, and run it."""
     S = params["S"]
-    SA = params["SA"] if params["SA"] is not None else S
-    SB = params["SB"] if params["SB"] is not None else S
     half = params["half_width"]
     if half is None:
         scale = math.sqrt(params["sigma2"] / 2.0) if model != "reduced" else 1.0
@@ -287,27 +297,29 @@ def run_simulate(params: dict, outdir: Path, make_svg: bool) -> dict:
     cfg = pde.SimConfig(dt=params["dt"], t_end=params["t_end"],
                         record_every=params["record_every"],
                         boundary=params["boundary"], scheme=params["scheme"])
-
     if model == "reduced":
         if params["init"] == "standing":
-            prof = standing.profile_from_quadrature(S, params["r"])
-            init = prof.interp(grid.x)
+            init = standing.profile_from_quadrature(S, params["r"]).interp(grid.x)
         else:
             init = pde.logistic_front(grid.x, S)
-        traj = pde.simulate_reduced(init, S, params["eps"], params["r"], grid, cfg)
-    else:
-        fp = FitnessParams(sA=params["sA"], sB=params["sB"], SA=SA, SB=SB,
-                           r=params["r"], sigma2=params["sigma2"])
-        p, q, D = pde.stacked_pqd_init(grid, S, params["sigma2"],
-                                       offset_p=params["offset_p"],
-                                       offset_q=params["offset_q"])
-        if model == "pqd":
-            traj = pde.simulate_pqd((p, q, D), fp, grid, cfg)
-        else:
-            init = (p * q + D, p * (1 - q) - D, (1 - p) * q - D,
-                    (1 - p) * (1 - q) + D)
-            traj = pde.simulate_gametes(init, fp, grid, cfg)
+        return grid, pde.simulate_reduced(init, S, params["eps"], params["r"], grid, cfg)
+    SA = params["SA"] if params["SA"] is not None else S
+    SB = params["SB"] if params["SB"] is not None else S
+    fp = FitnessParams(sA=params["sA"], sB=params["sB"], SA=SA, SB=SB,
+                       r=params["r"], sigma2=params["sigma2"])
+    p, q, D = pde.stacked_pqd_init(grid, S, params["sigma2"],
+                                   offset_p=params["offset_p"],
+                                   offset_q=params["offset_q"])
+    if model == "pqd":
+        return grid, pde.simulate_pqd((p, q, D), fp, grid, cfg)
+    init = (p * q + D, p * (1 - q) - D, (1 - p) * q - D, (1 - p) * (1 - q) + D)
+    return grid, pde.simulate_gametes(init, fp, grid, cfg)
 
+
+def run_simulate(params: dict, outdir: Path, make_svg: bool) -> dict:
+    if params["preset"] == "fig1":
+        return _fig1_panels(params, outdir, make_svg)
+    grid, traj = _simulate(params, params["model"])
     traj.to_csv(outdir / "trajectory.csv")
     tags = sorted(traj.front_positions)
     write_csv(outdir / "fronts.csv", ["t"] + [f"front_{t}" for t in tags],
@@ -324,21 +336,18 @@ def run_simulate(params: dict, outdir: Path, make_svg: bool) -> dict:
     return {"trajectory": traj.manifest()}
 
 
-def run_simulate_fig1(params: dict, outdir: Path, make_svg: bool) -> dict:
-    """Stacking showcase: symmetric selection, clines initially 20 apart.
+def _fig1_panels(params: dict, outdir: Path, make_svg: bool) -> dict:
+    """Stacking showcase: the (p,q,D) and gamete runs of one configuration.
 
     Emits six panel files: allele-frequency snapshots (x, p, q, D) and
     gamete snapshots (x, u, v, w, z) at the start, during the transient,
     and at the end, plus both full trajectories.
     """
-    fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.1, sigma2=2.0)
-    grid = pde.Grid1D.symmetric(140.0, params["dx"])
-    cfg = pde.SimConfig(dt=params["dt"], t_end=params["t_end"],
-                        record_every=params["record_every"])
-    p, q, D = pde.stacked_pqd_init(grid, 0.1, 2.0, offset_p=-10.0, offset_q=10.0)
-    traj_pqd = pde.simulate_pqd((p, q, D), fp, grid, cfg)
-    init_g = (p * q + D, p * (1 - q) - D, (1 - p) * q - D, (1 - p) * (1 - q) + D)
-    traj_g = pde.simulate_gametes(init_g, fp, grid, cfg)
+    if params["model"] != "pqd":
+        raise ConfigError(f"--preset fig1 runs both the pqd and gametes models, "
+                          f"so --model {params['model']} does not apply")
+    grid, traj_pqd = _simulate(params, "pqd")
+    _, traj_g = _simulate(params, "gametes")
 
     picks = [0, traj_pqd.times.size // 8, traj_pqd.times.size - 1]
     for panel, idx in enumerate(picks):
@@ -480,36 +489,40 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
-_PRESET_DEFAULTS = {
-    ("simulate", "fig1"): {
-        "model": "pqd", "S": 0.1, "r": 0.1, "sA": 0.0, "sB": 0.0,
-        "sigma2": 2.0, "dx": 0.2, "dt": 0.5, "t_end": 3000.0,
-        "record_every": 200,
-    },
-    ("compare", "fig3"): {
-        "S": 0.1, "r_grid": "0.15:0.5:0.05", "s": 0.01, "sigma2": 2.0,
-    },
+# (command, preset) -> (values, assumed): assumed names the preset values
+# that the underlying figure descriptions do not pin down.
+_PRESETS = {
+    ("simulate", "fig1"): (
+        {"model": "pqd", "S": 0.1, "r": 0.1, "sA": 0.0, "sB": 0.0, "sigma2": 2.0,
+         "offset_p": -10.0, "offset_q": 10.0, "half_width": 140.0,
+         "dx": 0.2, "dt": 0.5, "t_end": 3000.0, "record_every": 200},
+        ["offset_p", "offset_q", "half_width", "dx", "dt", "t_end", "snapshot_times"]),
+    ("standing", "fig2"): ({}, ["x_max", "dx"]),
+    ("compare", "fig3"): (
+        {"S": 0.1, "r_grid": "0.15:0.5:0.05", "s": 0.01, "sigma2": 2.0},
+        ["r_grid", "t_end", "dt", "dx", "initial_offset=0"]),
 }
 
-# Preset values that the underlying figure descriptions do not pin down.
-_PRESET_ASSUMED = {
-    ("simulate", "fig1"): ["offset=20", "half_width=140", "dx", "dt", "t_end",
-                           "snapshot_times"],
-    ("standing", "fig2"): ["x_max", "dx"],
-    ("compare", "fig3"): ["r_grid", "t_end", "dt", "dx", "initial_offset=0"],
+_RUNNERS = {
+    "simulate": run_simulate,
+    "standing": run_standing,
+    "speed": run_speed,
+    "compare": run_compare,
+    "stability": run_stability,
 }
 
 
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
     """Flags given win, then preset values, then the registry defaults.
 
+    ``params`` is the resolved configuration, the command included.
     ``defaulted`` lists the keys whose resolved value equals the registry
     default.
     """
-    params = {}
+    params = {"command": command}
     defaulted = []
     passed = vars(args)
-    preset_vals = _PRESET_DEFAULTS.get((command, passed.get("preset")), {})
+    preset_vals = _PRESETS.get((command, passed.get("preset")), ({}, []))[0]
     for name, kwargs in _OPTIONS[command]:
         key = name.replace("-", "_")
         default = kwargs.get("default")
@@ -520,52 +533,19 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
     return params, defaulted
 
 
-def dispatch(command: str, args: argparse.Namespace) -> tuple[Path, dict]:
-    params, defaulted = _resolve(args, command)
-    preset = params.get("preset")
-    resolved = {"command": command, **params}
-    outdir = _out_dir(vars(args), command if not preset else f"{command}-{preset}",
-                      resolved)
-    outdir.mkdir(parents=True, exist_ok=True)
-    make_svg = bool(getattr(args, "svg", False))
-
-    if command == "simulate" and preset == "fig1":
-        summary = run_simulate_fig1(params, outdir, make_svg)
-    elif command == "standing" and preset == "fig2":
-        summary = {}
-        for label, (S, r) in (("condition-holds", (0.6, 0.25)),
-                              ("condition-fails", (0.85, 0.15))):
-            sub = outdir / label
-            sub.mkdir(parents=True, exist_ok=True)
-            sub_params = dict(params, S=S, r=r)
-            summary[label] = run_standing(sub_params, sub, make_svg)
-    elif command == "standing":
-        summary = run_standing(params, outdir, make_svg)
-    elif command == "simulate":
-        summary = run_simulate(params, outdir, make_svg)
-    elif command == "speed":
-        summary = run_speed(params, outdir, make_svg)
-    elif command == "compare":
-        summary = run_compare(params, outdir, make_svg)
-    elif command == "stability":
-        summary = run_stability(params, outdir, make_svg)
-    else:  # pragma: no cover - parser restricts the choices
-        raise ConfigError(f"unknown command {command!r}")
-
-    assumed = _PRESET_ASSUMED.get((command, preset), []) if preset else []
-    _manifest(outdir, command, resolved, defaulted, assumed, {"summary": summary})
-    return outdir, summary
+def dispatch(command: str, params: dict, defaulted: list[str], outdir: Path,
+             make_svg: bool) -> None:
+    """Run a resolved command into ``outdir`` and write its manifest."""
+    summary = _RUNNERS[command](params, outdir, make_svg)
+    assumed = _PRESETS.get((command, params.get("preset")), ({}, []))[1]
+    _manifest(outdir, command, params, defaulted, assumed, summary=summary)
 
 
-def _sweep_worker(payload) -> str:
-    command, argv, outdir = payload
-    parser = build_parser()
-    args = parser.parse_args([command] + argv + ["--out", outdir])
-    dispatch(command, args)
-    return outdir
+def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
+    """Run every point of the product through ``main``.
 
-
-def run_sweep(args: argparse.Namespace, base: list[str]) -> Path:
+    Returns the sweep directory and the worst exit code of its points.
+    """
     command = args.subcommand
     known = _known_keys(command)
     varied: dict[str, list[str]] = {}
@@ -579,30 +559,32 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> Path:
         varied[key] = [v.strip() for v in values.split(",") if v.strip()]
     if not varied:
         raise ConfigError("sweep needs at least one --vary KEY=V1,V2,...")
+    # the sweep's own --config and --svg apply to every point
+    base = (["--config", args.config] if args.config else []) + list(base)
+    if args.svg:
+        base.append("--svg")
 
     resolved = {"command": "sweep", "subcommand": command, "base": base,
                 "vary": varied}
-    root = _out_dir(vars(args), f"sweep-{command}", resolved)
-    root.mkdir(parents=True, exist_ok=True)
+    root = _out_dir(args.out, f"sweep-{command}", resolved)
 
     keys = sorted(varied)
-    jobs = []
+    labels, argvs = [], []
     for combo in product(*(varied[k] for k in keys)):
-        label = "_".join(f"{k}={v}" for k, v in zip(keys, combo))
-        argv = list(base)
+        labels.append("_".join(f"{k}={v}" for k, v in zip(keys, combo)))
+        argv = [command] + base
         for k, v in zip(keys, combo):
             argv.extend([f"--{k}", v])
-        jobs.append((command, argv, str(root / label)))
+        argvs.append(argv + ["--out", str(root / labels[-1])])
 
-    if args.threads > 1 and len(jobs) > 1:
+    if args.threads > 1 and len(argvs) > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(_sweep_worker, jobs))
+            codes = list(pool.map(main, argvs))
     else:
-        for job in jobs:
-            _sweep_worker(job)
-    _manifest(root, "sweep", resolved, [], [],
-              {"runs": [Path(j[2]).name for j in jobs]})
-    return root
+        codes = [main(argv) for argv in argvs]
+    _manifest(root, "sweep", resolved, [], [], runs=labels,
+              exit_codes=dict(zip(labels, codes)))
+    return root, max(codes, default=EXIT_OK)
 
 
 def _classify(exc: Exception) -> int:
@@ -634,18 +616,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
 
     command = args.command
-    outdir_hint = None
+    outdir = None  # the run's own directory, once its parameters resolve
     try:
         if command == "sweep":
-            root = run_sweep(args, sweep_base)
-            print(root)
-            return EXIT_OK
+            outdir, code = run_sweep(args, sweep_base)
+            print(outdir)
+            return code
         if args.config:
-            config_argv = parse_config_file(args.config, command)
             user_argv = list(argv)
             user_argv.remove(command)  # the subcommand token only
-            args = parser.parse_args([command] + config_argv + user_argv)
-        outdir, _summary = dispatch(command, args)
+            config_argv = parse_config_file(args.config, command)
+            try:
+                args = parser.parse_args([command] + config_argv + user_argv)
+            except SystemExit as exc:  # argparse has printed the reason
+                raise ConfigError(f"config file {args.config} has an invalid value") from exc
+        params, defaulted = _resolve(args, command)
+        preset = params.get("preset")
+        outdir = _out_dir(args.out, f"{command}-{preset}" if preset else command, params)
+        dispatch(command, params, defaulted, outdir, args.svg)
         print(outdir)
         return EXIT_OK
     except Exception as exc:  # noqa: BLE001 - single CLI boundary
@@ -654,10 +642,10 @@ def main(argv: list[str] | None = None) -> int:
                    "exit_code": code}
         if isinstance(exc, FieldInvariantError):
             payload["t"] = exc.t
+        if outdir is None:
+            outdir = _out_dir(args.out, command, {"argv": argv})
         try:
-            outdir_hint = _out_dir(vars(args), command, {"argv": argv})
-            outdir_hint.mkdir(parents=True, exist_ok=True)
-            write_json(outdir_hint / "error.json", payload)
+            write_json(outdir / "error.json", payload)
         except Exception:  # noqa: BLE001 - best-effort diagnostics
             pass
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -121,10 +121,15 @@ class SimConfig:
 
 
 def _out_of_range(tag: str, values: np.ndarray) -> bool:
-    """The range rule: |D| <= 1/4 and frequencies in [0, 1], up to RANGE_TOL."""
+    """The range rule: |D| <= 1/4 and frequencies in [0, 1], up to RANGE_TOL.
+
+    Each bound is checked as ``not (value within bound)``, so a NaN, which
+    compares false with everything, breaks the rule.
+    """
     if tag == "D":
-        return float(np.max(np.abs(values))) > 0.25 + RANGE_TOL
-    return float(np.min(values)) < -RANGE_TOL or float(np.max(values)) > 1.0 + RANGE_TOL
+        return not float(np.max(np.abs(values))) <= 0.25 + RANGE_TOL
+    return not (float(np.min(values)) >= -RANGE_TOL
+                and float(np.max(values)) <= 1.0 + RANGE_TOL)
 
 
 @dataclass(frozen=True)

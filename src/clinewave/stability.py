@@ -37,18 +37,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError
 from .pde import Grid1D, SimConfig, front_position_values, simulate_reduced
 from .speed import c1_exact
-from .standing import WaveProfile, bistable_f, bistable_f_prime, logistic_g
+from .standing import WaveProfile, bistable_f, bistable_f_prime, exp_tail_extension, logistic_g
 
 # Discrete eigenvalues live above the essential-spectrum cluster near -S;
 # kernel checks ignore anything below this fraction of -S.
@@ -59,14 +56,12 @@ ESSENTIAL_CUTOFF_FRACTION = 0.5
 class DiscretizedOperator:
     """Tridiagonal finite-difference operator on the interior of a profile grid.
 
+    Pinned (zero) boundary rows lie outside the interior block.
+
     Attributes:
         x: interior node abscissae.
         lower, diag, upper: the three stencil bands (lower/upper have
             length n-1 aligned with rows 1..n-1 and 0..n-2 respectively).
-        tag: one of {"L", "M", "L_adjoint"}.
-        dx: grid spacing.
-        boundary: boundary treatment record ("pinned" rows outside the
-            interior block).
         weight: diagonal similarity mapping M-frame vectors to L-frame
             ones (exp((2S/r)(u0^2 - u0)) up to normalization); None for M.
     """
@@ -75,16 +70,7 @@ class DiscretizedOperator:
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-    tag: str
-    dx: float
-    boundary: str = "pinned"
     weight: np.ndarray | None = None
-
-    @cached_property
-    def matrix(self) -> sps.csr_matrix:
-        return sps.diags(
-            [self.lower, self.diag, self.upper], offsets=[-1, 0, 1]
-        ).tocsr()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         out = self.diag * vec
@@ -97,14 +83,6 @@ class DiscretizedOperator:
         out[:-1] += self.lower * vec[1:]
         out[1:] += self.upper * vec[:-1]
         return out
-
-    def transpose(self) -> "DiscretizedOperator":
-        tag = {"L": "L_adjoint", "L_adjoint": "L"}.get(self.tag, self.tag)
-        return DiscretizedOperator(
-            x=self.x, lower=self.upper.copy(), diag=self.diag.copy(),
-            upper=self.lower.copy(), tag=tag, dx=self.dx,
-            boundary=self.boundary, weight=self.weight,
-        )
 
 
 def _interior(profile: WaveProfile):
@@ -129,8 +107,7 @@ def assemble_L(u0: WaveProfile, S: float, r: float) -> DiscretizedOperator:
     upper = 1.0 / dx**2 + b[:-1] / (2.0 * dx)
     lower = 1.0 / dx**2 - b[1:] / (2.0 * dx)
     weight = np.exp((2.0 * S / r) * (u * u - u))
-    return DiscretizedOperator(x=x, lower=lower, diag=diag, upper=upper,
-                               tag="L", dx=dx, weight=weight)
+    return DiscretizedOperator(x=x, lower=lower, diag=diag, upper=upper, weight=weight)
 
 
 def assemble_M(u0: WaveProfile, S: float, r: float) -> DiscretizedOperator:
@@ -140,8 +117,7 @@ def assemble_M(u0: WaveProfile, S: float, r: float) -> DiscretizedOperator:
     c = (2.0 * S * S / r) * (2.0 * u - 1.0) * bistable_f(u) + S * bistable_f_prime(u)
     diag = -2.0 / dx**2 + c
     off = np.full(x.size - 1, 1.0 / dx**2)
-    return DiscretizedOperator(x=x, lower=off, diag=diag, upper=off.copy(),
-                               tag="M", dx=dx)
+    return DiscretizedOperator(x=x, lower=off, diag=diag, upper=off.copy())
 
 
 def _check_resolution(u0: WaveProfile, S: float) -> None:
@@ -186,7 +162,7 @@ def _symmetrize(op: DiscretizedOperator):
 def spectrum(op: DiscretizedOperator, k: int = 6):
     """The k largest eigenvalues (descending) and their eigenvectors.
 
-    All three operator tags reduce to a symmetric tridiagonal
+    L, M and the transpose of L all reduce to a symmetric tridiagonal
     eigenproblem: M is symmetric as assembled, L and its transpose are
     diagonally similar to symmetric form, so the computed spectrum is
     exactly real. Eigenvectors come back in the operator's own frame,
@@ -341,28 +317,14 @@ def relaxation_shift(
     perturbed = simulate_reduced(u0.u + eps_amp * h, u0.S, 0.0, u0.r, grid, cfg)
 
     settled = control.fields["u_reduced"][-1]
-    spline = CubicSpline(grid.x, settled)
-    x_lo, x_hi = grid.x[0], grid.x[-1]
-    rate = math.sqrt(u0.S)
-
-    def shifted_control(delta: float) -> np.ndarray:
-        xs = grid.x - delta
-        vals = spline(np.clip(xs, x_lo, x_hi))
-        right = xs > x_hi
-        if np.any(right):
-            vals[right] = settled[-1] * np.exp(-rate * (xs[right] - x_hi))
-        left = xs < x_lo
-        if np.any(left):
-            vals[left] = 1.0 - (1.0 - settled[0]) * np.exp(rate * (xs[left] - x_lo))
-        return vals
-
+    control_at = exp_tail_extension(grid.x, settled, u0.S)
     front_control = front_position_values(settled, grid.x)
 
     def best_shift(state: np.ndarray) -> float:
         guess = front_position_values(state, grid.x) - front_control
         span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
         res = minimize_scalar(
-            lambda d: float(np.sum((state - shifted_control(d)) ** 2)),
+            lambda d: float(np.sum((state - control_at(grid.x - d)) ** 2)),
             bounds=(guess - span, guess + span), method="bounded",
             options={"xatol": 1e-12},
         )
@@ -374,7 +336,7 @@ def relaxation_shift(
     for i in range(1, perturbed.times.size):
         state = perturbed.fields["u_reduced"][i]
         shift = best_shift(state)
-        dist = float(np.max(np.abs(state - shifted_control(shift))))
+        dist = float(np.max(np.abs(state - control_at(grid.x - shift))))
         if dist < settle_tol:
             t_settled = float(perturbed.times[i])
             break

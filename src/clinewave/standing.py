@@ -143,22 +143,38 @@ class WaveProfile:
 
     def interp(self, x_new: np.ndarray) -> np.ndarray:
         """Cubic-spline evaluation with exponential extension beyond the grid."""
-        spline = CubicSpline(self.x, self.u)
-        x_new = np.asarray(x_new, dtype=float)
-        out = spline(np.clip(x_new, self.x[0], self.x[-1]))
-        rate = np.sqrt(self.S)
-        right = x_new > self.x[-1]
-        if np.any(right):
-            out[right] = self.u[-1] * np.exp(-rate * (x_new[right] - self.x[-1]))
-        left = x_new < self.x[0]
-        if np.any(left):
-            out[left] = 1.0 - (1.0 - self.u[0]) * np.exp(rate * (x_new[left] - self.x[0]))
-        return out
+        return exp_tail_extension(self.x, self.u, self.S)(x_new)
 
     def to_csv(self, path) -> None:
         from .reporting import write_csv
 
         write_csv(path, ["x", "u", "du"], np.column_stack([self.x, self.u, self.du]))
+
+
+def exp_tail_extension(x: np.ndarray, u: np.ndarray, S: float):
+    """Evaluator of a front sampled at (x, u), extended past the grid.
+
+    Inside [x[0], x[-1]] it is a cubic spline, built once here. Beyond the
+    grid the front relaxes to its limit states at the linear tail rate
+    sqrt(S): u[-1] e^{-sqrt(S)(x - x[-1])} on the right, 1 - (1 - u[0])
+    e^{sqrt(S)(x - x[0])} on the left.
+    """
+    spline = CubicSpline(x, u)
+    x_lo, x_hi = x[0], x[-1]
+    rate = np.sqrt(S)
+
+    def evaluate(x_new: np.ndarray) -> np.ndarray:
+        x_new = np.asarray(x_new, dtype=float)
+        out = spline(np.clip(x_new, x_lo, x_hi))
+        right = x_new > x_hi
+        if np.any(right):
+            out[right] = u[-1] * np.exp(-rate * (x_new[right] - x_hi))
+        left = x_new < x_lo
+        if np.any(left):
+            out[left] = 1.0 - (1.0 - u[0]) * np.exp(rate * (x_new[left] - x_lo))
+        return out
+
+    return evaluate
 
 
 def _symmetric_grid(x_max: float, dx: float) -> np.ndarray:

@@ -8,6 +8,11 @@ import pytest
 from clinewave.cli import _resolve, build_parser, main
 
 
+# reaction overshoot from a hostile dt on the reduced model
+BLOWUP = ["simulate", "--model", "reduced", "--init", "logistic",
+          "--S", "0.1", "--r", "0.001", "--dt", "5.0", "--t-end", "50"]
+
+
 def run_cli(args, tmp_path, name="run"):
     out = tmp_path / name
     code = main(list(args) + ["--out", str(out)])
@@ -101,6 +106,14 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_bad_config_value_exits_2_with_error_json(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("dx = abc\n")
+        out = tmp_path / "x"
+        code = main(["standing", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+
     def test_invariant_violation_exits_3_with_error_json(self, tmp_path):
         out = tmp_path / "bad"
         code = main(["simulate", "--model", "pqd", "--sA", "0.5", "--SA", "0.1",
@@ -111,11 +124,8 @@ class TestConfigHandling:
         assert err["error"] == "ValueError"
 
     def test_numerical_failure_exits_4(self, tmp_path):
-        # reaction overshoot from a hostile dt on the reduced model
         out = tmp_path / "blowup"
-        code = main(["simulate", "--model", "reduced", "--init", "logistic",
-                     "--S", "0.1", "--r", "0.001", "--dt", "5.0",
-                     "--t-end", "50", "--out", str(out)])
+        code = main(BLOWUP + ["--out", str(out)])
         assert code == 4
         err = json.loads((out / "error.json").read_text())
         assert err["exit_code"] == 4
@@ -174,6 +184,41 @@ class TestSimulateCommand:
         assert header == "t,x,u,v,w,z"
 
 
+class TestFig1Preset:
+    """fig1 is preset data for simulate: its runs are plain pqd and gamete runs."""
+
+    SHORT = ["--t-end", "5", "--record-every", "5"]
+    PLAIN = ["simulate", "--offset-p", "-10", "--offset-q", "10",
+             "--half-width", "140", "--dt", "0.5"] + SHORT
+
+    def test_default_flags_match_plain_runs(self, tmp_path):
+        code, fig1 = run_cli(["simulate", "--preset", "fig1"] + self.SHORT, tmp_path, "fig1")
+        assert code == 0
+        for model in ("pqd", "gametes"):
+            code, plain = run_cli(self.PLAIN + ["--model", model], tmp_path, model)
+            assert code == 0
+            assert ((fig1 / f"trajectory_{model}.csv").read_bytes()
+                    == (plain / "trajectory.csv").read_bytes())
+
+    def test_flags_are_used_and_recorded(self, tmp_path):
+        flags = ["--S", "0.2", "--r", "0.3"]
+        code, fig1 = run_cli(["simulate", "--preset", "fig1"] + flags + self.SHORT,
+                             tmp_path, "fig1")
+        assert code == 0
+        _, plain = run_cli(self.PLAIN + flags, tmp_path, "plain")
+        assert ((fig1 / "trajectory_pqd.csv").read_bytes()
+                == (plain / "trajectory.csv").read_bytes())
+        resolved = json.loads((fig1 / "manifest.json").read_text())["resolved"]
+        assert (resolved["S"], resolved["r"]) == (0.2, 0.3)
+        assert (resolved["offset_p"], resolved["offset_q"]) == (-10.0, 10.0)
+        assert resolved["half_width"] == 140.0
+
+    def test_single_model_exits_2(self, tmp_path):
+        code, _ = run_cli(["simulate", "--preset", "fig1", "--model", "gametes"]
+                          + self.SHORT, tmp_path)
+        assert code == 2
+
+
 class TestCompareCommand:
     def test_single_point_comparison(self, tmp_path):
         code, out = run_cli(
@@ -195,6 +240,14 @@ class TestOutputRoot:
         runs = list((tmp_path / "envroot").glob("speed-*/speed_table.csv"))
         assert len(runs) == 1
 
+    def test_failed_run_writes_error_json_into_its_own_directory(self, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.setenv("CLINEWAVE_OUT", str(tmp_path / "envroot"))
+        assert main(BLOWUP) == 4
+        runs = list((tmp_path / "envroot").iterdir())
+        assert len(runs) == 1
+        assert (runs[0] / "error.json").exists()
+
 
 class TestSweepCommand:
     def test_parallel_product_of_runs(self, tmp_path):
@@ -209,6 +262,27 @@ class TestSweepCommand:
             assert manifest["resolved"]["dx"] == 0.05
         top = json.loads((out / "manifest.json").read_text())
         assert sorted(top["runs"]) == ["S=0.1_r=0.25", "S=0.25_r=0.25"]
+
+    def test_failing_point_does_not_stop_the_others(self, tmp_path):
+        out = tmp_path / "sweepy"
+        code = main(["sweep", "standing", "--vary", "r=-1,0.25", "--threads", "2",
+                     "--out", str(out), "--", "--dx", "0.05"])
+        assert code == 3
+        assert (out / "r=-1" / "error.json").exists()
+        assert (out / "r=0.25" / "report.json").exists()
+        top = json.loads((out / "manifest.json").read_text())
+        assert top["exit_codes"] == {"r=-1": 3, "r=0.25": 0}
+
+    def test_config_reaches_every_point(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("r = 0.25\ndx = 0.05\n")
+        out = tmp_path / "sweepy"
+        code = main(["sweep", "standing", "--vary", "S=0.1,0.25", "--threads", "1",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        for sub in ("S=0.1", "S=0.25"):
+            resolved = json.loads((out / sub / "manifest.json").read_text())["resolved"]
+            assert (resolved["r"], resolved["dx"]) == (0.25, 0.05)
 
     def test_unknown_vary_key_exits_2(self, tmp_path):
         code = main(["sweep", "standing", "--vary", "zap=1,2",

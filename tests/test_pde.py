@@ -68,10 +68,13 @@ class TestGridAndConfig:
             simulate_pqd(init, SYMMETRIC_FP, grid, SimConfig(dt=0.1, t_end=1.0))
 
     def test_field_range_validation(self):
-        with pytest.raises(ValueError):
-            Field1D(np.array([0.0, 1.5, 0.0]), "p")
-        with pytest.raises(ValueError):
-            Field1D(np.array([0.0, 0.3, 0.0]), "D")
+        # the profile check and the loop's guard share one range rule
+        for tag, values in (("p", [0.0, 1.5, 0.0]), ("D", [0.0, 0.3, 0.0]),
+                            ("p", [np.nan, 0.5, 0.0]), ("D", [0.0, np.nan, 0.0])):
+            with pytest.raises(ValueError):
+                Field1D(np.array(values), tag)
+            with pytest.raises(FieldInvariantError):
+                pde._range_guard(1.0, {tag: np.array(values)})
 
 
 class TestSimulatePQD:
