@@ -515,6 +515,9 @@ _RUNNERS = {
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
     """Flags given win, then preset values, then the registry defaults.
 
+    A flag that a preset cannot honour (``--S``/``--r`` with fig2) is a
+    ``ConfigError`` rather than a value recorded but never used.
+
     ``params`` is the resolved configuration, the command included.
     ``defaulted`` lists the keys whose resolved value equals the registry
     default.
@@ -522,6 +525,9 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
     params = {"command": command}
     defaulted = []
     passed = vars(args)
+    if (command, passed.get("preset")) == ("standing", "fig2") and {"S", "r"} & passed.keys():
+        raise ConfigError("--preset fig2 fixes S and r to its two regimes, "
+                          "so --S and --r do not apply")
     preset_vals = _PRESETS.get((command, passed.get("preset")), ({}, []))[0]
     for name, kwargs in _OPTIONS[command]:
         key = name.replace("-", "_")
@@ -602,6 +608,40 @@ def _classify(exc: Exception) -> int:
     raise exc
 
 
+def _error_payload(exc: Exception, code: int) -> dict:
+    """What ``error.json`` records: the error, its exit code, and the
+    diagnostics the exception carries. Scalars and tuples are copied as
+    they are; a ``FieldInvariantError`` snapshot is summarised per field
+    (finite min and max, count of non-finite nodes, and the worst node:
+    the first non-finite one, else the one with the least margin to the
+    admissible range) instead of being written out whole. Non-finite
+    values are written as null, so the file stays strict JSON.
+    """
+    payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+    for attr in ("last_residual", "escape_state", "crossings", "gametes"):
+        if hasattr(exc, attr):
+            payload[attr] = getattr(exc, attr)
+    if isinstance(exc, FieldInvariantError):
+        payload["t"] = exc.t
+        summary = {}
+        for tag, values in exc.snapshot.items():
+            values = np.asarray(values, dtype=float)
+            bad = ~np.isfinite(values)
+            lo, hi = (-0.25, 0.25) if tag == "D" else (0.0, 1.0)
+            excess = np.where(bad, np.inf, np.maximum(lo - values, values - hi))
+            worst = int(np.argmax(excess))
+            finite = values[~bad]
+            summary[tag] = {
+                "min": float(finite.min()) if finite.size else None,
+                "max": float(finite.max()) if finite.size else None,
+                "nonfinite": int(bad.sum()),
+                "worst_node": worst,
+                "worst_value": None if bad[worst] else float(values[worst]),
+            }
+        payload["snapshot"] = summary
+    return payload
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # base flags for swept runs follow a literal -- separator
@@ -638,10 +678,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except Exception as exc:  # noqa: BLE001 - single CLI boundary
         code = _classify(exc)
-        payload = {"error": type(exc).__name__, "message": str(exc),
-                   "exit_code": code}
-        if isinstance(exc, FieldInvariantError):
-            payload["t"] = exc.t
+        payload = _error_payload(exc, code)
         if outdir is None:
             outdir = _out_dir(args.out, command, {"argv": argv})
         try:

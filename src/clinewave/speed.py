@@ -209,7 +209,9 @@ def solve_traveling_bvp(
         (c, profile) with the residual below ``newton_tol``.
 
     Raises:
-        NewtonDivergenceError: a continuation stage failed to converge.
+        NewtonDivergenceError: a continuation stage failed to converge, or
+            a Newton step came out singular or non-finite (e.g. a profile
+            with zero slope gives the phase condition no weight).
         ValueError: eps too large for the perturbative branch (> 0.1 S).
     """
     if eps < 0.0 or eps > 0.1 * S:
@@ -218,7 +220,6 @@ def solve_traveling_bvp(
         u0 = profile_from_quadrature(S, r, x_max=x_max, dx=grid_dx)
     x, base, base_slope = u0.x, u0.u, u0.du
     dx = u0.dx
-    n = x.size
     u_left, u_right = 1.0, 0.0
 
     u = base[1:-1].copy()
@@ -245,17 +246,21 @@ def solve_traveling_bvp(
             off_common = c / (2.0 * dx) + (2.0 / r) * coef * up / dx
             upper = 1.0 / (dx * dx) + off_common
             lower = 1.0 / (dx * dx) - off_common
-            m = n - 2
-            J = sps.lil_matrix((m + 1, m + 1))
-            J.setdiag(diag)
-            J.setdiag(upper[:-1], 1)
-            J.setdiag(lower[1:], -1)
-            J[:m, m] = up[:, np.newaxis]
-            J[m, :m] = phase_weight
-            rhs = -np.concatenate((res, [phase]))
-            delta = spsolve(J.tocsc(), rhs)
-            u += delta[:m]
-            c += float(delta[m])
+            # Keller's bordering: the Jacobian is the tridiagonal T bordered
+            # by the column dR/dc = u' and the phase row w. One solve
+            # T [y z] = [-res u'] gives dc = (w.y + phase) / (w.z), du = y - z dc.
+            T = sps.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1], format="csc")
+            y, z = spsolve(T, np.column_stack((-res, up))).T
+            wz = float(np.dot(phase_weight, z))
+            dc = (float(np.dot(phase_weight, y)) + phase) / wz if wz != 0.0 else math.nan
+            du = y - z * dc
+            if not (math.isfinite(dc) and np.isfinite(du).all()):
+                raise NewtonDivergenceError(
+                    f"singular Newton step at eps={eps_k} (w.z = {wz:.3e}) "
+                    f"from residual {norm:.3e}", norm
+                )
+            u += du
+            c += dc
         else:
             raise NewtonDivergenceError(
                 f"Newton stalled at eps={eps_k} with residual {norm:.3e}", norm

@@ -77,6 +77,11 @@ def logistic_g(u):
     return u * (1.0 - u)
 
 
+# Horner coefficients 1/14!, ..., 1/3! of the Taylor tail y^2/2 + ... + y^14/14!
+# of exp(y) - 1 - y; the remainder is below 1e-19 for |y| < 0.3.
+_EXPM1_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(14, 2, -1))
+
+
 def _expm1_minus(y):
     """exp(y) - 1 - y without cancellation for small y."""
     arr = np.atleast_1d(np.asarray(y, dtype=float))
@@ -84,10 +89,9 @@ def _expm1_minus(y):
     small = np.abs(arr) < 0.3
     if np.any(small):
         ys = arr[small]
-        # Taylor tail y^2/2 + ... + y^14/14!; remainder below 1e-19 for |y| < 0.3.
         acc = np.zeros_like(ys)
-        for k in range(14, 2, -1):
-            acc = (acc + 1.0 / math.factorial(k)) * ys
+        for coef in _EXPM1_TAYLOR:
+            acc = (acc + coef) * ys
         acc = (acc + 0.5) * ys * ys
         out[small] = acc
     return out if np.ndim(y) else float(out[0])
@@ -108,6 +112,26 @@ def _slope(u, S: float, r: float):
     """Signed slope -sqrt(P(u)) with a defensive clamp at machine noise."""
     P = np.maximum(first_integral_P(u, S, r), 0.0)
     return -np.sqrt(P)
+
+
+def _slope_scalar(u: float, S: float, r: float) -> float:
+    """`_slope` at one height, on Python floats.
+
+    The same IEEE operations in the same order, so the result is bit for
+    bit that of `_slope` at a fraction of its cost; it is the right-hand
+    side of the quadrature ODE. ``u * u`` matches numpy's ``u ** 2`` (libm
+    ``pow`` need not), and ``np.expm1`` stays because ``math.expm1`` can
+    differ from it in the last bit.
+    """
+    y = (4.0 * S / r) * (u - u * u)
+    if abs(y) < 0.3:
+        acc = 0.0
+        for coef in _EXPM1_TAYLOR:
+            acc = (acc + coef) * y
+        e = (acc + 0.5) * y * y
+    else:
+        e = float(np.expm1(y)) - y
+    return -math.sqrt(max((r * r / (8.0 * S)) * e, 0.0))
 
 
 @dataclass(frozen=True)
@@ -203,7 +227,7 @@ def profile_from_quadrature(
     u[center] = 0.5
 
     def rhs(_x, y):
-        return [_slope(y[0], S, r)]
+        return [_slope_scalar(float(y[0]), S, r)]
 
     def tail_event(_x, y):
         return y[0] - TAIL_CUTOFF

@@ -43,6 +43,8 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "")
     finite = np.isfinite(xs) & np.isfinite(ys)
     x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
     y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.04 * (y_hi - y_lo)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from clinewave.cli import _resolve, build_parser, main
+from clinewave.cli import _error_payload, _resolve, build_parser, main
+from clinewave.errors import NewtonDivergenceError, NoHeteroclinicError
 
 
 # reaction overshoot from a hostile dt on the reduced model
@@ -43,6 +44,15 @@ class TestStandingCommand:
         fails = json.loads((out / "condition-fails" / "report.json").read_text())
         assert holds["shooting"]["condition_S_lt_4r"] is True
         assert fails["shooting"]["condition_S_lt_4r"] is False
+
+    @pytest.mark.parametrize("flag", ["--S", "--r"])
+    def test_fig2_preset_rejects_S_and_r(self, tmp_path, flag):
+        # fig2 fixes (S, r) to its two regimes; the flag would be recorded but unused
+        code, out = run_cli(["standing", "--preset", "fig2", flag, "0.3"], tmp_path)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert not (out / "manifest.json").exists()
 
     def test_manifest_records_defaults(self, tmp_path):
         code, out = run_cli(["standing", "--S", "0.25", "--r", "0.25"], tmp_path)
@@ -129,6 +139,25 @@ class TestConfigHandling:
         assert code == 4
         err = json.loads((out / "error.json").read_text())
         assert err["exit_code"] == 4
+
+    def test_error_json_summarises_the_snapshot(self, tmp_path):
+        out = tmp_path / "blowup"
+        assert main(BLOWUP + ["--out", str(out)]) == 4
+        assert (out / "error.json").stat().st_size < 4096
+        err = json.loads((out / "error.json").read_text())
+        assert err["t"] == 10.0
+        field = err["snapshot"]["u_reduced"]
+        assert set(field) == {"min", "max", "nonfinite", "worst_node", "worst_value"}
+        assert field["nonfinite"] > 0
+        assert field["worst_value"] is None  # non-finite: null keeps strict JSON
+        assert field["min"] <= field["max"]
+
+    def test_error_payload_copies_scalar_diagnostics(self):
+        payload = _error_payload(NewtonDivergenceError("stalled", 3.5e-9), 4)
+        assert payload == {"error": "NewtonDivergenceError", "message": "stalled",
+                           "exit_code": 4, "last_residual": 3.5e-9}
+        payload = _error_payload(NoHeteroclinicError("escaped", (0.7, -3.2)), 4)
+        assert payload["escape_state"] == (0.7, -3.2)
 
 
 class TestSpeedCommand:

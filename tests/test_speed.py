@@ -1,12 +1,17 @@
 """Unit tests for the wave-speed theory and the traveling-wave BVP solver."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from scipy.sparse.linalg import spsolve
 
-from clinewave.errors import ProfileTooShortError
+from clinewave import speed
+from clinewave.errors import NewtonDivergenceError, ProfileTooShortError
 from clinewave.speed import (
+    _traveling_residual,
     SpeedReport,
     c1_exact,
     c1_series,
@@ -17,7 +22,7 @@ from clinewave.speed import (
     solve_traveling_bvp,
     zero_recombination_speed,
 )
-from clinewave.standing import profile_from_quadrature
+from clinewave.standing import bistable_f_prime, profile_from_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -166,12 +171,77 @@ class TestTravelingBVP:
             solve_traveling_bvp(0.1, 0.1, 0.05, u0=profile_01)
 
     def test_newton_divergence_reports_residual(self, profile_01):
-        from clinewave.errors import NewtonDivergenceError
-
         with pytest.raises(NewtonDivergenceError) as err:
             solve_traveling_bvp(0.1, 0.1, 1e-3, u0=profile_01,
                                 max_iter=1, continuation_steps=1)
         assert err.value.last_residual > 0.0
+
+    def test_zero_phase_weight_fails_at_the_first_step(self, profile_01, monkeypatch):
+        # A profile with zero slope gives the phase condition no weight, so
+        # the bordered system is singular; the solver must say so at once
+        # with a finite residual, not iterate on NaN.
+        flat = dataclasses.replace(profile_01, du=np.zeros_like(profile_01.du))
+        solves = []
+
+        def counting_spsolve(*args, **kwargs):
+            solves.append(1)
+            return spsolve(*args, **kwargs)
+
+        monkeypatch.setattr(speed, "spsolve", counting_spsolve)
+        with pytest.raises(NewtonDivergenceError) as err:
+            solve_traveling_bvp(0.1, 0.1, 1e-3, u0=flat)
+        assert len(solves) == 1
+        assert math.isfinite(err.value.last_residual) and err.value.last_residual > 0.0
+
+
+def _reference_bvp(S, r, eps, u0):
+    """Newton continuation with the whole bordered Jacobian assembled as a
+    sparse (m+1) x (m+1) matrix and handed to one direct solve (the
+    solver's default tolerance, iteration cap and four stages)."""
+    x, base, dx = u0.x, u0.u, u0.dx
+    m = x.size - 2
+    u = base[1:-1].copy()
+    c = 0.0
+    phase_weight = u0.du[1:-1] * dx
+    for eps_k in [eps * (0.5 ** k) for k in (3, 2, 1, 0)]:
+        for _ in range(40):
+            res = _traveling_residual(u, c, eps_k, S, r, dx, 1.0, 0.0)
+            phase = float(np.dot(u - base[1:-1], phase_weight))
+            if max(float(np.max(np.abs(res))), abs(phase)) < 1e-12:
+                break
+            full = np.concatenate(([1.0], u, [0.0]))
+            up = (full[2:] - full[:-2]) / (2.0 * dx)
+            coef = S * (2.0 * u - 1.0) + eps_k
+            diag = (-2.0 / (dx * dx) + S * bistable_f_prime(u)
+                    + eps_k * (1.0 - 2.0 * u) + (4.0 * S / r) * up * up)
+            off_common = c / (2.0 * dx) + (2.0 / r) * coef * up / dx
+            J = sps.lil_matrix((m + 1, m + 1))
+            J.setdiag(diag)
+            J.setdiag((1.0 / (dx * dx) + off_common)[:-1], 1)
+            J.setdiag((1.0 / (dx * dx) - off_common)[1:], -1)
+            J[:m, m] = up[:, np.newaxis]
+            J[m, :m] = phase_weight
+            delta = spsolve(J.tocsc(), -np.concatenate((res, [phase])))
+            u += delta[:m]
+            c += float(delta[m])
+        else:
+            raise AssertionError(f"reference Newton stalled at eps={eps_k}")
+    return c, np.concatenate(([1.0], u, [0.0]))
+
+
+class TestBorderedSolveMatchesReference:
+    """The bordered (tridiagonal + Schur complement) Newton step reproduces
+    the full bordered-matrix solve. Both stop on the same 1e-12 residual,
+    which fixes c only to about 1e-11 relative, so the bound is absolute."""
+
+    @pytest.mark.parametrize("r", [0.1, 0.15, 0.3, 0.45])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_same_speed_and_profile(self, r, eps):
+        u0 = profile_from_quadrature(0.1, r, dx=0.05)
+        c, prof = solve_traveling_bvp(0.1, r, eps, u0=u0)
+        c_ref, u_ref = _reference_bvp(0.1, r, eps, u0)
+        assert abs(c - c_ref) <= 1e-13
+        assert np.max(np.abs(prof.u - u_ref)) <= 1e-12
 
 
 class TestFullSystemComparison:

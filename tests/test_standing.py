@@ -7,6 +7,8 @@ import pytest
 
 from clinewave.errors import ClinewaveError, NoHeteroclinicError
 from clinewave.standing import (
+    _slope,
+    _slope_scalar,
     decay_rate,
     first_integral_P,
     ode_residual,
@@ -53,6 +55,25 @@ class TestFirstIntegral:
         for (S, r) in [(0.1, 0.1), (0.6, 0.25), (0.25, 0.25), (0.3, 0.5)]:
             u = np.linspace(0.01, 0.99, 99)
             assert np.all(first_integral_P(u, S, r) > 0.0)
+
+
+class TestScalarSlope:
+    """The quadrature ODE's scalar right-hand side equals the vector slope law bit for bit."""
+
+    @pytest.mark.parametrize("S,r", [(0.1, 0.1), (0.6, 0.25), (0.85, 0.15),
+                                     (0.02, 0.5), (0.3, 0.5), (0.1, 50.0)])
+    def test_bit_identical_to_vector_slope(self, S, r):
+        u = [np.linspace(0.0, 1.0, 20001), [0.0, 1.0, 1e-10, 1.0 - 1e-10, 1e-300]]
+        k = 4.0 * S / r
+        if k / 4.0 >= 0.3:
+            # heights where y = k (u - u^2) crosses the 0.3 Taylor/expm1 switch
+            root = 0.5 * (1.0 - math.sqrt(1.0 - 1.2 / k))
+            edge = np.array([root, 1.0 - root])
+            u += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+        u = np.concatenate(u)
+        vector = _slope(u, S, r)
+        scalar = np.array([_slope_scalar(float(v), S, r) for v in u])
+        assert vector.tobytes() == scalar.tobytes()
 
 
 class TestQuadratureProfile:
