@@ -11,5 +11,5 @@ value solver (`speed`), spectral stability checks of the standing front
 __version__ = "0.1.0"
 
 from .genetics import FitnessParams, GameteFreqs, PQD  # noqa: F401
-from .pde import Field1D, Grid1D, SimConfig, Trajectory  # noqa: F401
+from .pde import Grid1D, SimConfig, Trajectory  # noqa: F401
 from .standing import WaveProfile  # noqa: F401

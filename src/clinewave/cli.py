@@ -650,14 +650,25 @@ def main(argv: list[str] | None = None) -> int:
         split = argv.index("--")
         argv, sweep_base = argv[:split], argv[split + 1:]
     parser = build_parser()
+    # Where error.json goes if the full parse fails: the subcommand and
+    # --out as far as they can be read from a command line that may not parse.
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--out")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-
-    command = args.command
+        args = pre.parse_known_args(argv)[0]
+    except argparse.ArgumentError:
+        args = argparse.Namespace(command=None, out=None)
+    command = args.command if args.command in (*_RUNNERS, "sweep") else None
     outdir = None  # the run's own directory, once its parameters resolve
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse has printed the reason
+            if not exc.code:  # --help, --version
+                return EXIT_OK
+            raise ConfigError(f"invalid command line: {' '.join(argv)}") from exc
+        command = args.command
         if command == "sweep":
             outdir, code = run_sweep(args, sweep_base)
             print(outdir)
@@ -679,10 +690,11 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - single CLI boundary
         code = _classify(exc)
         payload = _error_payload(exc, code)
-        if outdir is None:
+        if outdir is None and (args.out or command):
             outdir = _out_dir(args.out, command, {"argv": argv})
         try:
-            write_json(outdir / "error.json", payload)
+            if outdir is not None:  # none without a subcommand or --out
+                write_json(outdir / "error.json", payload)
         except Exception:  # noqa: BLE001 - best-effort diagnostics
             pass
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

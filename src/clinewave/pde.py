@@ -28,8 +28,9 @@ half reaction):
     control). Speeds measured here convert to the original frame by the
     factor sigma/sqrt(2).
 
-Each simulator builds its reaction right-hand side once per run and hands
-it to the shared loop. Diffusion acts on the whole (components, nodes)
+Each simulator only builds its reaction right-hand side, once per run;
+the shared driver copies and checks the initial data, steps, records and
+tracks the fronts. Diffusion acts on the whole (components, nodes)
 state at once: Crank-Nicolson by default, one tridiagonal solve with a
 right-hand-side column per component; explicit stepping is available
 behind a CFL guard. Boundaries are no-flux or pinned. Runs are
@@ -39,7 +40,7 @@ deterministic given their config; independent runs share no state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,8 +59,8 @@ from .standing import bistable_f, logistic_g
 RANGE_TOL = 1e-6          # abort threshold for field-range violations
 BOUNDARY_INIT_TOL = 1e-6  # required closeness of initial data to limit states
 
-# Tags tracked by a 1/2 level crossing (monotone fronts) and by argmax |value|.
-_LEVEL_TAGS = {"p": "dec", "q": "dec", "u": "dec", "z": "inc", "u_reduced": "dec"}
+# Tags tracked by argmax |value|; the rest by their 1/2 level crossing, every
+# front decreasing except z, which rises.
 _ABSMAX_TAGS = {"D", "v", "w"}
 
 
@@ -132,23 +133,6 @@ def _out_of_range(tag: str, values: np.ndarray) -> bool:
                 and float(np.max(values)) <= 1.0 + RANGE_TOL)
 
 
-@dataclass(frozen=True)
-class Field1D:
-    """A spatial profile tagged with the quantity it represents."""
-
-    values: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        ranged = self.tag in ("p", "q", "u", "v", "w", "z", "u_reduced", "D")
-        if not (ranged and _out_of_range(self.tag, self.values)):
-            return
-        if self.tag == "D":
-            raise ValueError("D field outside [-1/4, 1/4]")
-        lo, hi = float(np.min(self.values)), float(np.max(self.values))
-        raise ValueError(f"{self.tag} field outside [0,1]: [{lo}, {hi}]")
-
-
 @dataclass
 class Trajectory:
     """Recorded history of a simulation run.
@@ -192,13 +176,13 @@ class Trajectory:
         return payload
 
 
-def recommended_half_width(S_like: float, travel: float = 0.0) -> float:
+def recommended_half_width(S_like: float) -> float:
     """Domain half-width keeping boundaries within ~1e-6 of the limit states.
 
-    Allows 40/sqrt(S) of clearance around the front plus any anticipated
-    front travel.
+    Allows 40/sqrt(S) of clearance around a standing front; callers add
+    any anticipated front travel.
     """
-    return 40.0 / math.sqrt(S_like) + abs(travel)
+    return 40.0 / math.sqrt(S_like)
 
 
 def logistic_front(x: np.ndarray, S: float, center: float = 0.0,
@@ -256,15 +240,6 @@ class _Diffusion:
         return solve_banded((1, 1), self._ab, rhs.T, check_finite=False).T
 
 
-def _check_cfl(cfg: SimConfig, grid: Grid1D, nu: float) -> None:
-    if cfg.scheme == "strang-explicit":
-        limit = grid.dx**2 / (2.0 * nu)
-        if cfg.dt > limit:
-            raise CFLViolationError(
-                f"explicit diffusion needs dt <= dx^2/(2 nu) = {limit:.6g}, got dt={cfg.dt}"
-            )
-
-
 def _check_boundary_init(fields: dict[str, np.ndarray]) -> None:
     """Front-shaped initial data must sit on a limit state at both edges.
 
@@ -303,39 +278,11 @@ def _gradient(u: np.ndarray, dx: float) -> np.ndarray:
 def _front_of(tag: str, values: np.ndarray, x: np.ndarray) -> float:
     if tag in _ABSMAX_TAGS:
         return float(x[int(np.argmax(np.abs(values)))])
-    sense = _LEVEL_TAGS.get(tag, "dec")
-    f = values if sense == "dec" else 1.0 - values
+    f = 1.0 - values if tag == "z" else values
     try:
         return front_position_values(f, x, 0.5)
     except FrontTrackingError:
         return math.nan
-
-
-class _Recorder:
-    def __init__(self, grid: Grid1D, tags: list[str], n_records: int):
-        self.grid = grid
-        self.tags = tags
-        self.times = np.empty(n_records)
-        self.store = {tag: np.empty((n_records, grid.n)) for tag in tags}
-        self.fronts = {tag: np.empty(n_records) for tag in tags}
-        self.k = 0
-
-    def record(self, t: float, fields: dict[str, np.ndarray]) -> None:
-        self.times[self.k] = t
-        for tag in self.tags:
-            self.store[tag][self.k] = fields[tag]
-            self.fronts[tag][self.k] = _front_of(tag, fields[tag], self.grid.x)
-        self.k += 1
-
-    def finish(self, config_summary: dict) -> Trajectory:
-        times = self.times[: self.k]
-        return Trajectory(
-            times=times,
-            grid=self.grid,
-            fields={tag: arr[: self.k] for tag, arr in self.store.items()},
-            front_positions={tag: arr[: self.k] for tag, arr in self.fronts.items()},
-            config_summary=config_summary,
-        )
 
 
 def _range_guard(t: float, fields: dict[str, np.ndarray]) -> None:
@@ -348,21 +295,27 @@ def _range_guard(t: float, fields: dict[str, np.ndarray]) -> None:
             raise FieldInvariantError(message, t, dict(fields))
 
 
-def _run_strang(fields, tags, grid, cfg, nu, rhs, config_summary):
-    """Shared Strang loop: half reaction, diffusion, half reaction.
+def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
+    """The one run driver: half reaction, diffusion, half reaction per step.
 
-    rhs(state) -> d(state)/dt for the (components, nodes) state, built once
-    per run by the simulator. It returns a fresh array on every call, since
-    the RK4 stages are kept side by side.
+    init (one array per tag, or a bare array for one component) is copied
+    into the (components, nodes) state and checked before the first step.
+    rhs(state) -> d(state)/dt, built once per run by the simulator, returns
+    a fresh array on every call, since the RK4 stages are kept side by
+    side. summary names the model and its parameters; the config is added.
     """
-    _check_cfl(cfg, grid, nu)
+    state = np.array(init, dtype=float, ndmin=2)
+    _check_boundary_init(dict(zip(tags, state)))
+    _range_guard(0.0, dict(zip(tags, state)))
+    limit = grid.dx**2 / (2.0 * nu)
+    if cfg.scheme == "strang-explicit" and cfg.dt > limit:
+        raise CFLViolationError(
+            f"explicit diffusion needs dt <= dx^2/(2 nu) = {limit:.6g}, got dt={cfg.dt}")
     n_steps = int(round(cfg.t_end / cfg.dt))
     n_records = n_steps // cfg.record_every + 1
-    rec = _Recorder(grid, tags, n_records)
-    rec.record(0.0, fields)
+    store = np.empty((len(tags), n_records, grid.n))
+    store[:, 0] = state
     diff = _Diffusion(grid, nu, cfg.dt, cfg.boundary, cfg.scheme)
-
-    state = np.array([fields[tag] for tag in tags])
     half = 0.5 * cfg.dt
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
@@ -376,11 +329,17 @@ def _run_strang(fields, tags, grid, cfg, nu, rhs, config_summary):
             state = diff.step(state)
             state = _rk4(rhs, state, half)
             if step % cfg.record_every == 0:
-                t = step * cfg.dt
-                current = dict(zip(tags, state))
-                _range_guard(t, current)
-                rec.record(t, current)
-    return rec.finish(config_summary)
+                _range_guard(step * cfg.dt, dict(zip(tags, state)))
+                store[:, step // cfg.record_every] = state
+    fields = dict(zip(tags, store))
+    return Trajectory(
+        # integer step first, then dt: the same bits as step * dt in the loop
+        times=np.arange(n_records) * cfg.record_every * cfg.dt,
+        grid=grid, fields=fields,
+        front_positions={tag: np.array([_front_of(tag, rec, grid.x) for rec in arr])
+                         for tag, arr in fields.items()},
+        config_summary={**summary, "config": asdict(cfg)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +354,6 @@ def simulate_pqd(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Traje
         init: tuple of three arrays (p, q, D) on the grid, fronts near
             (1, 1, 0) on the left and (0, 0, 0) on the right.
     """
-    p0, q0, D0 = (np.asarray(a, dtype=float).copy() for a in init)
-    fields = {"p": p0, "q": q0, "D": D0}
-    _check_boundary_init(fields)
-    _range_guard(0.0, fields)
     dx = grid.dx
 
     def rhs(state):
@@ -414,8 +369,8 @@ def simulate_pqd(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Traje
                   - (fp.r + hA * selA + hB * selB) * D)
         return out
 
-    summary = {"model": "pqd", "params": _fp_dict(fp), "config": _cfg_dict(cfg)}
-    return _run_strang(fields, ["p", "q", "D"], grid, cfg, fp.sigma2 / 2.0, rhs, summary)
+    return _run_strang(init, ["p", "q", "D"], grid, cfg, fp.sigma2 / 2.0, rhs,
+                       {"model": "pqd", "params": asdict(fp)})
 
 
 def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Trajectory:
@@ -424,17 +379,11 @@ def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> T
     The reaction is the per-generation net change of the exact recursion,
     R(y) = step(y) - y, whose components sum to zero pointwise.
     """
-    arrays = [np.asarray(a, dtype=float).copy() for a in init]
-    fields = dict(zip(["u", "v", "w", "z"], arrays))
-    _check_boundary_init(fields)
-    _range_guard(0.0, fields)
-
     def rhs(state):
         return np.array(genetics._step_arrays(*state, fp)) - state
 
-    summary = {"model": "gametes", "params": _fp_dict(fp), "config": _cfg_dict(cfg)}
-    return _run_strang(fields, ["u", "v", "w", "z"], grid, cfg, fp.sigma2 / 2.0,
-                       rhs, summary)
+    return _run_strang(init, ["u", "v", "w", "z"], grid, cfg, fp.sigma2 / 2.0, rhs,
+                       {"model": "gametes", "params": asdict(fp)})
 
 
 def simulate_reduced(init, S: float, eps: float, r: float,
@@ -446,10 +395,6 @@ def simulate_reduced(init, S: float, eps: float, r: float,
     coupling scales with 2/r; pass r = inf for the uncoupled bistable
     control. u_x is recomputed at every Runge-Kutta stage.
     """
-    u0 = np.asarray(init, dtype=float).copy()
-    fields = {"u_reduced": u0}
-    _check_boundary_init(fields)
-    _range_guard(0.0, fields)
     dx = grid.dx
     two_over_r = 0.0 if math.isinf(r) else 2.0 / r
 
@@ -460,20 +405,8 @@ def simulate_reduced(init, S: float, eps: float, r: float,
               + two_over_r * (S * (2.0 * u - 1.0) + eps) * ux * ux)
         return du[np.newaxis, :]
 
-    summary = {"model": "reduced",
-               "params": {"S": S, "eps": eps, "r": r},
-               "config": _cfg_dict(cfg)}
-    return _run_strang(fields, ["u_reduced"], grid, cfg, 1.0, rhs, summary)
-
-
-def _fp_dict(fp: FitnessParams) -> dict:
-    return {"sA": fp.sA, "sB": fp.sB, "SA": fp.SA, "SB": fp.SB,
-            "r": fp.r, "sigma2": fp.sigma2}
-
-
-def _cfg_dict(cfg: SimConfig) -> dict:
-    return {"dt": cfg.dt, "t_end": cfg.t_end, "record_every": cfg.record_every,
-            "boundary": cfg.boundary, "scheme": cfg.scheme}
+    return _run_strang(init, ["u_reduced"], grid, cfg, 1.0, rhs,
+                       {"model": "reduced", "params": {"S": S, "eps": eps, "r": r}})
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +415,16 @@ def _cfg_dict(cfg: SimConfig) -> dict:
 
 
 def qle_disequilibrium(p: np.ndarray, q: np.ndarray, grid: Grid1D,
-                       sigma2: float, r: float, mode: str = "local") -> Field1D:
+                       sigma2: float, r: float, mode: str = "local") -> np.ndarray:
     """Quasi-equilibrium linkage disequilibrium generated by the gradients.
 
     "local" returns (sigma2 / r) p_x q_x. "kernel" convolves p_x q_x with
     the exponential kernel 0.5 sqrt(2r/sigma2) exp(-sqrt(2r/sigma2) |x|)
     (normalized to unit mass on the grid) before scaling, which is the
     steady balance of diffusion, decay at rate r, and the gradient source.
+
+    Raises:
+        ValueError: unknown mode, or the result breaks |D| <= 1/4.
     """
     dx = grid.dx
     source = _gradient(np.asarray(p, float), dx) * _gradient(np.asarray(q, float), dx)
@@ -503,7 +439,9 @@ def qle_disequilibrium(p: np.ndarray, q: np.ndarray, grid: Grid1D,
         vals = (sigma2 / r) * np.convolve(source, kernel, mode="same")
     else:
         raise ValueError(f"mode must be 'local' or 'kernel', got {mode!r}")
-    return Field1D(vals, "D")
+    if _out_of_range("D", vals):
+        raise ValueError("D field outside [-1/4, 1/4]")
+    return vals
 
 
 def front_position_values(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> float:
@@ -533,11 +471,6 @@ def front_position_values(values: np.ndarray, x: np.ndarray, level: float = 0.5)
     i = changes[0]
     frac = f[i] / (f[i] - f[i + 1])
     return float(x[i] + frac * (x[i + 1] - x[i]))
-
-
-def front_position(f: Field1D, grid: Grid1D, level: float = 0.5) -> float:
-    """Level crossing of a decreasing front field."""
-    return front_position_values(f.values, grid.x, level)
 
 
 @dataclass(frozen=True)
@@ -576,9 +509,8 @@ def instantaneous_speed(traj: Trajectory, tag: str,
 
 
 def stacked_pqd_init(grid: Grid1D, S_like: float, sigma2: float = 2.0,
-                     offset_p: float = 0.0, offset_q: float = 0.0,
-                     qle_D: bool = False, r: float | None = None):
-    """Front-like initial data for the full system, optionally QLE-seeded D.
+                     offset_p: float = 0.0, offset_q: float = 0.0):
+    """Front-like initial data for the full system, with D = 0.
 
     Front widths follow the standing-cline scale in the original frame,
     sqrt(sigma2/2)/sqrt(S). With offsets the two clines start apart.
@@ -587,10 +519,4 @@ def stacked_pqd_init(grid: Grid1D, S_like: float, sigma2: float = 2.0,
     x = grid.x
     p = logistic_front(x / scale, S_like, center=offset_p / scale)
     q = logistic_front(x / scale, S_like, center=offset_q / scale)
-    if qle_D:
-        if r is None:
-            raise ValueError("qle_D initial data needs r")
-        D = qle_disequilibrium(p, q, grid, sigma2, r, mode="local").values
-    else:
-        D = np.zeros_like(x)
-    return p, q, D
+    return p, q, np.zeros_like(x)

@@ -63,6 +63,9 @@ from .standing import (
 # before the profile is deemed too short to trust.
 TAIL_WEIGHT_LIMIT = 1e-8
 
+NEWTON_TOL = 1e-12        # residual and phase defect at which Newton stops
+TRANSIENT_FRACTION = 0.3  # leading share of a speed run left out of the fit
+
 
 def c1_exact(S: float, r: float, quad_tol: float = 1e-10) -> float:
     """First-order speed coefficient by adaptive quadrature in height space.
@@ -193,7 +196,6 @@ def solve_traveling_bvp(
     u0: WaveProfile | None = None,
     grid_dx: float = 0.05,
     x_max: float | None = None,
-    newton_tol: float = 1e-12,
     max_iter: int = 40,
     continuation_steps: int = 4,
 ) -> tuple[float, WaveProfile]:
@@ -206,7 +208,7 @@ def solve_traveling_bvp(
     solve starts near its solution.
 
     Returns:
-        (c, profile) with the residual below ``newton_tol``.
+        (c, profile) with the residual below ``NEWTON_TOL``.
 
     Raises:
         NewtonDivergenceError: a continuation stage failed to converge, or
@@ -236,7 +238,7 @@ def solve_traveling_bvp(
             res = _traveling_residual(u, c, eps_k, S, r, dx, u_left, u_right)
             phase = float(np.dot(u - base[1:-1], phase_weight))
             norm = max(float(np.max(np.abs(res))), abs(phase))
-            if norm < newton_tol:
+            if norm < NEWTON_TOL:
                 break
             full = np.concatenate(([u_left], u, [u_right]))
             up = (full[2:] - full[:-2]) / (2.0 * dx)
@@ -323,7 +325,6 @@ class SpeedReport:
 def measure_full_system_speed(
     S: float, r: float, s: float, sigma2: float,
     t_end: float = 600.0, dt: float = 0.2, dx: float = 0.2,
-    transient_fraction: float = 0.3,
 ) -> SpeedReport:
     """Run the (p, q, D) system with stacked fronts and fit the front speed.
 
@@ -334,14 +335,14 @@ def measure_full_system_speed(
 
     scale = math.sqrt(sigma2 / 2.0)
     travel = 2.0 * s * c1_star(S, r) * scale * t_end
-    half_width = (40.0 / math.sqrt(S)) * scale + max(travel, 0.0)
+    half_width = pde.recommended_half_width(S) * scale + max(travel, 0.0)
     grid = pde.Grid1D.symmetric(half_width, dx)
     init = pde.stacked_pqd_init(grid, S, sigma2)
     fp = FitnessParams(sA=s, sB=s, SA=S, SB=S, r=r, sigma2=sigma2)
     record_every = max(1, int(round(2.0 / dt)))
     cfg = pde.SimConfig(dt=dt, t_end=t_end, record_every=record_every)
     traj = pde.simulate_pqd(init, fp, grid, cfg)
-    fit = pde.instantaneous_speed(traj, "p", window=(transient_fraction * t_end, t_end))
+    fit = pde.instantaneous_speed(traj, "p", window=(TRANSIENT_FRACTION * t_end, t_end))
 
     exact = c1_exact(S, r)
     star = c1_star(S, r)

@@ -51,6 +51,8 @@ from .standing import WaveProfile, bistable_f, bistable_f_prime, exp_tail_extens
 # kernel checks ignore anything below this fraction of -S.
 ESSENTIAL_CUTOFF_FRACTION = 0.5
 
+SETTLE_TOL = 1e-6  # sup distance to the shifted control that counts as settled
+
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
@@ -286,9 +288,7 @@ def relaxation_shift(
     u0: WaveProfile,
     h: np.ndarray,
     eps_amp: float,
-    cfg: SimConfig | None = None,
-    settle_tol: float = 1e-6,
-    t_max: float = 400.0,
+    cfg: SimConfig = SimConfig(dt=0.25, t_end=400.0, record_every=80),
 ) -> RelaxationResult:
     """Relax u0 + eps_amp * h under the symmetric dynamics and measure the shift.
 
@@ -298,10 +298,10 @@ def relaxation_shift(
     profile and the attractor of the discrete dynamics. The shift is the
     minimizer of the L2 distance to the translated control, seeded by the
     front positions; settling means the remaining sup distance fell
-    below ``settle_tol``.
+    below ``SETTLE_TOL``.
 
     Raises:
-        ConvergenceError: distance still above tolerance at t_max.
+        ConvergenceError: distance still above tolerance at cfg.t_end.
         ValueError: amplitude too large for the linear regime (> 0.05).
     """
     if abs(eps_amp) > 0.05:
@@ -310,8 +310,6 @@ def relaxation_shift(
     if h.shape != u0.x.shape:
         raise ValueError("perturbation must be sampled on the profile grid")
     grid = Grid1D(float(u0.x[0]), float(u0.x[-1]), u0.x.size)
-    if cfg is None:
-        cfg = SimConfig(dt=0.25, t_end=t_max, record_every=80)
 
     control = simulate_reduced(u0.u, u0.S, 0.0, u0.r, grid, cfg)
     perturbed = simulate_reduced(u0.u + eps_amp * h, u0.S, 0.0, u0.r, grid, cfg)
@@ -337,12 +335,12 @@ def relaxation_shift(
         state = perturbed.fields["u_reduced"][i]
         shift = best_shift(state)
         dist = float(np.max(np.abs(state - control_at(grid.x - shift))))
-        if dist < settle_tol:
+        if dist < SETTLE_TOL:
             t_settled = float(perturbed.times[i])
             break
-    if not (dist < settle_tol):
+    if not (dist < SETTLE_TOL):
         raise ConvergenceError(
-            f"perturbation did not settle below {settle_tol} by t={cfg.t_end} "
+            f"perturbation did not settle below {SETTLE_TOL} by t={cfg.t_end} "
             f"(last distance {dist:.3e})"
         )
 

@@ -53,6 +53,8 @@ SHOOTING_DELTA = 1e-8
 _RTOL = 1e-13
 _ATOL = 1e-16
 
+SHOOTING_TOL = 1e-6  # largest gap allowed between the shot and the slope-law heights
+
 
 def default_half_width(S: float) -> float:
     """Domain half-width that pushes tail values below ~5e-9.
@@ -274,7 +276,6 @@ def profile_from_quadrature(
 
 def profile_from_shooting(
     S: float, r: float, x_max: float | None = None, dx: float = 0.02,
-    tol: float = 1e-6,
 ) -> WaveProfile:
     """Build the standing front by shooting along the saddle's unstable manifold.
 
@@ -354,9 +355,10 @@ def profile_from_shooting(
     profile = WaveProfile(x=x, u=u, du=du, S=S, r=r, method="shooting",
                           condition_ok=bool(S < 4.0 * r))
     gap = float(np.max(np.abs(u - _reference_heights(x, S, r))))
-    if gap > tol:
+    if gap > SHOOTING_TOL:
         raise ClinewaveError(
-            f"shooting profile deviates from the slope-law profile by {gap:.3e} > tol={tol:.3e}"
+            f"shooting profile deviates from the slope-law profile by {gap:.3e} "
+            f"> tol={SHOOTING_TOL:.3e}"
         )
     return profile
 

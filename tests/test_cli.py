@@ -124,6 +124,18 @@ class TestConfigHandling:
         assert code == 2
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
 
+    def test_bad_flag_value_exits_2_with_error_json(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["simulate", "--dx", "abc", "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+
+    def test_help_and_version_write_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CLINEWAVE_OUT", str(tmp_path / "envroot"))
+        assert main(["--version"]) == 0
+        assert main(["simulate", "--help", "--out", str(tmp_path / "x")]) == 0
+        assert not (tmp_path / "envroot").exists() and not (tmp_path / "x").exists()
+
     def test_invariant_violation_exits_3_with_error_json(self, tmp_path):
         out = tmp_path / "bad"
         code = main(["simulate", "--model", "pqd", "--sA", "0.5", "--SA", "0.1",
@@ -301,6 +313,14 @@ class TestSweepCommand:
         assert (out / "r=0.25" / "report.json").exists()
         top = json.loads((out / "manifest.json").read_text())
         assert top["exit_codes"] == {"r=-1": 3, "r=0.25": 0}
+
+    def test_point_with_a_bad_flag_value_writes_its_error_json(self, tmp_path):
+        out = tmp_path / "sweepy"
+        code = main(["sweep", "standing", "--vary", "dx=abc,0.05", "--threads", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert json.loads((out / "dx=abc" / "error.json").read_text())["exit_code"] == 2
+        assert (out / "dx=0.05" / "report.json").exists()
 
     def test_config_reaches_every_point(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

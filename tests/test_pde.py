@@ -17,10 +17,8 @@ from clinewave.errors import (
 )
 from clinewave.genetics import FitnessParams
 from clinewave.pde import (
-    Field1D,
     Grid1D,
     SimConfig,
-    front_position,
     front_position_values,
     instantaneous_speed,
     qle_disequilibrium,
@@ -68,11 +66,9 @@ class TestGridAndConfig:
             simulate_pqd(init, SYMMETRIC_FP, grid, SimConfig(dt=0.1, t_end=1.0))
 
     def test_field_range_validation(self):
-        # the profile check and the loop's guard share one range rule
+        # the loop's guard rejects values out of range and NaN
         for tag, values in (("p", [0.0, 1.5, 0.0]), ("D", [0.0, 0.3, 0.0]),
                             ("p", [np.nan, 0.5, 0.0]), ("D", [0.0, np.nan, 0.0])):
-            with pytest.raises(ValueError):
-                Field1D(np.array(values), tag)
             with pytest.raises(FieldInvariantError):
                 pde._range_guard(1.0, {tag: np.array(values)})
 
@@ -256,7 +252,7 @@ def _reference_strang(init, grid, cfg, nu, make_reaction):
 
     Per-component validated solve_banded, np.gradient inside the
     reactions, and the reaction closure rebuilt at each substep entry.
-    Returns the recorded states.
+    Returns the recorded states and their times, step * dt in Python floats.
     """
     n, a = grid.n, nu * cfg.dt / (2.0 * grid.dx**2)
     no_flux = cfg.boundary == "no-flux"
@@ -291,7 +287,7 @@ def _reference_strang(init, grid, cfg, nu, make_reaction):
         return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     state = np.array(init, dtype=float)
-    records = [state.copy()]
+    records, times = [state.copy()], [0.0]
     half = 0.5 * cfg.dt
     for step in range(1, int(round(cfg.t_end / cfg.dt)) + 1):
         state = rk4(make_reaction(state), state, half)
@@ -299,7 +295,8 @@ def _reference_strang(init, grid, cfg, nu, make_reaction):
         state = rk4(make_reaction(state), state, half)
         if step % cfg.record_every == 0:
             records.append(state.copy())
-    return np.array(records)
+            times.append(step * cfg.dt)
+    return np.array(records), np.array(times)
 
 
 def _pqd_reaction(fp, dx):
@@ -373,10 +370,13 @@ class TestStrangCoreMatchesReference:
             traj = simulate_reduced(p, 0.1, 0.005, 0.1, grid, cfg)
             make_reaction = _reduced_reaction(0.1, 0.005, 0.1, grid.dx)
         nu = 1.0 if model == "reduced" else self.FP.sigma2 / 2.0
-        expected = _reference_strang(init, grid, cfg, nu, make_reaction)
+        expected, times = _reference_strang(init, grid, cfg, nu, make_reaction)
         assert traj.times.size == expected.shape[0] == 4
+        assert np.array_equal(traj.times, times)
         for i, tag in enumerate(tags):
             assert np.array_equal(traj.fields[tag], expected[:, i]), tag
+            fronts = [pde._front_of(tag, record, grid.x) for record in expected[:, i]]
+            assert np.array_equal(traj.front_positions[tag], fronts), tag
 
 
 class TestQLE:
@@ -384,15 +384,22 @@ class TestQLE:
         grid = Grid1D.symmetric(20.0, 0.1)
         out = qle_disequilibrium(np.full(grid.n, 0.7), np.full(grid.n, 0.2),
                                  grid, 2.0, 0.1)
-        assert np.max(np.abs(out.values)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
     def test_local_mode_is_nonnegative_for_stacked_fronts(self):
         grid = Grid1D.symmetric(40.0, 0.05)
         p = pde.logistic_front(grid.x, 0.1)
         out = qle_disequilibrium(p, p, grid, 2.0, 0.1, mode="local")
-        assert np.all(out.values >= 0.0)
+        assert np.all(out >= 0.0)
         # peak value (sigma2/r) max(p_x)^2 = (sigma2/r) S/16 at the center
-        assert out.values.max() == pytest.approx(2.0 / 0.1 * 0.1 / 16.0, rel=1e-3)
+        assert out.max() == pytest.approx(2.0 / 0.1 * 0.1 / 16.0, rel=1e-3)
+
+    def test_peak_outside_the_D_range_raises(self):
+        grid = Grid1D.symmetric(40.0, 0.05)
+        p = pde.logistic_front(grid.x, 0.1)
+        # peak (sigma2/r) S/16 = (2/0.01) 0.1/16 = 1.25 breaks |D| <= 1/4
+        with pytest.raises(ValueError, match=r"D field outside \[-1/4, 1/4\]"):
+            qle_disequilibrium(p, p, grid, 2.0, 0.01)
 
     def test_kernel_approaches_local_as_r_grows(self):
         grid = Grid1D.symmetric(60.0, 0.02)
@@ -401,7 +408,7 @@ class TestQLE:
         for r in (0.1, 0.5, 2.5):
             local = qle_disequilibrium(p, p, grid, 2.0, r, mode="local")
             kernel = qle_disequilibrium(p, p, grid, 2.0, r, mode="kernel")
-            sups.append(np.max(np.abs(local.values - kernel.values)))
+            sups.append(np.max(np.abs(local - kernel)))
         assert sups[0] > sups[1] > sups[2]
 
     def test_kernel_matches_fine_grid_oracle(self):
@@ -414,8 +421,8 @@ class TestQLE:
         pf = pde.logistic_front(fine.x, 0.1)
         out_c = qle_disequilibrium(pc, pc, coarse, sigma2, r, mode="kernel")
         out_f = qle_disequilibrium(pf, pf, fine, sigma2, r, mode="kernel")
-        on_coarse = out_f.values[::4]
-        assert np.max(np.abs(out_c.values - on_coarse)) < 1e-4
+        on_coarse = out_f[::4]
+        assert np.max(np.abs(out_c - on_coarse)) < 1e-4
 
     def test_mode_validation(self):
         grid = Grid1D.symmetric(10.0, 0.1)
@@ -432,8 +439,8 @@ class TestFrontTracking:
 
     def test_analytic_front_location(self):
         grid = Grid1D.symmetric(30.0, 0.01)
-        f = Field1D(pde.logistic_front(grid.x, 0.1, center=3.0), "p")
-        assert front_position(f, grid) == pytest.approx(3.0, abs=1e-5)
+        f = pde.logistic_front(grid.x, 0.1, center=3.0)
+        assert front_position_values(f, grid.x) == pytest.approx(3.0, abs=1e-5)
 
     def test_node_exactly_at_level(self):
         x = np.array([0.0, 1.0, 2.0])
