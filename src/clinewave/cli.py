@@ -51,7 +51,7 @@ from .errors import (
     ConfigError,
     FieldInvariantError,
 )
-from .genetics import FitnessParams
+from .genetics import FitnessParams, gametes_from_pqd
 from .reporting import run_id, write_csv, write_json
 
 EXIT_OK = 0
@@ -262,7 +262,7 @@ def run_standing(params: dict, outdir: Path, make_svg: bool) -> dict:
         return summary
     S, r = params["S"], params["r"]
     quad = standing.profile_from_quadrature(S, r, x_max=params["x_max"], dx=params["dx"])
-    shot = standing.profile_from_shooting(S, r, x_max=params["x_max"], dx=params["dx"])
+    shot = standing.profile_from_shooting(quad)
     quad.to_csv(outdir / "profile_quadrature.csv")
     shot.to_csv(outdir / "profile_shooting.csv")
     write_csv(outdir / "phase_plane_orbit.csv", ["u", "du"],
@@ -312,8 +312,7 @@ def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
                                    offset_q=params["offset_q"])
     if model == "pqd":
         return grid, pde.simulate_pqd((p, q, D), fp, grid, cfg)
-    init = (p * q + D, p * (1 - q) - D, (1 - p) * q - D, (1 - p) * (1 - q) + D)
-    return grid, pde.simulate_gametes(init, fp, grid, cfg)
+    return grid, pde.simulate_gametes(gametes_from_pqd(p, q, D), fp, grid, cfg)
 
 
 def run_simulate(params: dict, outdir: Path, make_svg: bool) -> dict:
@@ -450,8 +449,8 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
     S, r = params["S"], params["r"]
     prof = standing.profile_from_quadrature(S, r, x_max=params["x_max"],
                                             dx=params["dx"])
-    op_L = stability.assemble_L(prof, S, r)
-    op_M = stability.assemble_M(prof, S, r)
+    op_L = stability.assemble_L(prof)
+    op_M = stability.assemble_M(prof)
     vals, vecs = stability.spectrum(op_L, k=params["k"])
     write_csv(outdir / "eigenvalues.csv", ["index", "eigenvalue"],
               [[float(i), v] for i, v in enumerate(vals)])
@@ -466,9 +465,9 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
         "lambda_1": float(vals[1]) if vals.size > 1 else None,
         "kernel_cosine_with_slope": cosine,
         "kernel_mode_residual": stability.kernel_mode_residual(op_L, prof),
-        "adjoint_kernel_residual": stability.adjoint_kernel_residual(prof, S, r),
+        "adjoint_kernel_residual": stability.adjoint_kernel_residual(prof),
         "similarity_defect": stability.similarity_defect(op_L, op_M),
-        "solvability_ratio": stability.solvability_ratio(prof, S, r),
+        "solvability_ratio": stability.solvability_ratio(prof),
         "c1_exact": speed.c1_exact(S, r),
         "second_kernel_growth_rate": stability.second_kernel_growth_rate(prof),
         "expected_growth_rate": math.sqrt(S),
@@ -627,7 +626,7 @@ def _error_payload(exc: Exception, code: int) -> dict:
         for tag, values in exc.snapshot.items():
             values = np.asarray(values, dtype=float)
             bad = ~np.isfinite(values)
-            lo, hi = (-0.25, 0.25) if tag == "D" else (0.0, 1.0)
+            lo, hi = pde.field_bounds(tag)
             excess = np.where(bad, np.inf, np.maximum(lo - values, values - hi))
             worst = int(np.argmax(excess))
             finite = values[~bad]

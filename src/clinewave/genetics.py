@@ -20,8 +20,9 @@ plus linkage disequilibrium (p, q, D) with
 generation (random fusion, selection, recombination, gamete release).
 `recursion_step_first_order` is the weak-selection limit of that map,
 obtained by scaling all selection coefficients and the recombination
-probability by a common small factor ``alpha``; it is the generator of
-the continuous-time dynamics used by the spatial solvers.
+probability by a common small factor ``alpha``: the state plus ``alpha``
+times `pqd_reaction`, which is also the reaction term the (p, q, D)
+spatial solver integrates.
 
 All functions are pure and operate on value types; they are safe to call
 concurrently. Scalar formulas accept numpy arrays componentwise, which
@@ -216,25 +217,47 @@ def _step_arrays(u, v, w, z, fp: FitnessParams):
     return num_u / wbar, num_v / wbar, num_w / wbar, num_z / wbar
 
 
+def pqd_reaction(p, q, D, fp: FitnessParams):
+    """Weak-selection rates of change (dp, dq, dD) per generation.
+
+    The generator of the first-order map: with selA = SA (2p - 1) + sA and
+    selB = SB (2q - 1) + sB,
+
+        dp = selA p (1 - p) + selB D
+        dq = selB q (1 - q) + selA D
+        dD = -[r + (2p - 1) selA + (2q - 1) selB] D
+
+    componentwise on arrays. With D = 0 the two loci decouple.
+    """
+    hA = 2.0 * p - 1.0
+    hB = 2.0 * q - 1.0
+    selA = fp.SA * hA + fp.sA
+    selB = fp.SB * hB + fp.sB
+    return (selA * p * (1.0 - p) + selB * D,
+            selB * q * (1.0 - q) + selA * D,
+            (-fp.r - hA * selA - hB * selB) * D)
+
+
 def recursion_step_first_order(s: PQD, fp: FitnessParams, alpha: float) -> PQD:
-    """Weak-selection one-generation map on (p, q, D).
+    """Weak-selection one-generation map on (p, q, D): s + alpha * `pqd_reaction`.
 
     Limit of the exact recursion when every selection coefficient and
     the recombination probability are scaled by ``alpha``; correct to
-    first order in ``alpha``. With D = 0 the two loci decouple.
+    first order in ``alpha``.
     """
-    p, q, D = s.p, s.q, s.D
-    selA = fp.SA * (2.0 * p - 1.0) + fp.sA
-    selB = fp.SB * (2.0 * q - 1.0) + fp.sB
-    p_new = p + alpha * (selA * p * (1.0 - p) + selB * D)
-    q_new = q + alpha * (selB * q * (1.0 - q) + selA * D)
-    D_new = D - alpha * (fp.r + (2.0 * p - 1.0) * selA + (2.0 * q - 1.0) * selB) * D
-    return PQD(p_new, q_new, D_new)
+    dp, dq, dD = pqd_reaction(s.p, s.q, s.D, fp)
+    return PQD(s.p + alpha * dp, s.q + alpha * dq, s.D + alpha * dD)
 
 
 def to_pqd(g: GameteFreqs) -> PQD:
     """Allele frequencies and linkage disequilibrium of a gamete state."""
     return PQD(p=g.u + g.v, q=g.u + g.w, D=g.u * g.z - g.v * g.w)
+
+
+def gametes_from_pqd(p, q, D):
+    """Gamete frequencies (u, v, w, z) with allele frequencies p, q and
+    disequilibrium D, componentwise on arrays; no range check."""
+    return (p * q + D, p * (1.0 - q) - D, (1.0 - p) * q - D, (1.0 - p) * (1.0 - q) + D)
 
 
 def from_pqd(s: PQD) -> GameteFreqs:
@@ -245,15 +268,10 @@ def from_pqd(s: PQD) -> GameteFreqs:
             outside [0, 1] by more than the feasibility tolerance.
             Noise inside the tolerance band is clamped to the boundary.
     """
-    p, q, D = s.p, s.q, s.D
-    u = p * q + D
-    v = p * (1.0 - q) - D
-    w = (1.0 - p) * q - D
-    z = (1.0 - p) * (1.0 - q) + D
-    gametes = (u, v, w, z)
+    gametes = gametes_from_pqd(s.p, s.q, s.D)
     if min(gametes) < -FEAS_TOL or max(gametes) > 1.0 + FEAS_TOL:
         raise InfeasibleStateError(
-            f"(p={p}, q={q}, D={D}) reconstructs gametes outside [0, 1]: {gametes}",
+            f"(p={s.p}, q={s.q}, D={s.D}) reconstructs gametes outside [0, 1]: {gametes}",
             gametes,
         )
     u, v, w, z = (min(max(y, 0.0), 1.0) for y in gametes)

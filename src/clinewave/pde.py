@@ -5,10 +5,8 @@ half reaction):
 
   * `simulate_pqd` integrates allele frequencies and linkage disequilibrium
 
-        p_t = (s2/2) p_xx + (SA (2p-1) + sA) p (1-p) + (SB (2q-1) + sB) D
-        q_t = (s2/2) q_xx + (SB (2q-1) + sB) q (1-q) + (SA (2p-1) + sA) D
-        D_t = (s2/2) D_xx + s2 p_x q_x
-              - [r + (2p-1)(SA (2p-1) + sA) + (2q-1)(SB (2q-1) + sB)] D
+        (p, q, D)_t = (s2/2) (p, q, D)_xx + genetics.pqd_reaction(p, q, D)
+                      + (0, 0, s2 p_x q_x)
 
     with s2 the dispersal variance. The p_x q_x source is evaluated by
     central differences at every Runge-Kutta stage of the reaction
@@ -121,16 +119,20 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
+def field_bounds(tag: str) -> tuple[float, float]:
+    """Admissible range of a field: |D| <= 1/4, frequencies in [0, 1]."""
+    return (-genetics.D_MAX, genetics.D_MAX) if tag == "D" else (0.0, 1.0)
+
+
 def _out_of_range(tag: str, values: np.ndarray) -> bool:
-    """The range rule: |D| <= 1/4 and frequencies in [0, 1], up to RANGE_TOL.
+    """The range rule: values within `field_bounds`, up to RANGE_TOL.
 
     Each bound is checked as ``not (value within bound)``, so a NaN, which
     compares false with everything, breaks the rule.
     """
-    if tag == "D":
-        return not float(np.max(np.abs(values))) <= 0.25 + RANGE_TOL
-    return not (float(np.min(values)) >= -RANGE_TOL
-                and float(np.max(values)) <= 1.0 + RANGE_TOL)
+    lo, hi = field_bounds(tag)
+    return not (float(np.min(values)) >= lo - RANGE_TOL
+                and float(np.max(values)) <= hi + RANGE_TOL)
 
 
 @dataclass
@@ -185,10 +187,9 @@ def recommended_half_width(S_like: float) -> float:
     return 40.0 / math.sqrt(S_like)
 
 
-def logistic_front(x: np.ndarray, S: float, center: float = 0.0,
-                   width_scale: float = 1.0) -> np.ndarray:
+def logistic_front(x: np.ndarray, S: float, center: float = 0.0) -> np.ndarray:
     """Decreasing tanh front with the natural width of a single cline."""
-    k = math.sqrt(S) / (2.0 * width_scale)
+    k = math.sqrt(S) / 2.0
     return 0.5 - 0.5 * np.tanh(k * (x - center))
 
 
@@ -280,7 +281,7 @@ def _front_of(tag: str, values: np.ndarray, x: np.ndarray) -> float:
         return float(x[int(np.argmax(np.abs(values)))])
     f = 1.0 - values if tag == "z" else values
     try:
-        return front_position_values(f, x, 0.5)
+        return front_position_values(f, x)
     except FrontTrackingError:
         return math.nan
 
@@ -359,14 +360,8 @@ def simulate_pqd(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Traje
     def rhs(state):
         p, q, D = state
         out = np.empty_like(state)
-        hA = 2.0 * p - 1.0
-        hB = 2.0 * q - 1.0
-        selA = fp.SA * hA + fp.sA
-        selB = fp.SB * hB + fp.sB
-        out[0] = selA * p * (1.0 - p) + selB * D
-        out[1] = selB * q * (1.0 - q) + selA * D
-        out[2] = (fp.sigma2 * _gradient(p, dx) * _gradient(q, dx)
-                  - (fp.r + hA * selA + hB * selB) * D)
+        out[0], out[1], out[2] = genetics.pqd_reaction(p, q, D, fp)
+        out[2] += fp.sigma2 * _gradient(p, dx) * _gradient(q, dx)
         return out
 
     return _run_strang(init, ["p", "q", "D"], grid, cfg, fp.sigma2 / 2.0, rhs,
@@ -444,17 +439,17 @@ def qle_disequilibrium(p: np.ndarray, q: np.ndarray, grid: Grid1D,
     return vals
 
 
-def front_position_values(values: np.ndarray, x: np.ndarray, level: float = 0.5) -> float:
-    """Abscissa where a decreasing profile crosses ``level``.
+def front_position_values(values: np.ndarray, x: np.ndarray) -> float:
+    """Abscissa where a decreasing profile crosses 1/2.
 
     Linear interpolation between the bracketing nodes. A profile sitting
-    exactly at a node value equal to ``level`` crosses at that node. For
-    a sharp step the convention lands midway between the two nodes.
+    exactly at 1/2 at a node crosses at that node. For a sharp step the
+    convention lands midway between the two nodes.
 
     Raises:
         FrontTrackingError: no crossing, or more than one.
     """
-    f = np.asarray(values, dtype=float) - level
+    f = np.asarray(values, dtype=float) - 0.5
     signs = np.sign(f)
     # Treat exact zeros as crossings at the node itself.
     zero_nodes = np.where(signs == 0.0)[0]
@@ -473,19 +468,10 @@ def front_position_values(values: np.ndarray, x: np.ndarray, level: float = 0.5)
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
-@dataclass(frozen=True)
-class SpeedFit:
-    """Front speed measurement over a time window."""
-
-    times: np.ndarray       # midpoints of the central differences
-    speeds: np.ndarray      # instantaneous central-difference speeds
-    fitted_speed: float     # least-squares slope over the window (headline)
-    window: tuple[float, float]
-
-
 def instantaneous_speed(traj: Trajectory, tag: str,
-                        window: tuple[float, float] | None = None) -> SpeedFit:
-    """Front speed of a tracked field: central differences plus a linear fit.
+                        window: tuple[float, float] | None = None) -> float:
+    """Front speed of a tracked field: the least-squares slope of its
+    positions over the window (the whole run by default).
 
     Raises:
         InsufficientSamplesError: fewer than 3 recorded positions in window.
@@ -501,11 +487,7 @@ def instantaneous_speed(traj: Trajectory, tag: str,
         raise InsufficientSamplesError(
             f"need >= 3 front samples in window {window}, got {int(mask.sum())}"
         )
-    tw, pw = t[mask], pos[mask]
-    speeds = (pw[2:] - pw[:-2]) / (tw[2:] - tw[:-2])
-    fitted = float(np.polyfit(tw, pw, 1)[0])
-    return SpeedFit(times=tw[1:-1], speeds=speeds, fitted_speed=fitted,
-                    window=(float(tw[0]), float(tw[-1])))
+    return float(np.polyfit(t[mask], pos[mask], 1)[0])
 
 
 def stacked_pqd_init(grid: Grid1D, S_like: float, sigma2: float = 2.0,

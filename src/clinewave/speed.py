@@ -63,11 +63,16 @@ from .standing import (
 # before the profile is deemed too short to trust.
 TAIL_WEIGHT_LIMIT = 1e-8
 
-NEWTON_TOL = 1e-12        # residual and phase defect at which Newton stops
+# Newton stops once the residual and the phase defect fall below
+# NEWTON_TOL / dx^2. The residual's second difference carries rounding of
+# about 4 eps_machine / dx^2 ~ 9e-16 / dx^2, so a fixed tolerance would sit
+# below that floor on fine grids; this one is 1e-12 at dx = 0.05.
+NEWTON_TOL = 2.5e-15
+QUAD_TOL = 1e-10          # relative tolerance of the c1_exact quadratures
 TRANSIENT_FRACTION = 0.3  # leading share of a speed run left out of the fit
 
 
-def c1_exact(S: float, r: float, quad_tol: float = 1e-10) -> float:
+def c1_exact(S: float, r: float) -> float:
     """First-order speed coefficient by adaptive quadrature in height space.
 
     Raises:
@@ -85,11 +90,11 @@ def c1_exact(S: float, r: float, quad_tol: float = 1e-10) -> float:
         w = u - u * u
         return math.sqrt(max(first_integral_P(u, S, r), 0.0)) * math.exp(-k * w)
 
-    num, err_n = quad(numerator, 0.0, 1.0, epsabs=0.0, epsrel=quad_tol, limit=200)
-    den, err_d = quad(denominator, 0.0, 1.0, epsabs=0.0, epsrel=quad_tol, limit=200)
-    if err_n > 10.0 * quad_tol * abs(num) or err_d > 10.0 * quad_tol * abs(den):
+    num, err_n = quad(numerator, 0.0, 1.0, epsabs=0.0, epsrel=QUAD_TOL, limit=200)
+    den, err_d = quad(denominator, 0.0, 1.0, epsabs=0.0, epsrel=QUAD_TOL, limit=200)
+    if err_n > 10.0 * QUAD_TOL * abs(num) or err_d > 10.0 * QUAD_TOL * abs(den):
         raise QuadratureError(
-            f"speed quadrature did not converge to {quad_tol}: "
+            f"speed quadrature did not converge to {QUAD_TOL}: "
             f"errors {err_n / abs(num):.2e}, {err_d / abs(den):.2e}"
         )
     return num / den
@@ -113,8 +118,8 @@ def c1_star(S: float, r: float) -> float:
     return c1_series(S, r, order=1)
 
 
-def c_eps_from_profile(u0: WaveProfile, S: float, r: float) -> float:
-    """Speed coefficient from weighted integrals along a standing profile.
+def c_eps_from_profile(u0: WaveProfile) -> float:
+    """Speed coefficient from weighted integrals along a standing profile, at its (S, r).
 
     Composite trapezoid over the profile grid, plus matched-exponential
     corrections for the truncated tails.
@@ -123,10 +128,9 @@ def c_eps_from_profile(u0: WaveProfile, S: float, r: float) -> float:
         ProfileTooShortError: tail corrections exceed ``TAIL_WEIGHT_LIMIT``
             of either integral.
     """
-    x, u, du = u0.x, u0.u, u0.du
+    u, du, weight = u0.u, u0.du, u0.weight
     dx = u0.dx
-    weight = np.exp((4.0 * S / r) * (u * u - u))
-    num_integrand = -(logistic_g(u) + (2.0 / r) * du * du) * du * weight
+    num_integrand = -(logistic_g(u) + (2.0 / u0.r) * du * du) * du * weight
     den_integrand = du * du * weight
     num = float(np.trapezoid(num_integrand, dx=dx))
     den = float(np.trapezoid(den_integrand, dx=dx))
@@ -135,7 +139,7 @@ def c_eps_from_profile(u0: WaveProfile, S: float, r: float) -> float:
     # weight tends to 1, and the integrands decay like their leading
     # quadratic terms; each remaining piece integrates to height^2 / 2
     # (numerator) and sqrt(S) height^2 / 2 (denominator) per side.
-    sqrt_S = math.sqrt(S)
+    sqrt_S = math.sqrt(u0.S)
     h_r = u[-1]
     h_l = 1.0 - u[0]
     num_tail = 0.5 * (h_r * h_r + h_l * h_l)
@@ -195,7 +199,6 @@ def solve_traveling_bvp(
     eps: float,
     u0: WaveProfile | None = None,
     grid_dx: float = 0.05,
-    x_max: float | None = None,
     max_iter: int = 40,
     continuation_steps: int = 4,
 ) -> tuple[float, WaveProfile]:
@@ -208,7 +211,7 @@ def solve_traveling_bvp(
     solve starts near its solution.
 
     Returns:
-        (c, profile) with the residual below ``NEWTON_TOL``.
+        (c, profile) with the residual below ``NEWTON_TOL / dx^2``.
 
     Raises:
         NewtonDivergenceError: a continuation stage failed to converge, or
@@ -219,9 +222,10 @@ def solve_traveling_bvp(
     if eps < 0.0 or eps > 0.1 * S:
         raise ValueError(f"eps must lie in [0, 0.1 S] = [0, {0.1 * S}], got {eps}")
     if u0 is None:
-        u0 = profile_from_quadrature(S, r, x_max=x_max, dx=grid_dx)
+        u0 = profile_from_quadrature(S, r, dx=grid_dx)
     x, base, base_slope = u0.x, u0.u, u0.du
     dx = u0.dx
+    tol = NEWTON_TOL / (dx * dx)
     u_left, u_right = 1.0, 0.0
 
     u = base[1:-1].copy()
@@ -238,7 +242,7 @@ def solve_traveling_bvp(
             res = _traveling_residual(u, c, eps_k, S, r, dx, u_left, u_right)
             phase = float(np.dot(u - base[1:-1], phase_weight))
             norm = max(float(np.max(np.abs(res))), abs(phase))
-            if norm < NEWTON_TOL:
+            if norm < tol:
                 break
             full = np.concatenate(([u_left], u, [u_right]))
             up = (full[2:] - full[:-2]) / (2.0 * dx)
@@ -342,16 +346,16 @@ def measure_full_system_speed(
     record_every = max(1, int(round(2.0 / dt)))
     cfg = pde.SimConfig(dt=dt, t_end=t_end, record_every=record_every)
     traj = pde.simulate_pqd(init, fp, grid, cfg)
-    fit = pde.instantaneous_speed(traj, "p", window=(TRANSIENT_FRACTION * t_end, t_end))
+    measured = pde.instantaneous_speed(traj, "p", window=(TRANSIENT_FRACTION * t_end, t_end))
 
     exact = c1_exact(S, r)
     star = c1_star(S, r)
     predicted = s * star * scale
-    gap = abs(fit.fitted_speed - predicted) / predicted
+    gap = abs(measured - predicted) / predicted
     return SpeedReport(
         S=S, r=r, s=s, sigma2=sigma2,
         c1_exact=exact, c1_series=c1_series(S, r, 2), c1_star=star,
-        measured_speed=fit.fitted_speed, frame="original", relative_gap=gap,
+        measured_speed=measured, frame="original", relative_gap=gap,
     )
 
 

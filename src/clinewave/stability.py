@@ -91,8 +91,8 @@ def _interior(profile: WaveProfile):
     return profile.x[1:-1], profile.u[1:-1], profile.du[1:-1], profile.dx
 
 
-def assemble_L(u0: WaveProfile, S: float, r: float) -> DiscretizedOperator:
-    """Discretize the linearization L around the standing profile.
+def assemble_L(u0: WaveProfile) -> DiscretizedOperator:
+    """Discretize the linearization L around the standing profile, at its (S, r).
 
     Second-order central stencils on interior nodes; the profile slope
     data supplies the first-order coefficient. Pinned zero boundary rows
@@ -101,7 +101,8 @@ def assemble_L(u0: WaveProfile, S: float, r: float) -> DiscretizedOperator:
     Raises:
         ValueError: grid too coarse to resolve the front (dx > 0.1/sqrt(S)).
     """
-    _check_resolution(u0, S)
+    _check_resolution(u0)
+    S, r = u0.S, u0.r
     x, u, du, dx = _interior(u0)
     b = (4.0 * S / r) * du * (2.0 * u - 1.0)
     a = S * (bistable_f_prime(u) + (4.0 / r) * du * du)
@@ -112,9 +113,10 @@ def assemble_L(u0: WaveProfile, S: float, r: float) -> DiscretizedOperator:
     return DiscretizedOperator(x=x, lower=lower, diag=diag, upper=upper, weight=weight)
 
 
-def assemble_M(u0: WaveProfile, S: float, r: float) -> DiscretizedOperator:
+def assemble_M(u0: WaveProfile) -> DiscretizedOperator:
     """Discretize the weight-conjugated symmetric form M = d^2/dx^2 + c(x)."""
-    _check_resolution(u0, S)
+    _check_resolution(u0)
+    S, r = u0.S, u0.r
     x, u, _du, dx = _interior(u0)
     c = (2.0 * S * S / r) * (2.0 * u - 1.0) * bistable_f(u) + S * bistable_f_prime(u)
     diag = -2.0 / dx**2 + c
@@ -122,11 +124,10 @@ def assemble_M(u0: WaveProfile, S: float, r: float) -> DiscretizedOperator:
     return DiscretizedOperator(x=x, lower=off, diag=diag, upper=off.copy())
 
 
-def _check_resolution(u0: WaveProfile, S: float) -> None:
-    if u0.dx > 0.1 / math.sqrt(S):
-        raise ValueError(
-            f"grid too coarse: dx={u0.dx} exceeds 0.1/sqrt(S)={0.1 / math.sqrt(S):.4g}"
-        )
+def _check_resolution(u0: WaveProfile) -> None:
+    limit = 0.1 / math.sqrt(u0.S)
+    if u0.dx > limit:
+        raise ValueError(f"grid too coarse: dx={u0.dx} exceeds 0.1/sqrt(S)={limit:.4g}")
 
 
 def similarity_defect(op_L: DiscretizedOperator, op_M: DiscretizedOperator) -> float:
@@ -193,8 +194,7 @@ def adjoint_kernel_vector(u0: WaveProfile) -> np.ndarray:
     return (u0.du * u0.weight)[1:-1]
 
 
-def adjoint_kernel_residual(u0: WaveProfile, S: float, r: float,
-                            weighted: bool = True) -> float:
+def adjoint_kernel_residual(u0: WaveProfile, weighted: bool = True) -> float:
     """||L^T psi||_2 / ||psi||_2 for the weighted slope psi.
 
     On a uniform grid the quadrature weights of the discrete L^2 pairing
@@ -203,12 +203,12 @@ def adjoint_kernel_residual(u0: WaveProfile, S: float, r: float,
     is not in the adjoint kernel and the residual then refuses to vanish
     under refinement (negative control).
     """
-    op = assemble_L(u0, S, r)
+    op = assemble_L(u0)
     psi = adjoint_kernel_vector(u0) if weighted else u0.du[1:-1].copy()
     return float(np.linalg.norm(op.apply_transpose(psi)) / np.linalg.norm(psi))
 
 
-def solvability_ratio(u0: WaveProfile, S: float, r: float) -> float:
+def solvability_ratio(u0: WaveProfile) -> float:
     """< psi, g(u0) + (2/r) u0'^2 > / < psi, -u0' > on the profile grid.
 
     Trapezoid quadrature; equals the first-order speed coefficient when
@@ -216,7 +216,7 @@ def solvability_ratio(u0: WaveProfile, S: float, r: float) -> float:
     traveling branch).
     """
     psi = u0.du * u0.weight
-    forcing = logistic_g(u0.u) + (2.0 / r) * u0.du**2
+    forcing = logistic_g(u0.u) + (2.0 / u0.r) * u0.du**2
     num = float(np.trapezoid(psi * forcing, dx=u0.dx))
     den = float(np.trapezoid(psi * (-u0.du), dx=u0.dx))
     return num / den

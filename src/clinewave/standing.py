@@ -177,27 +177,37 @@ class WaveProfile:
         write_csv(path, ["x", "u", "du"], np.column_stack([self.x, self.u, self.du]))
 
 
+def _exp_tail(x: np.ndarray, x_edge: float, u_edge: float, S: float, limit: float):
+    """Matched exponential tail of a decreasing front past its node (x_edge, u_edge).
+
+    The front relaxes to its limit state at the linear tail rate sqrt(S):
+    height limit + (u_edge - limit) e^{-sqrt(S) |x - x_edge|}, with limit 0
+    right of the node and 1 left of it. Returns (heights, slopes) at x.
+    """
+    rate = math.sqrt(S)
+    decay = np.exp(-(rate * np.abs(x - x_edge)))
+    excess = u_edge - limit
+    return limit + excess * decay, -rate * abs(excess) * decay
+
+
 def exp_tail_extension(x: np.ndarray, u: np.ndarray, S: float):
     """Evaluator of a front sampled at (x, u), extended past the grid.
 
-    Inside [x[0], x[-1]] it is a cubic spline, built once here. Beyond the
-    grid the front relaxes to its limit states at the linear tail rate
-    sqrt(S): u[-1] e^{-sqrt(S)(x - x[-1])} on the right, 1 - (1 - u[0])
-    e^{sqrt(S)(x - x[0])} on the left.
+    Inside [x[0], x[-1]] it is a cubic spline, built once here; beyond the
+    grid it is the `_exp_tail` of the edge node.
     """
     spline = CubicSpline(x, u)
     x_lo, x_hi = x[0], x[-1]
-    rate = np.sqrt(S)
 
     def evaluate(x_new: np.ndarray) -> np.ndarray:
         x_new = np.asarray(x_new, dtype=float)
         out = spline(np.clip(x_new, x_lo, x_hi))
         right = x_new > x_hi
         if np.any(right):
-            out[right] = u[-1] * np.exp(-rate * (x_new[right] - x_hi))
+            out[right] = _exp_tail(x_new[right], x_hi, u[-1], S, 0.0)[0]
         left = x_new < x_lo
         if np.any(left):
-            out[left] = 1.0 - (1.0 - u[0]) * np.exp(rate * (x_new[left] - x_lo))
+            out[left] = _exp_tail(x_new[left], x_lo, u[0], S, 1.0)[0]
         return out
 
     return evaluate
@@ -213,70 +223,54 @@ def profile_from_quadrature(
 ) -> WaveProfile:
     """Build the standing front from its slope law u' = -sqrt(P(u)).
 
-    Integrates out of u(0) = 1/2 forward and backward independently, so
-    the symmetry u(-x) = 1 - u(x) is a genuine accuracy check rather
-    than a construction artifact. Beyond the height ``TAIL_CUTOFF`` the
-    matched tails C exp(-+sqrt(S) x) take over.
+    Integrates out of u(0) = 1/2 to the right and to the left
+    independently, so the symmetry u(-x) = 1 - u(x) is a genuine accuracy
+    check rather than a construction artifact. Within ``TAIL_CUTOFF`` of
+    a limit state the matched tails C exp(-+sqrt(S) x) take over.
     """
     if S <= 0 or r <= 0:
         raise ValueError(f"need S > 0 and r > 0, got S={S}, r={r}")
     if x_max is None:
         x_max = default_half_width(S)
     x = _symmetric_grid(x_max, dx)
-    n = x.size
-    u = np.empty(n)
-    center = n // 2
-    u[center] = 0.5
+    center = x.size // 2
+    u = np.concatenate((_quadrature_half(x[:center], -x_max, S, r),
+                        _quadrature_half(x[center:], x_max, S, r)))
+    return WaveProfile(x=x, u=u, du=_slope(u, S, r), S=S, r=r, method="quadrature",
+                       condition_ok=bool(S < 4.0 * r))
+
+
+def _quadrature_half(x_half: np.ndarray, end: float, S: float, r: float) -> np.ndarray:
+    """Heights at x_half, all on the side of 0 where ``end`` lies, by
+    integrating the slope law from u(0) = 1/2 toward ``end``: right to the
+    limit 0, left to the limit 1, handing over to `_exp_tail` within
+    ``TAIL_CUTOFF`` of it."""
+    direction = 1.0 if end > 0 else -1.0
+    limit = 0.5 - 0.5 * direction
+    level = limit + direction * TAIL_CUTOFF
 
     def rhs(_x, y):
         return [_slope_scalar(float(y[0]), S, r)]
 
-    def tail_event(_x, y):
-        return y[0] - TAIL_CUTOFF
+    def handover(_x, y):
+        return direction * (y[0] - level)
 
-    tail_event.terminal = True
-
-    def head_event(_x, y):
-        return (1.0 - TAIL_CUTOFF) - y[0]
-
-    head_event.terminal = True
-
-    # Right half: u decays toward 0.
-    sol_r = solve_ivp(
-        rhs, (0.0, x_max), [0.5], events=tail_event, method="DOP853",
+    handover.terminal = True
+    sol = solve_ivp(
+        rhs, (0.0, end), [0.5], events=handover, method="DOP853",
         dense_output=True, rtol=_RTOL, atol=_ATOL, max_step=0.25 / np.sqrt(S),
     )
-    x_stop_r = sol_r.t[-1]
-    right = x[center:]
-    inside = right <= x_stop_r
-    u[center:][inside] = sol_r.sol(right[inside])[0]
+    x_stop = sol.t[-1]
+    inside = np.abs(x_half) <= abs(x_stop)
+    u = np.empty(x_half.size)
+    u[inside] = sol.sol(x_half[inside])[0]
     if not np.all(inside):
-        u_edge = float(sol_r.sol(x_stop_r)[0])
-        u[center:][~inside] = u_edge * np.exp(-np.sqrt(S) * (right[~inside] - x_stop_r))
-
-    # Left half: u grows toward 1, integrated independently.
-    sol_l = solve_ivp(
-        rhs, (0.0, -x_max), [0.5], events=head_event, method="DOP853",
-        dense_output=True, rtol=_RTOL, atol=_ATOL, max_step=0.25 / np.sqrt(S),
-    )
-    x_stop_l = sol_l.t[-1]
-    left = x[:center]
-    inside = left >= x_stop_l
-    u[:center][inside] = sol_l.sol(left[inside])[0]
-    if not np.all(inside):
-        u_edge = float(sol_l.sol(x_stop_l)[0])
-        u[:center][~inside] = 1.0 - (1.0 - u_edge) * np.exp(
-            np.sqrt(S) * (left[~inside] - x_stop_l)
-        )
-
-    du = _slope(u, S, r)
-    return WaveProfile(x=x, u=u, du=du, S=S, r=r, method="quadrature",
-                       condition_ok=bool(S < 4.0 * r))
+        u_edge = float(sol.sol(x_stop)[0])
+        u[~inside] = _exp_tail(x_half[~inside], x_stop, u_edge, S, limit)[0]
+    return u
 
 
-def profile_from_shooting(
-    S: float, r: float, x_max: float | None = None, dx: float = 0.02,
-) -> WaveProfile:
+def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
     """Build the standing front by shooting along the saddle's unstable manifold.
 
     The phase-plane system (u, y) with u' = y, y' = -S f(u) - (2S/r)(2u-1) y^2
@@ -286,14 +280,16 @@ def profile_from_shooting(
     u(-x) = 1 - u(x). In the regime S >= 4r the orbit is attempted all the
     same and the profile is flagged via ``condition_ok``.
 
+    The shot is built at the (S, r) and on the grid of ``reference``, a
+    quadrature profile, and checked against its heights.
+
     Raises:
         NoHeteroclinicError: the orbit dived below the escape guard
             10 sqrt(S) before reaching u = 1/2.
+        ClinewaveError: the shot strays from ``reference`` by more than
+            ``SHOOTING_TOL``.
     """
-    if S <= 0 or r <= 0:
-        raise ValueError(f"need S > 0 and r > 0, got S={S}, r={r}")
-    if x_max is None:
-        x_max = default_half_width(S)
+    S, r, x = reference.S, reference.r, reference.x
     sqrt_S = np.sqrt(S)
     y_guard = -10.0 * sqrt_S
 
@@ -315,8 +311,8 @@ def profile_from_shooting(
     tail_event.terminal = True
 
     # Leave room for the climb out of the saddle (~ log(1/delta)/sqrt(S))
-    # plus the requested half-width.
-    span = x_max + (np.log(1.0 / SHOOTING_DELTA) + 5.0) / sqrt_S
+    # plus the grid's half-width.
+    span = x[-1] + (np.log(1.0 / SHOOTING_DELTA) + 5.0) / sqrt_S
     sol = solve_ivp(
         rhs, (0.0, span), [1.0 - SHOOTING_DELTA, -sqrt_S * SHOOTING_DELTA],
         events=[crossing, escape, tail_event], method="DOP853",
@@ -329,7 +325,6 @@ def profile_from_shooting(
         )
     x_cross = float(sol.t_events[0][0])
 
-    x = _symmetric_grid(x_max, dx)
     n = x.size
     center = n // 2
     u = np.empty(n)
@@ -343,9 +338,8 @@ def profile_from_shooting(
     du[center:][inside] = vals[1]
     if not np.all(inside):
         u_edge = float(sol.sol(x_end)[0])
-        decay = np.exp(-sqrt_S * (right[~inside] - x_end))
-        u[center:][~inside] = u_edge * decay
-        du[center:][~inside] = -sqrt_S * u_edge * decay
+        u[center:][~inside], du[center:][~inside] = _exp_tail(
+            right[~inside], x_end, u_edge, S, 0.0)
 
     # Left half by the front's point symmetry; slopes are even in x.
     u[:center] = 1.0 - u[center + 1:][::-1]
@@ -354,19 +348,13 @@ def profile_from_shooting(
 
     profile = WaveProfile(x=x, u=u, du=du, S=S, r=r, method="shooting",
                           condition_ok=bool(S < 4.0 * r))
-    gap = float(np.max(np.abs(u - _reference_heights(x, S, r))))
+    gap = float(np.max(np.abs(u - reference.u)))
     if gap > SHOOTING_TOL:
         raise ClinewaveError(
             f"shooting profile deviates from the slope-law profile by {gap:.3e} "
             f"> tol={SHOOTING_TOL:.3e}"
         )
     return profile
-
-
-def _reference_heights(x: np.ndarray, S: float, r: float) -> np.ndarray:
-    """Quadrature-route heights on an arbitrary grid (cross-method yardstick)."""
-    ref = profile_from_quadrature(S, r, x_max=float(np.max(np.abs(x))), dx=float(x[1] - x[0]))
-    return ref.u
 
 
 def ode_residual(profile: WaveProfile) -> np.ndarray:

@@ -26,10 +26,8 @@ def check(criterion: int, ok: bool, detail: str) -> None:
 def profiles():
     out = {}
     for (S, r) in CASES:
-        out[(S, r)] = (
-            standing.profile_from_quadrature(S, r),
-            standing.profile_from_shooting(S, r),
-        )
+        quad = standing.profile_from_quadrature(S, r)
+        out[(S, r)] = (quad, standing.profile_from_shooting(quad))
     return out
 
 
@@ -99,9 +97,9 @@ def test_criterion_04_profile_formula_consistency(profiles):
     for (S, r), (quad, _shot) in profiles.items():
         cx = speed.c1_exact(S, r)
         worst_prof = max(worst_prof,
-                         abs(speed.c_eps_from_profile(quad, S, r) - cx) / cx)
+                         abs(speed.c_eps_from_profile(quad) - cx) / cx)
         worst_solv = max(worst_solv,
-                         abs(stability.solvability_ratio(quad, S, r) - cx) / cx)
+                         abs(stability.solvability_ratio(quad) - cx) / cx)
     ok = worst_prof < 1e-6 and worst_solv < 1e-6
     check(4, ok,
           f"profile-integral vs quadrature {worst_prof:.2e} (<1e-6), "
@@ -136,8 +134,8 @@ def test_criterion_06_dynamic_speed(profile_spectral):
     init = profile_spectral.interp(grid.x)
     cfg = pde.SimConfig(dt=0.2, t_end=2000.0, record_every=50)
     traj = pde.simulate_reduced(init, S, eps, r, grid, cfg)
-    fit = pde.instantaneous_speed(traj, "u_reduced", window=(500.0, 2000.0))
-    rel = abs(fit.fitted_speed - predicted) / predicted
+    measured = pde.instantaneous_speed(traj, "u_reduced", window=(500.0, 2000.0))
+    rel = abs(measured - predicted) / predicted
 
     s = 0.01
     true_speed, prof = speed.single_cline_speed(s, S)
@@ -145,8 +143,8 @@ def test_criterion_06_dynamic_speed(profile_spectral):
     grid_c = pde.Grid1D.symmetric(half_c, 0.1)
     cfg_c = pde.SimConfig(dt=0.2, t_end=1000.0, record_every=50)
     traj_c = pde.simulate_reduced(prof(grid_c.x), S, s, math.inf, grid_c, cfg_c)
-    fit_c = pde.instantaneous_speed(traj_c, "u_reduced", window=(20.0, 1000.0))
-    rel_c = abs(fit_c.fitted_speed - true_speed) / true_speed
+    measured_c = pde.instantaneous_speed(traj_c, "u_reduced", window=(20.0, 1000.0))
+    rel_c = abs(measured_c - true_speed) / true_speed
 
     ok = rel < 0.05 and rel_c < 0.02
     check(6, ok,
@@ -182,7 +180,7 @@ def test_criterion_08_full_system_speed_comparison():
 
 
 def test_criterion_09_spectral_stability(profile_spectral):
-    op_L = stability.assemble_L(profile_spectral, 0.1, 0.1)
+    op_L = stability.assemble_L(profile_spectral)
     vals, vecs = stability.spectrum(op_L, k=8)
     du = profile_spectral.du[1:-1]
     cosine = float(abs(np.dot(vecs[:, 0], du))
@@ -199,7 +197,7 @@ def test_criterion_10_adjoint_kernel(profile_spectral):
     res = {}
     for dx in (0.05, 0.025, 0.0125):
         prof = standing.profile_from_quadrature(0.1, 0.1, x_max=80.0, dx=dx)
-        res[dx] = stability.adjoint_kernel_residual(prof, 0.1, 0.1)
+        res[dx] = stability.adjoint_kernel_residual(prof)
     r1 = res[0.05] / res[0.025]
     r2 = res[0.025] / res[0.0125]
     rate = stability.second_kernel_growth_rate(profile_spectral)
@@ -247,8 +245,7 @@ def test_criterion_12_order_of_accuracy():
     # converged at the working resolution.
     a = standing.profile_from_quadrature(0.1, 0.1, dx=0.02)
     b = standing.profile_from_quadrature(0.1, 0.1, dx=0.01)
-    quad_shift = abs(speed.c_eps_from_profile(a, 0.1, 0.1)
-                     - speed.c_eps_from_profile(b, 0.1, 0.1))
+    quad_shift = abs(speed.c_eps_from_profile(a) - speed.c_eps_from_profile(b))
     quad_ok = quad_shift < 1e-8
 
     ok = splitting_ok and quad_ok

@@ -45,6 +45,22 @@ class TestStandingCommand:
         assert holds["shooting"]["condition_S_lt_4r"] is True
         assert fails["shooting"]["condition_S_lt_4r"] is False
 
+    def test_fig2_builds_each_quadrature_profile_once(self, tmp_path, monkeypatch):
+        # one build per regime: the shot is checked against that same profile
+        from clinewave import standing
+
+        calls = []
+        build = standing.profile_from_quadrature
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(standing, "profile_from_quadrature", counting)
+        code, _out = run_cli(["standing", "--preset", "fig2"], tmp_path)
+        assert code == 0
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("flag", ["--S", "--r"])
     def test_fig2_preset_rejects_S_and_r(self, tmp_path, flag):
         # fig2 fixes (S, r) to its two regimes; the flag would be recorded but unused

@@ -38,12 +38,12 @@ def u0():
 
 @pytest.fixture(scope="module")
 def op_L(u0):
-    return assemble_L(u0, S, R)
+    return assemble_L(u0)
 
 
 @pytest.fixture(scope="module")
 def op_M(u0):
-    return assemble_M(u0, S, R)
+    return assemble_M(u0)
 
 
 class TestAssembly:
@@ -67,7 +67,7 @@ class TestAssembly:
     def test_coarse_grid_rejected(self):
         coarse = profile_from_quadrature(S, R, x_max=30.0, dx=0.5)
         with pytest.raises(ValueError):
-            assemble_L(coarse, S, R)
+            assemble_L(coarse)
 
     def test_transpose_swaps_bands(self, op_L):
         probe = np.sin(op_L.x)
@@ -123,7 +123,7 @@ class TestSpectrum:
 
 class TestAdjointKernel:
     def test_residual_small_at_baseline(self, u0):
-        assert adjoint_kernel_residual(u0, S, R) < 1e-3
+        assert adjoint_kernel_residual(u0) < 1e-3
 
     def test_residual_refines_at_second_order(self):
         # Quartering under each halving of dx; the wide domain keeps the
@@ -131,7 +131,7 @@ class TestAdjointKernel:
         res = {}
         for dx in (0.05, 0.025, 0.0125):
             prof = profile_from_quadrature(S, R, x_max=80.0, dx=dx)
-            res[dx] = adjoint_kernel_residual(prof, S, R)
+            res[dx] = adjoint_kernel_residual(prof)
         assert res[0.05] / res[0.025] == pytest.approx(4.0, rel=0.2)
         assert res[0.025] / res[0.0125] == pytest.approx(4.0, rel=0.2)
 
@@ -140,12 +140,12 @@ class TestAdjointKernel:
         res = {}
         for dx in (0.05, 0.025):
             prof = profile_from_quadrature(S, R, x_max=80.0, dx=dx)
-            res[dx] = adjoint_kernel_residual(prof, S, R, weighted=False)
+            res[dx] = adjoint_kernel_residual(prof, weighted=False)
         assert res[0.05] > 1e-2
         assert res[0.025] > 1e-2
 
     def test_solvability_identity_reproduces_speed_coefficient(self, u0):
-        assert solvability_ratio(u0, S, R) == pytest.approx(
+        assert solvability_ratio(u0) == pytest.approx(
             c1_exact(S, R), rel=1e-6
         )
 

@@ -28,8 +28,8 @@ def profile_01():
 
 
 @pytest.fixture(scope="module")
-def shot_01():
-    return profile_from_shooting(0.1, 0.1)
+def shot_01(profile_01):
+    return profile_from_shooting(profile_01)
 
 
 class TestFirstIntegral:
@@ -130,7 +130,7 @@ class TestShootingProfile:
         assert slope_law_defect(shot_01) < 1e-8
 
     def test_condition_violated_regime_still_constructs(self):
-        p = profile_from_shooting(0.85, 0.15)
+        p = profile_from_shooting(profile_from_quadrature(0.85, 0.15))
         assert not p.condition_ok
         assert np.all(np.diff(p.u) < 0.0)
         assert symmetry_defect(p) < 1e-8
@@ -141,7 +141,7 @@ class TestShootingProfile:
     def test_escape_guard_reports_state(self):
         # Extreme coupling drives the orbit below the guard before u = 1/2.
         with pytest.raises(NoHeteroclinicError) as err:
-            profile_from_shooting(2.0, 0.02)
+            profile_from_shooting(profile_from_quadrature(2.0, 0.02))
         assert len(err.value.escape_state) == 2
 
 
