@@ -158,41 +158,31 @@ def _mean_fitness_arrays(u, v, w, z, fp: FitnessParams):
 def _recursion_numerators(u, v, w, z, fp: FitnessParams):
     """Unnormalized next-generation gamete frequencies.
 
-    The four expressions sum to the mean fitness identically, which is
+    Each gamete's numerator is its frequency times the summed fitness of
+    the genotypes it forms (a four-term bracket over its partner), plus or
+    minus the recombination flux (r het)(v w - u z) out of the double
+    heterozygote, het being its fitness. The flux cancels in the sum, so
+    the four numerators add up to the mean fitness identically, which is
     the conservation property the recursion relies on.
     """
     wAA, wAa, wBB, wBb = _fitness_weights(fp)
-    r = fp.r
     het = wAa * wBb  # double-heterozygote fitness, the only genotype that recombines
-    num_u = (
-        wAA * wBB * u * u
-        + wAA * wBb * u * v
-        + wAa * wBB * u * w
-        + (1.0 - r) * het * u * z
-        + r * het * w * v
-    )
-    num_v = (
-        wAA * v * v
-        + wAA * wBb * v * u
-        + wAa * v * z
-        + (1.0 - r) * het * v * w
-        + r * het * u * z
-    )
-    num_w = (
-        wBB * w * w
-        + wBb * w * z
-        + wAa * wBB * w * u
-        + (1.0 - r) * het * w * v
-        + r * het * u * z
-    )
-    num_z = (
-        z * z
-        + wAa * z * v
-        + wBb * z * w
-        + (1.0 - r) * het * z * u
-        + r * het * w * v
-    )
-    return num_u, num_v, num_w, num_z
+    flux = (fp.r * het) * (v * w - u * z)
+    return (u * (wAA * wBB * u + wAA * wBb * v + wAa * wBB * w + het * z) + flux,
+            v * (wAA * wBb * u + wAA * v + het * w + wAa * z) - flux,
+            w * (wAa * wBB * u + het * v + wBB * w + wBb * z) - flux,
+            z * (het * u + wAa * v + wBb * w + z) + flux)
+
+
+def _step_arrays(u, v, w, z, fp: FitnessParams):
+    """Vectorized one-generation map on raw arrays.
+
+    Divides by the sum of the numerators, which is the mean fitness
+    identically, so the outputs sum to one up to rounding.
+    """
+    num_u, num_v, num_w, num_z = _recursion_numerators(u, v, w, z, fp)
+    wbar = num_u + num_v + num_w + num_z
+    return num_u / wbar, num_v / wbar, num_w / wbar, num_z / wbar
 
 
 def recursion_step_exact(g: GameteFreqs, fp: FitnessParams) -> GameteFreqs:
@@ -203,18 +193,9 @@ def recursion_step_exact(g: GameteFreqs, fp: FitnessParams) -> GameteFreqs:
     output is renormalized by its exact sum to keep long iterations on
     the simplex despite rounding.
     """
-    num_u, num_v, num_w, num_z = _recursion_numerators(g.u, g.v, g.w, g.z, fp)
-    wbar = _mean_fitness_arrays(g.u, g.v, g.w, g.z, fp)
-    u, v, w, z = num_u / wbar, num_v / wbar, num_w / wbar, num_z / wbar
+    u, v, w, z = _step_arrays(g.u, g.v, g.w, g.z, fp)
     total = u + v + w + z
     return GameteFreqs(u / total, v / total, w / total, z / total)
-
-
-def _step_arrays(u, v, w, z, fp: FitnessParams):
-    """Vectorized one-generation map on raw arrays (no renormalization)."""
-    num_u, num_v, num_w, num_z = _recursion_numerators(u, v, w, z, fp)
-    wbar = _mean_fitness_arrays(u, v, w, z, fp)
-    return num_u / wbar, num_v / wbar, num_w / wbar, num_z / wbar
 
 
 def pqd_reaction(p, q, D, fp: FitnessParams):

@@ -45,6 +45,34 @@ def oracle_mean_fitness(g: GameteFreqs, fp: FitnessParams) -> float:
     return total
 
 
+def oracle_numerators(g: GameteFreqs, fp: FitnessParams) -> list[float]:
+    """Independent oracle: each of the sixteen ordered genotype pairs
+    passes on its two parental gametes with probability (1 - r) / 2 each
+    and its two recombinants with r / 2 each, weighted by its fitness.
+
+    Recombination changes the gametes only in the double heterozygote;
+    elsewhere the recombinants equal the parental gametes.
+    """
+    names = ["AB", "Ab", "aB", "ab"]
+    freqs = dict(zip(names, (g.u, g.v, g.w, g.z)))
+
+    def locus_fitness(alleles, upper, s, S):
+        count = sum(1 for a in alleles if a == upper)
+        return {2: 1.0 + 2.0 * s, 1: 1.0 + s - S, 0: 1.0}[count]
+
+    nums = dict.fromkeys(names, 0.0)
+    for gam1, y1 in freqs.items():
+        for gam2, y2 in freqs.items():
+            wA = locus_fitness((gam1[0], gam2[0]), "A", fp.sA, fp.SA)
+            wB = locus_fitness((gam1[1], gam2[1]), "B", fp.sB, fp.SB)
+            weight = y1 * y2 * wA * wB
+            for gamete, prob in ((gam1, (1.0 - fp.r) / 2.0), (gam2, (1.0 - fp.r) / 2.0),
+                                 (gam1[0] + gam2[1], fp.r / 2.0),
+                                 (gam2[0] + gam1[1], fp.r / 2.0)):
+                nums[gamete] += weight * prob
+    return [nums[name] for name in names]
+
+
 def random_gametes(rng, n):
     """Dirichlet-uniform sample of valid gamete frequency states."""
     raw = rng.dirichlet(np.ones(4), size=n)
@@ -82,6 +110,13 @@ class TestExactRecursion:
         g = GameteFreqs(1.0, 0.0, 0.0, 0.0)
         out = recursion_step_exact(g, FP)
         assert out.u == pytest.approx(1.0, abs=1e-15)
+
+    def test_numerators_against_enumeration_oracle(self):
+        rng = np.random.default_rng(13)
+        for g in random_gametes(rng, 100):
+            nums = _recursion_numerators(g.u, g.v, g.w, g.z, FP)
+            for got, expected in zip(nums, oracle_numerators(g, FP)):
+                assert got == pytest.approx(expected, rel=1e-13)
 
     def test_numerators_sum_to_mean_fitness(self):
         rng = np.random.default_rng(11)

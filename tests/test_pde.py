@@ -247,11 +247,14 @@ class TestSimulateReduced:
                              - b.fields["u_reduced"][-1])) < 5e-4
 
 
-def _reference_strang(init, grid, cfg, nu, make_reaction):
+def _reference_strang(init, grid, cfg, nu, make_reaction, merged=False):
     """The Strang loop written the plain way, as the oracle for the core.
 
     Per-component validated solve_banded, np.gradient inside the
     reactions, and the reaction closure rebuilt at each substep entry.
+    Classic order: half reaction, diffusion, half reaction at every step.
+    Merged order: the two half-reactions between consecutive steps become
+    one reaction over dt unless a record or the last step falls between.
     Returns the recorded states and their times, step * dt in Python floats.
     """
     n, a = grid.n, nu * cfg.dt / (2.0 * grid.dx**2)
@@ -289,11 +292,19 @@ def _reference_strang(init, grid, cfg, nu, make_reaction):
     state = np.array(init, dtype=float)
     records, times = [state.copy()], [0.0]
     half = 0.5 * cfg.dt
-    for step in range(1, int(round(cfg.t_end / cfg.dt)) + 1):
-        state = rk4(make_reaction(state), state, half)
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    split = True  # the previous step closed with a half reaction
+    for step in range(1, n_steps + 1):
+        if split:
+            state = rk4(make_reaction(state), state, half)
         state = np.array([diffuse(comp) for comp in state])
-        state = rk4(make_reaction(state), state, half)
-        if step % cfg.record_every == 0:
+        recorded = step % cfg.record_every == 0
+        split = not merged or recorded or step == n_steps
+        if split:
+            state = rk4(make_reaction(state), state, half)
+        else:
+            state = rk4(make_reaction(state), state, cfg.dt)
+        if recorded:
             records.append(state.copy())
             times.append(step * cfg.dt)
     return np.array(records), np.array(times)
@@ -343,17 +354,15 @@ def _reduced_reaction(S, eps, r, dx):
 
 
 class TestStrangCoreMatchesReference:
-    """The shared core is bit-identical to the plain Strang loop."""
+    """The shared core is bit-identical to the plain Strang loops: the
+    classic order when every step is recorded, the merged order otherwise."""
 
     FP = FitnessParams(sA=0.01, sB=0.005, SA=0.1, SB=0.12, r=0.1, sigma2=2.0)
 
-    @pytest.mark.parametrize("model", ["pqd", "gametes", "reduced"])
-    @pytest.mark.parametrize("scheme", ["strang-cn", "strang-explicit"])
-    @pytest.mark.parametrize("boundary", ["no-flux", "pinned"])
-    def test_bit_identical(self, model, scheme, boundary):
+    def _compare(self, model, scheme, boundary, record_every, merged):
         grid = Grid1D.symmetric(130.0, 0.2)
         dt = 0.2 if scheme == "strang-cn" else 0.02  # explicit: dt <= dx^2 / 2
-        cfg = SimConfig(dt=dt, t_end=12 * dt, record_every=4,
+        cfg = SimConfig(dt=dt, t_end=12 * dt, record_every=record_every,
                         boundary=boundary, scheme=scheme)
         p, q, D = stacked_pqd_init(grid, 0.1, 2.0, offset_p=-3.0, offset_q=3.0)
         if model == "pqd":
@@ -370,13 +379,76 @@ class TestStrangCoreMatchesReference:
             traj = simulate_reduced(p, 0.1, 0.005, 0.1, grid, cfg)
             make_reaction = _reduced_reaction(0.1, 0.005, 0.1, grid.dx)
         nu = 1.0 if model == "reduced" else self.FP.sigma2 / 2.0
-        expected, times = _reference_strang(init, grid, cfg, nu, make_reaction)
-        assert traj.times.size == expected.shape[0] == 4
+        expected, times = _reference_strang(init, grid, cfg, nu, make_reaction, merged)
+        assert traj.times.size == expected.shape[0] == 12 // record_every + 1
         assert np.array_equal(traj.times, times)
         for i, tag in enumerate(tags):
             assert np.array_equal(traj.fields[tag], expected[:, i]), tag
             fronts = [pde._front_of(tag, record, grid.x) for record in expected[:, i]]
             assert np.array_equal(traj.front_positions[tag], fronts), tag
+
+    @pytest.mark.parametrize("model", ["pqd", "gametes", "reduced"])
+    @pytest.mark.parametrize("scheme", ["strang-cn", "strang-explicit"])
+    @pytest.mark.parametrize("boundary", ["no-flux", "pinned"])
+    def test_bit_identical(self, model, scheme, boundary):
+        # every step recorded: nothing to merge, so the classic loop
+        self._compare(model, scheme, boundary, record_every=1, merged=False)
+
+    @pytest.mark.parametrize("model", ["pqd", "gametes", "reduced"])
+    @pytest.mark.parametrize("scheme", ["strang-cn", "strang-explicit"])
+    @pytest.mark.parametrize("boundary", ["no-flux", "pinned"])
+    def test_bit_identical_merged_order(self, model, scheme, boundary):
+        self._compare(model, scheme, boundary, record_every=4, merged=True)
+
+
+def _fig1_fields(model, cfg):
+    """Recorded fields of a run on the fig1 grid, with the clines started
+    close enough to stack by t = 400."""
+    grid = Grid1D.symmetric(140.0, 0.2)
+    init = stacked_pqd_init(grid, 0.1, 2.0, offset_p=-2.5, offset_q=4.0)
+    if model == "pqd":
+        traj = simulate_pqd(init, SYMMETRIC_FP, grid, cfg)
+    else:
+        traj = simulate_gametes(genetics.gametes_from_pqd(*init), SYMMETRIC_FP, grid, cfg)
+    return np.array([traj.fields[tag] for tag in sorted(traj.fields)])
+
+
+class TestMergedStrangOrder:
+    """Merging half-reactions moves the answer far less than dt does."""
+
+    @pytest.mark.parametrize("model", ["pqd", "gametes"])
+    def test_gap_to_classic_order_is_below_its_discretisation_error(self, model):
+        # record_every = 1 runs the classic order (pinned above)
+        classic = _fig1_fields(model, SimConfig(dt=0.5, t_end=400.0))[:, ::80]
+        merged = _fig1_fields(model, SimConfig(dt=0.5, t_end=400.0, record_every=80))
+        fine = _fig1_fields(model, SimConfig(dt=0.125, t_end=400.0, record_every=320))
+        gap = np.max(np.abs(merged - classic))
+        error = np.max(np.abs(classic - fine))
+        # merging two RK4 half steps into one full step changes only the
+        # reaction's O(dt^4) error, against the splitting's O(dt^2)
+        assert 0.0 < gap < 1e-2 * error
+
+    @pytest.mark.parametrize("t_end, record_every, n_steps, records_before_last", [
+        (400.0, 80, 800, 9),   # fig1 settings: records at every 80th step
+        (5.0, 4, 10, 2),       # the last step is not a record
+        (5.0, 1, 10, 9),       # every step recorded: the classic loop
+    ])
+    def test_reaction_evaluations(self, monkeypatch, t_end, record_every,
+                                  n_steps, records_before_last):
+        calls = []
+        run_strang = pde._run_strang
+
+        def counting(init, tags, grid, cfg, nu, rhs, summary):
+            def counted(state):
+                calls.append(1)
+                return rhs(state)
+            return run_strang(init, tags, grid, cfg, nu, counted, summary)
+
+        monkeypatch.setattr(pde, "_run_strang", counting)
+        _fig1_fields("gametes", SimConfig(dt=0.5, t_end=t_end, record_every=record_every))
+        # four RK4 stages per reaction substep: one opening half, one
+        # substep after each diffusion, one more half after each earlier record
+        assert len(calls) == 4 * (1 + n_steps + records_before_last)
 
 
 class TestQLE:
