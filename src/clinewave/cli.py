@@ -84,7 +84,7 @@ _OPTIONS = {
         ("sigma2", dict(type=float, default=2.0)),
         ("offset-p", dict(type=float, default=0.0)),
         ("offset-q", dict(type=float, default=0.0)),
-        ("half-width", dict(type=float, default=None, help="defaults to the recommended width")),
+        ("half-width", dict(type=float, default=None, help="defaults to tail clearance + offset")),
         ("dx", dict(type=float, default=0.2)),
         ("dt", dict(type=float, default=0.2)),
         ("t-end", dict(type=float, default=200.0)),
@@ -291,7 +291,7 @@ def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
     half = params["half_width"]
     if half is None:
         scale = math.sqrt(params["sigma2"] / 2.0) if model != "reduced" else 1.0
-        half = (pde.recommended_half_width(S)
+        half = (standing.default_half_width(S)
                 + max(abs(params["offset_p"]), abs(params["offset_q"]))) * scale
     grid = pde.Grid1D.symmetric(half, params["dx"])
     cfg = pde.SimConfig(dt=params["dt"], t_end=params["t_end"],

@@ -2,8 +2,8 @@
 
 Three solvers share one Strang-split core: half reaction, full diffusion,
 half reaction per step, with the adjacent half-reactions of consecutive
-steps merged into one full reaction step except at records and at the
-last step (see `_run_strang`):
+steps merged into one full reaction step except at records, the last
+step among them (see `_run_strang`):
 
   * `simulate_pqd` integrates allele frequencies and linkage disequilibrium
 
@@ -182,15 +182,6 @@ class Trajectory:
         return payload
 
 
-def recommended_half_width(S_like: float) -> float:
-    """Domain half-width keeping boundaries within ~1e-6 of the limit states.
-
-    Allows 40/sqrt(S) of clearance around a standing front; callers add
-    any anticipated front travel.
-    """
-    return 40.0 / math.sqrt(S_like)
-
-
 def logistic_front(x: np.ndarray, S: float, center: float = 0.0) -> np.ndarray:
     """Decreasing tanh front with the natural width of a single cline."""
     k = math.sqrt(S) / 2.0
@@ -309,12 +300,13 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
 
         R(dt/2) D R(dt) D ... R(dt) D R(dt/2)
 
-    The loop splits back into two halves only at record steps and at the
-    last step, so every recorded state is a complete Strang state and the
-    scheme keeps Strang's second order with about half the reaction
-    evaluations; at record_every = 1 it is the classic loop. The
+    A record is taken every record_every steps and at the last step, so a
+    run always ends with its state at t_end. The loop splits back into two
+    halves only at records, so every recorded state is a complete Strang
+    state and the scheme keeps Strang's second order with about half the
+    reaction evaluations; at record_every = 1 it is the classic loop. The
     finiteness check runs before every diffusion; the range guard runs at
-    the records, the only complete states between the ends.
+    the records, the only complete states.
 
     init (one array per tag, or a bare array for one component) is copied
     into the (components, nodes) state and checked before the first step.
@@ -330,9 +322,12 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
         raise CFLViolationError(
             f"explicit diffusion needs dt <= dx^2/(2 nu) = {limit:.6g}, got dt={cfg.dt}")
     n_steps = int(round(cfg.t_end / cfg.dt))
-    n_records = n_steps // cfg.record_every + 1
-    store = np.empty((len(tags), n_records, grid.n))
+    record_steps = list(range(0, n_steps + 1, cfg.record_every))
+    if record_steps[-1] != n_steps:
+        record_steps.append(n_steps)
+    store = np.empty((len(tags), len(record_steps), grid.n))
     store[:, 0] = state
+    slot = 1
     diff = _Diffusion(grid, nu, cfg.dt, cfg.boundary, cfg.scheme)
     half = 0.5 * cfg.dt
     lead = half  # reaction time before the next diffusion
@@ -346,19 +341,18 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
                     step * cfg.dt, dict(zip(tags, state)),
                 )
             state = diff.step(state)
-            record = step % cfg.record_every == 0
-            if record or step == n_steps:
+            if step % cfg.record_every == 0 or step == n_steps:
                 state = _rk4(rhs, state, half)
                 lead = half
+                _range_guard(step * cfg.dt, dict(zip(tags, state)))
+                store[:, slot] = state
+                slot += 1
             else:
                 lead = cfg.dt
-            if record:
-                _range_guard(step * cfg.dt, dict(zip(tags, state)))
-                store[:, step // cfg.record_every] = state
     fields = dict(zip(tags, store))
     return Trajectory(
         # integer step first, then dt: the same bits as step * dt in the loop
-        times=np.arange(n_records) * cfg.record_every * cfg.dt,
+        times=np.array(record_steps) * cfg.dt,
         grid=grid, fields=fields,
         front_positions={tag: np.array([_front_of(tag, rec, grid.x) for rec in arr])
                          for tag, arr in fields.items()},

@@ -54,6 +54,7 @@ from .standing import (
     WaveProfile,
     bistable_f,
     bistable_f_prime,
+    default_half_width,
     first_integral_P,
     logistic_g,
     profile_from_quadrature,
@@ -334,13 +335,17 @@ def measure_full_system_speed(
 
     Original-frame simulation; the report carries the measured speed in
     the original frame and the gap against s * c1_star converted to it.
+    The domain keeps `standing.default_half_width` of tail clearance behind
+    the front, and that plus twice the predicted travel ahead (s >= 0).
     """
     from . import pde
 
     scale = math.sqrt(sigma2 / 2.0)
+    clearance = default_half_width(S) * scale
     travel = 2.0 * s * c1_star(S, r) * scale * t_end
-    half_width = pde.recommended_half_width(S) * scale + max(travel, 0.0)
-    grid = pde.Grid1D.symmetric(half_width, dx)
+    behind = int(round(clearance / dx))
+    ahead = int(round((clearance + travel) / dx))
+    grid = pde.Grid1D(-behind * dx, ahead * dx, behind + ahead + 1)
     init = pde.stacked_pqd_init(grid, S, sigma2)
     fp = FitnessParams(sA=s, sB=s, SA=S, SB=S, r=r, sigma2=sigma2)
     record_every = max(1, int(round(2.0 / dt)))

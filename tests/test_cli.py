@@ -1,17 +1,22 @@
 """End-to-end tests of the command-line driver and its artifact contracts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from clinewave.cli import _error_payload, _resolve, build_parser, main
 from clinewave.errors import NewtonDivergenceError, NoHeteroclinicError
+from clinewave.pde import Grid1D
+from clinewave.standing import default_half_width
 
 
-# reaction overshoot from a hostile dt on the reduced model
-BLOWUP = ["simulate", "--model", "reduced", "--init", "logistic",
-          "--S", "0.1", "--r", "0.001", "--dt", "5.0", "--t-end", "50"]
+# reaction overshoot from a hostile dt on the reduced model: every node goes
+# non-finite on the default domain, only some on the wider 40/sqrt(S) one
+BLOWUP_EVERYWHERE = ["simulate", "--model", "reduced", "--init", "logistic",
+                     "--S", "0.1", "--r", "0.001", "--dt", "5.0", "--t-end", "50"]
+BLOWUP = BLOWUP_EVERYWHERE + ["--half-width", repr(40.0 / math.sqrt(0.1))]
 
 
 def run_cli(args, tmp_path, name="run"):
@@ -179,6 +184,18 @@ class TestConfigHandling:
         assert field["nonfinite"] > 0
         assert field["worst_value"] is None  # non-finite: null keeps strict JSON
         assert field["min"] <= field["max"]
+
+    def test_error_json_of_an_all_nonfinite_snapshot(self, tmp_path):
+        out = tmp_path / "blowup"
+        assert main(BLOWUP_EVERYWHERE + ["--out", str(out)]) == 4
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        err = json.loads((out / "error.json").read_text(), parse_constant=reject)
+        nodes = Grid1D.symmetric(default_half_width(0.1), 0.2).n
+        assert err["snapshot"]["u_reduced"] == {
+            "min": None, "max": None, "nonfinite": nodes, "worst_node": 0, "worst_value": None}
 
     def test_error_payload_copies_scalar_diagnostics(self):
         payload = _error_payload(NewtonDivergenceError("stalled", 3.5e-9), 4)

@@ -450,6 +450,20 @@ class TestMergedStrangOrder:
         # substep after each diffusion, one more half after each earlier record
         assert len(calls) == 4 * (1 + n_steps + records_before_last)
 
+    def test_trailing_steps_end_in_a_record(self):
+        # 10 steps recorded every 4th: the last two steps end in a record at t_end
+        grid = Grid1D.symmetric(140.0, 0.2)
+        init = stacked_pqd_init(grid, 0.1, 2.0, offset_p=-2.5, offset_q=4.0)
+        traj = simulate_pqd(init, SYMMETRIC_FP, grid,
+                            SimConfig(dt=0.5, t_end=5.0, record_every=4))
+        assert traj.times.tolist() == [0.0, 2.0, 4.0, 5.0]
+        assert traj.front_positions["p"].size == 4
+        # a complete Strang state: the classic loop's at t = 5 up to the merge
+        # gap (3e-9), where one step earlier is 6e-4 away
+        classic = simulate_pqd(init, SYMMETRIC_FP, grid, SimConfig(dt=0.5, t_end=5.0))
+        for tag in ("p", "q", "D"):
+            assert np.max(np.abs(traj.fields[tag][-1] - classic.fields[tag][-1])) < 1e-7
+
 
 class TestQLE:
     def test_constant_fields_give_zero(self):

@@ -22,7 +22,7 @@ from clinewave.speed import (
     solve_traveling_bvp,
     zero_recombination_speed,
 )
-from clinewave.standing import bistable_f_prime, profile_from_quadrature
+from clinewave.standing import bistable_f_prime, default_half_width, profile_from_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +284,46 @@ class TestFullSystemComparison:
         assert rep.measured_rescaled == pytest.approx(
             rep.measured_speed / math.sqrt(rep.sigma2 / 2.0), rel=1e-14
         )
+
+    @pytest.mark.parametrize("r", [0.5, 0.15])
+    def test_one_sided_domain_matches_the_symmetric_one(self, monkeypatch, r):
+        # the reference route: a symmetric 40/sqrt(S) domain, padded for the
+        # travel on both sides, edges at ~e^-40 from the limit states
+        from clinewave import pde
+        from clinewave.genetics import FitnessParams
+
+        S, s, sigma2, t_end, dt, dx = 0.1, 0.01, 2.0, 150.0, 0.2, 0.2
+        scale = math.sqrt(sigma2 / 2.0)
+        travel = 2.0 * s * c1_star(S, r) * scale * t_end
+        grid = pde.Grid1D.symmetric(40.0 / math.sqrt(S) * scale + travel, dx)
+        fp = FitnessParams(sA=s, sB=s, SA=S, SB=S, r=r, sigma2=sigma2)
+        cfg = pde.SimConfig(dt=dt, t_end=t_end, record_every=10)
+        wide = pde.simulate_pqd(pde.stacked_pqd_init(grid, S, sigma2), fp, grid, cfg)
+        expected = pde.instantaneous_speed(
+            wide, "p", window=(speed.TRANSIENT_FRACTION * t_end, t_end))
+
+        runs = []
+        simulate = pde.simulate_pqd
+
+        def keep(*args):
+            runs.append(simulate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(pde, "simulate_pqd", keep)
+        rep = measure_full_system_speed(S, r, s, sigma2, t_end=t_end, dt=dt, dx=dx)
+        assert abs(rep.measured_speed / expected - 1.0) <= 1e-10
+        (traj,) = runs
+        assert traj.grid.n < grid.n / 2
+        assert traj.times[-1] == t_end
+        # the front keeps the tail clearance to both edges all run long
+        fronts = traj.front_positions["p"]
+        clearance = default_half_width(S) * scale - dx
+        assert np.min(fronts - traj.grid.x_min) >= clearance
+        assert np.min(traj.grid.x_max - fronts) >= clearance
+        for tag, limits in (("p", (1.0, 0.0)), ("q", (1.0, 0.0)), ("D", (0.0, 0.0))):
+            final = traj.fields[tag][-1]
+            assert abs(final[0] - limits[0]) <= pde.BOUNDARY_INIT_TOL
+            assert abs(final[-1] - limits[1]) <= pde.BOUNDARY_INIT_TOL
 
     def test_report_row_shape(self):
         rep = SpeedReport(S=0.1, r=0.5, s=0.01, sigma2=2.0, c1_exact=3.34,
