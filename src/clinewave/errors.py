@@ -22,10 +22,6 @@ class InfeasibleStateError(ClinewaveError):
         self.gametes = gametes
 
 
-class CFLViolationError(ClinewaveError):
-    """Explicit diffusion step requested with dt above the stability bound."""
-
-
 class FieldInvariantError(ClinewaveError):
     """A simulated field left its admissible range beyond tolerance.
 

@@ -33,9 +33,8 @@ the shared driver copies and checks the initial data, steps, records and
 tracks the fronts. It checks finiteness before every diffusion and the
 field ranges at every record, since only recorded states are complete
 Strang states. Diffusion acts on the whole (components, nodes)
-state at once: Crank-Nicolson by default, one tridiagonal solve with a
-right-hand-side column per component; explicit stepping is available
-behind a CFL guard. Boundaries are no-flux or pinned. Runs are
+state at once: one Crank-Nicolson step, a single tridiagonal solve with a
+right-hand-side column per component, on no-flux boundaries. Runs are
 deterministic given their config; independent runs share no state.
 """
 
@@ -50,7 +49,6 @@ from scipy.linalg import solve_banded
 
 from . import genetics
 from .errors import (
-    CFLViolationError,
     FieldInvariantError,
     FrontTrackingError,
     InsufficientSamplesError,
@@ -90,25 +88,19 @@ class Grid1D:
 
     @staticmethod
     def symmetric(half_width: float, dx: float) -> "Grid1D":
+        if not 0.0 < dx < math.inf:
+            raise ValueError(f"dx must be positive and finite, got {dx}")
         half = int(round(half_width / dx))
         return Grid1D(-half * dx, half * dx, 2 * half + 1)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time stepping and output controls for one simulation run.
-
-    boundary "no-flux" reflects at both ends; "pinned" holds the initial
-    boundary values (Dirichlet). scheme "strang-cn" pairs Strang splitting
-    with Crank-Nicolson diffusion; "strang-explicit" uses forward-Euler
-    diffusion and enforces dt <= dx^2 / (2 nu).
-    """
+    """Time stepping and output controls for one simulation run."""
 
     dt: float
     t_end: float
     record_every: int = 1
-    boundary: str = "no-flux"
-    scheme: str = "strang-cn"
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -117,10 +109,6 @@ class SimConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if self.boundary not in ("no-flux", "pinned"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.scheme not in ("strang-cn", "strang-explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def field_bounds(tag: str) -> tuple[float, float]:
@@ -189,47 +177,34 @@ def logistic_front(x: np.ndarray, S: float, center: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Diffusion substeps
+# Diffusion substep
 # ---------------------------------------------------------------------------
 
 
 class _Diffusion:
-    """One diffusion step on a fixed grid for a (components, nodes) state.
+    """One Crank-Nicolson diffusion step on a fixed grid for a
+    (components, nodes) state.
 
-    Crank-Nicolson solves (I - a T) u+ = (I + a T) u with a = nu dt / (2 dx^2)
-    and T the second-difference stencil; no-flux doubles the inner neighbor
-    in the boundary rows, pinned freezes the edge values. The explicit
-    scheme applies (I + 2a T) u.
+    Solves (I - a T) u+ = (I + a T) u with a = nu dt / (2 dx^2) and T the
+    second-difference stencil; the no-flux boundary rows take a ghost node
+    mirroring the inner neighbor, which doubles it.
     """
 
-    def __init__(self, grid: Grid1D, nu: float, dt: float, boundary: str, scheme: str):
-        self.boundary = boundary
-        self.scheme = scheme
+    def __init__(self, grid: Grid1D, nu: float, dt: float):
         a = nu * dt / (2.0 * grid.dx**2)
         self.a = a
         ab = np.zeros((3, grid.n))  # (upper, diagonal, lower) of I - a T
         ab[0, 1:] = ab[2, :-1] = -a
         ab[1] = 1.0 + 2.0 * a
-        if boundary == "no-flux":
-            ab[0, 1] = ab[2, -2] = -2.0 * a  # ghost mirrors at the edges
-        else:  # pinned: identity rows at the edges
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 1] = ab[2, -2] = 0.0
+        ab[0, 1] = ab[2, -2] = -2.0 * a  # ghost mirrors at the edges
         self._ab = ab
 
-    def _stencil(self, u: np.ndarray, coef: float) -> np.ndarray:
-        """(I + coef T) u along the last axis, with the boundary treatment."""
-        out = u.copy()
-        out[..., 1:-1] += coef * (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2])
-        if self.boundary == "no-flux":
-            out[..., 0] += coef * (2.0 * u[..., 1] - 2.0 * u[..., 0])
-            out[..., -1] += coef * (2.0 * u[..., -2] - 2.0 * u[..., -1])
-        return out
-
-    def step(self, state: np.ndarray) -> np.ndarray:
-        if self.scheme == "strang-explicit":
-            return self._stencil(state, 2.0 * self.a)
-        rhs = self._stencil(state, self.a)
+    def step(self, u: np.ndarray) -> np.ndarray:
+        a = self.a
+        rhs = u.copy()  # (I + a T) u along the last axis
+        rhs[..., 1:-1] += a * (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2])
+        rhs[..., 0] += a * (2.0 * u[..., 1] - 2.0 * u[..., 0])
+        rhs[..., -1] += a * (2.0 * u[..., -2] - 2.0 * u[..., -1])
         # No finiteness scan here: the loop checks the state just before
         # diffusion, and a non-finite solve (only by overflow) is caught by
         # that check on the next step.
@@ -317,10 +292,6 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
     state = np.array(init, dtype=float, ndmin=2)
     _check_boundary_init(dict(zip(tags, state)))
     _range_guard(0.0, dict(zip(tags, state)))
-    limit = grid.dx**2 / (2.0 * nu)
-    if cfg.scheme == "strang-explicit" and cfg.dt > limit:
-        raise CFLViolationError(
-            f"explicit diffusion needs dt <= dx^2/(2 nu) = {limit:.6g}, got dt={cfg.dt}")
     n_steps = int(round(cfg.t_end / cfg.dt))
     record_steps = list(range(0, n_steps + 1, cfg.record_every))
     if record_steps[-1] != n_steps:
@@ -328,7 +299,7 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
     store = np.empty((len(tags), len(record_steps), grid.n))
     store[:, 0] = state
     slot = 1
-    diff = _Diffusion(grid, nu, cfg.dt, cfg.boundary, cfg.scheme)
+    diff = _Diffusion(grid, nu, cfg.dt)
     half = 0.5 * cfg.dt
     lead = half  # reaction time before the next diffusion
     with np.errstate(over="ignore", invalid="ignore"):

@@ -340,6 +340,8 @@ def measure_full_system_speed(
     """
     from . import pde
 
+    if not (dt > 0.0 and dx > 0.0):
+        raise ValueError(f"dt and dx must be positive, got dt={dt}, dx={dx}")
     scale = math.sqrt(sigma2 / 2.0)
     clearance = default_half_width(S) * scale
     travel = 2.0 * s * c1_star(S, r) * scale * t_end

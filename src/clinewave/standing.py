@@ -214,6 +214,8 @@ def exp_tail_extension(x: np.ndarray, u: np.ndarray, S: float):
 
 
 def _symmetric_grid(x_max: float, dx: float) -> np.ndarray:
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
     half = int(round(x_max / dx))
     return np.arange(-half, half + 1) * dx
 

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from clinewave.cli import _error_payload, _resolve, build_parser, main
+from clinewave import cli
+from clinewave.cli import _error_payload, _parse_r_grid, _resolve, build_parser, main
 from clinewave.errors import NewtonDivergenceError, NoHeteroclinicError
 from clinewave.pde import Grid1D
 from clinewave.standing import default_half_width
@@ -120,7 +121,7 @@ class TestConfigHandling:
         params, defaulted = _resolve(args, "simulate")
         assert params["dt"] == 0.2        # given, though equal to the parser default
         assert params["t_end"] == 3000.0  # not given: the preset's value
-        assert params["boundary"] == "no-flux"
+        assert params["init"] == "standing"
         assert "t_end" not in defaulted
 
     def test_unknown_config_key_exits_2(self, tmp_path):
@@ -197,6 +198,15 @@ class TestConfigHandling:
         assert err["snapshot"]["u_reduced"] == {
             "min": None, "max": None, "nonfinite": nodes, "worst_node": 0, "worst_value": None}
 
+    @pytest.mark.parametrize("argv", [["simulate", "--dx", "0"], ["standing", "--dx", "0"],
+                                      ["compare", "--dx", "0"], ["compare", "--dt", "0"]],
+                             ids=["simulate-dx", "standing-dx", "compare-dx", "compare-dt"])
+    def test_zero_spacing_exits_3_with_error_json(self, tmp_path, argv):
+        out = tmp_path / "zero"
+        assert main(argv + ["--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ValueError", 3)
+
     def test_error_payload_copies_scalar_diagnostics(self):
         payload = _error_payload(NewtonDivergenceError("stalled", 3.5e-9), 4)
         assert payload == {"error": "NewtonDivergenceError", "message": "stalled",
@@ -216,6 +226,13 @@ class TestSpeedCommand:
         assert len(lines) == 1 + 9
         first = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
         assert first["c1_exact"] == pytest.approx(4.157462, rel=1e-5)
+
+    def test_r_grid_stops_at_its_stop(self):
+        assert _parse_r_grid("0.1:0.5:0.15") == [0.1, 0.25, 0.4]
+        assert _parse_r_grid("0.1:0.45:0.1")[-1] == 0.4
+        default = _parse_r_grid("0.15:0.5:0.05")  # quotient 6.999999999999999
+        assert (len(default), default[-1]) == (8, 0.5)
+        assert _parse_r_grid("0.3:0.3:0.1") == [0.3]
 
     def test_requires_r_or_grid(self, tmp_path):
         code = main(["speed", "--S", "0.1", "--out", str(tmp_path / "x")])
@@ -365,6 +382,27 @@ class TestSweepCommand:
         for sub in ("S=0.1", "S=0.25"):
             resolved = json.loads((out / sub / "manifest.json").read_text())["resolved"]
             assert (resolved["r"], resolved["dx"]) == (0.25, 0.05)
+
+    def test_pool_asks_for_no_more_workers_than_points(self, tmp_path, monkeypatch):
+        asked = []
+
+        class SerialPool:  # records the request and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code = main(["sweep", "standing", "--vary", "S=0.1,0.25", "--threads", "64",
+                     "--out", str(tmp_path / "sweepy"), "--", "--r", "0.25", "--dx", "0.05"])
+        assert (code, asked) == (0, [2])
 
     def test_unknown_vary_key_exits_2(self, tmp_path):
         code = main(["sweep", "standing", "--vary", "zap=1,2",

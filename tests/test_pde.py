@@ -10,7 +10,6 @@ from scipy.linalg import solve_banded
 
 from clinewave import genetics, pde
 from clinewave.errors import (
-    CFLViolationError,
     FieldInvariantError,
     FrontTrackingError,
     InsufficientSamplesError,
@@ -47,17 +46,6 @@ class TestGridAndConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(dt=0.0, t_end=1.0)
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.1, t_end=1.0, boundary="periodic")
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.1, t_end=1.0, scheme="verlet")
-
-    def test_explicit_scheme_enforces_cfl(self):
-        grid = Grid1D.symmetric(130.0, 0.2)
-        init = stacked_pqd_init(grid, 0.1, 2.0)
-        cfg = SimConfig(dt=0.5, t_end=1.0, scheme="strang-explicit")
-        with pytest.raises(CFLViolationError):
-            simulate_pqd(init, SYMMETRIC_FP, grid, cfg)
 
     def test_boundary_init_guard(self):
         grid = Grid1D.symmetric(5.0, 0.1)  # far too narrow for the front
@@ -232,19 +220,24 @@ class TestSimulateReduced:
                  / np.max(np.abs(ends[0.2] - ends[0.1])))
         assert ratio == pytest.approx(5.0, abs=1.0)
 
-    def test_explicit_diffusion_agrees_with_crank_nicolson(self):
-        grid = Grid1D.symmetric(130.0, 0.4)
-        u0 = pde.logistic_front(grid.x, 0.1)
-        dt = grid.dx**2 / 2.0 * 0.9
-        steps = int(round(4.0 / dt))
-        cfg_e = SimConfig(dt=dt, t_end=steps * dt, record_every=steps,
-                          scheme="strang-explicit")
-        cfg_c = SimConfig(dt=dt, t_end=steps * dt, record_every=steps)
-        a = simulate_reduced(u0, 0.1, 0.0, 0.1, grid, cfg_e)
-        b = simulate_reduced(u0, 0.1, 0.0, 0.1, grid, cfg_c)
-        # the schemes differ at O(dt) in the diffusion treatment
-        assert np.max(np.abs(a.fields["u_reduced"][-1]
-                             - b.fields["u_reduced"][-1])) < 5e-4
+    @pytest.mark.parametrize("dt,steps", [(0.2, 50), (0.5, 20)])
+    def test_crank_nicolson_decays_a_no_flux_mode_exactly(self, dt, steps):
+        # S = eps = 0 and r = inf make the reaction exactly zero, so the run
+        # is pure Crank-Nicolson. cos(k pi j / (n - 1)) with k even is an
+        # eigenvector of the no-flux stencil with both edges at 1, eigenvalue
+        # lam = -4 sin^2(k pi / (2 (n - 1))); each step multiplies it by
+        # g = (1 + a lam) / (1 - a lam), a = dt / (2 dx^2).
+        grid = Grid1D.symmetric(20.0, 0.2)
+        k, n = 4, grid.n
+        mode = np.cos(k * np.pi * np.arange(n) / (n - 1))
+        lam = -4.0 * math.sin(k * math.pi / (2 * (n - 1))) ** 2
+        a = dt / (2.0 * grid.dx**2)
+        g = (1.0 + a * lam) / (1.0 - a * lam)
+        cfg = SimConfig(dt=dt, t_end=steps * dt, record_every=5)
+        traj = simulate_reduced(0.5 + 0.5 * mode, 0.0, 0.0, math.inf, grid, cfg)
+        done = np.arange(0, steps + 1, 5)
+        expected = 0.5 + 0.5 * g ** done[:, np.newaxis] * mode
+        assert np.max(np.abs(traj.fields["u_reduced"] - expected)) < 1e-12
 
 
 def _reference_strang(init, grid, cfg, nu, make_reaction, merged=False):
@@ -258,29 +251,21 @@ def _reference_strang(init, grid, cfg, nu, make_reaction, merged=False):
     Returns the recorded states and their times, step * dt in Python floats.
     """
     n, a = grid.n, nu * cfg.dt / (2.0 * grid.dx**2)
-    no_flux = cfg.boundary == "no-flux"
     ab = np.zeros((3, n))
     ab[0, 1:] = -a
     ab[1] = 1.0 + 2.0 * a
     ab[2, :-1] = -a
-    if no_flux:
-        ab[0, 1] = ab[2, -2] = -2.0 * a
-    else:
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = ab[2, -2] = 0.0
+    ab[0, 1] = ab[2, -2] = -2.0 * a
 
     def explicit(u, coef):
         out = u.copy()
         out[1:-1] += coef * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-        if no_flux:
-            out[0] += coef * (2.0 * u[1] - 2.0 * u[0])
-            out[-1] += coef * (2.0 * u[-2] - 2.0 * u[-1])
+        out[0] += coef * (2.0 * u[1] - 2.0 * u[0])
+        out[-1] += coef * (2.0 * u[-2] - 2.0 * u[-1])
         return out
 
     def diffuse(u):
-        if cfg.scheme == "strang-cn":
-            return solve_banded((1, 1), ab, explicit(u, a))
-        return explicit(u, 2.0 * a)
+        return solve_banded((1, 1), ab, explicit(u, a))
 
     def rk4(rhs, y, dt):
         k1 = rhs(y)
@@ -359,11 +344,10 @@ class TestStrangCoreMatchesReference:
 
     FP = FitnessParams(sA=0.01, sB=0.005, SA=0.1, SB=0.12, r=0.1, sigma2=2.0)
 
-    def _compare(self, model, scheme, boundary, record_every, merged):
+    def _compare(self, model, record_every, merged):
         grid = Grid1D.symmetric(130.0, 0.2)
-        dt = 0.2 if scheme == "strang-cn" else 0.02  # explicit: dt <= dx^2 / 2
-        cfg = SimConfig(dt=dt, t_end=12 * dt, record_every=record_every,
-                        boundary=boundary, scheme=scheme)
+        dt = 0.2
+        cfg = SimConfig(dt=dt, t_end=12 * dt, record_every=record_every)
         p, q, D = stacked_pqd_init(grid, 0.1, 2.0, offset_p=-3.0, offset_q=3.0)
         if model == "pqd":
             init, tags = (p, q, D), ("p", "q", "D")
@@ -388,17 +372,13 @@ class TestStrangCoreMatchesReference:
             assert np.array_equal(traj.front_positions[tag], fronts), tag
 
     @pytest.mark.parametrize("model", ["pqd", "gametes", "reduced"])
-    @pytest.mark.parametrize("scheme", ["strang-cn", "strang-explicit"])
-    @pytest.mark.parametrize("boundary", ["no-flux", "pinned"])
-    def test_bit_identical(self, model, scheme, boundary):
+    def test_bit_identical(self, model):
         # every step recorded: nothing to merge, so the classic loop
-        self._compare(model, scheme, boundary, record_every=1, merged=False)
+        self._compare(model, record_every=1, merged=False)
 
     @pytest.mark.parametrize("model", ["pqd", "gametes", "reduced"])
-    @pytest.mark.parametrize("scheme", ["strang-cn", "strang-explicit"])
-    @pytest.mark.parametrize("boundary", ["no-flux", "pinned"])
-    def test_bit_identical_merged_order(self, model, scheme, boundary):
-        self._compare(model, scheme, boundary, record_every=4, merged=True)
+    def test_bit_identical_merged_order(self, model):
+        self._compare(model, record_every=4, merged=True)
 
 
 def _fig1_fields(model, cfg):
