@@ -133,26 +133,10 @@ def _fitness_weights(fp: FitnessParams) -> tuple[float, float, float, float]:
 def mean_fitness(g: GameteFreqs, fp: FitnessParams):
     """Population mean fitness after random fusion of gametes.
 
-    Ten quadratic terms: one per unordered genotype, diagonal terms once
-    and off-diagonal terms with the factor 2 from ordered pairing.
+    The sum of the four recursion numerators, in which the recombination
+    flux cancels: the w-bar that `_step_arrays` divides by.
     """
-    return _mean_fitness_arrays(g.u, g.v, g.w, g.z, fp)
-
-
-def _mean_fitness_arrays(u, v, w, z, fp: FitnessParams):
-    wAA, wAa, wBB, wBb = _fitness_weights(fp)
-    return (
-        wAA * wBB * u * u
-        + wAA * v * v
-        + wBB * w * w
-        + z * z
-        + 2.0 * wAA * wBb * u * v
-        + 2.0 * wAa * wBB * u * w
-        + 2.0 * wAa * wBb * u * z
-        + 2.0 * wAa * wBb * v * w
-        + 2.0 * wAa * v * z
-        + 2.0 * wBb * w * z
-    )
+    return sum(_recursion_numerators(g.u, g.v, g.w, g.z, fp))
 
 
 def _recursion_numerators(u, v, w, z, fp: FitnessParams):

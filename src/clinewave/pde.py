@@ -90,6 +90,8 @@ class Grid1D:
     def symmetric(half_width: float, dx: float) -> "Grid1D":
         if not 0.0 < dx < math.inf:
             raise ValueError(f"dx must be positive and finite, got {dx}")
+        if not abs(half_width) < math.inf:
+            raise ValueError(f"half-width must be finite, got {half_width}")
         half = int(round(half_width / dx))
         return Grid1D(-half * dx, half * dx, 2 * half + 1)
 
@@ -103,10 +105,13 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"t_end={self.t_end} is not a whole number of steps dt={self.dt}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 

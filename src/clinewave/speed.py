@@ -2,7 +2,7 @@
 
 With a small directional advantage eps, the standing front starts to
 travel at speed c(eps) = c1 eps + o(eps). The first-order coefficient has
-three equivalent forms computed here:
+two forms computed here:
 
   * `c1_exact`: the height-space quadrature
 
@@ -15,9 +15,9 @@ three equivalent forms computed here:
     (1/sqrt(S)) (1 + (4/15)(S/r) + (2/45)(S/r)^2); `c1_star` keeps the
     first-order term only.
 
-  * `c_eps_from_profile`: the x-space ratio of weighted integrals along a
-    constructed profile, which the height-space form derives from by the
-    change of variable u = u0(x).
+The x-space form, the Fredholm solvability ratio along a constructed
+profile, is `stability.solvability_ratio`; the height-space quadrature
+follows from it by the change of variable u = u0(x).
 
 Limit cases with closed forms: a single cline travels at s/sqrt(S) with
 an explicit tanh profile; fully linked clines (r = 0) behave as one locus
@@ -37,38 +37,33 @@ the original frame by the factor sigma/sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
-from .errors import (
-    NewtonDivergenceError,
-    ProfileTooShortError,
-    QuadratureError,
-)
+from .errors import NewtonDivergenceError, QuadratureError
 from .genetics import FitnessParams
 from .standing import (
     WaveProfile,
+    _slope_scalar,
     bistable_f,
     bistable_f_prime,
     default_half_width,
-    first_integral_P,
     logistic_g,
     profile_from_quadrature,
 )
-
-# Fraction of an integral the exponential tail corrections may carry
-# before the profile is deemed too short to trust.
-TAIL_WEIGHT_LIMIT = 1e-8
 
 # Newton stops once the residual and the phase defect fall below
 # NEWTON_TOL / dx^2. The residual's second difference carries rounding of
 # about 4 eps_machine / dx^2 ~ 9e-16 / dx^2, so a fixed tolerance would sit
 # below that floor on fine grids; this one is 1e-12 at dx = 0.05.
 NEWTON_TOL = 2.5e-15
+NEWTON_MAX_ITER = 40      # Newton steps allowed per continuation stage
+CONTINUATION_STEPS = 4    # eps stages, halving down from eps
+BVP_GRID_DX = 0.05        # spacing of the standing profile the BVP starts from
 QUAD_TOL = 1e-10          # relative tolerance of the c1_exact quadratures
 TRANSIENT_FRACTION = 0.3  # leading share of a speed run left out of the fit
 
@@ -80,16 +75,15 @@ def c1_exact(S: float, r: float) -> float:
         QuadratureError: the integrator's error estimate exceeds the
             requested relative tolerance.
     """
-    if S <= 0 or r <= 0:
-        raise ValueError(f"need S > 0 and r > 0, got S={S}, r={r}")
+    if not (0.0 < S < math.inf and 0.0 < r < math.inf):
+        raise ValueError(f"need finite S > 0 and r > 0, got S={S}, r={r}")
     k = 4.0 * S / r
 
     def numerator(u):
         return -(r / (4.0 * S)) * math.expm1(-k * (u - u * u))
 
     def denominator(u):
-        w = u - u * u
-        return math.sqrt(max(first_integral_P(u, S, r), 0.0)) * math.exp(-k * w)
+        return -_slope_scalar(u, S, r) * math.exp(-k * (u - u * u))
 
     num, err_n = quad(numerator, 0.0, 1.0, epsabs=0.0, epsrel=QUAD_TOL, limit=200)
     den, err_d = quad(denominator, 0.0, 1.0, epsabs=0.0, epsrel=QUAD_TOL, limit=200)
@@ -117,40 +111,6 @@ def c1_series(S: float, r: float, order: int = 2) -> float:
 def c1_star(S: float, r: float) -> float:
     """First-order truncation (1/sqrt(S)) (1 + (4/15) S/r)."""
     return c1_series(S, r, order=1)
-
-
-def c_eps_from_profile(u0: WaveProfile) -> float:
-    """Speed coefficient from weighted integrals along a standing profile, at its (S, r).
-
-    Composite trapezoid over the profile grid, plus matched-exponential
-    corrections for the truncated tails.
-
-    Raises:
-        ProfileTooShortError: tail corrections exceed ``TAIL_WEIGHT_LIMIT``
-            of either integral.
-    """
-    u, du, weight = u0.u, u0.du, u0.weight
-    dx = u0.dx
-    num_integrand = -(logistic_g(u) + (2.0 / u0.r) * du * du) * du * weight
-    den_integrand = du * du * weight
-    num = float(np.trapezoid(num_integrand, dx=dx))
-    den = float(np.trapezoid(den_integrand, dx=dx))
-
-    # Tails: u ~ C e^{-sqrt(S)x} on the right (mirrored on the left), the
-    # weight tends to 1, and the integrands decay like their leading
-    # quadratic terms; each remaining piece integrates to height^2 / 2
-    # (numerator) and sqrt(S) height^2 / 2 (denominator) per side.
-    sqrt_S = math.sqrt(u0.S)
-    h_r = u[-1]
-    h_l = 1.0 - u[0]
-    num_tail = 0.5 * (h_r * h_r + h_l * h_l)
-    den_tail = sqrt_S * 0.5 * (h_r * h_r + h_l * h_l)
-    if num_tail > TAIL_WEIGHT_LIMIT * abs(num) or den_tail > TAIL_WEIGHT_LIMIT * abs(den):
-        raise ProfileTooShortError(
-            f"tail weight {max(num_tail / abs(num), den_tail / abs(den)):.2e} "
-            f"exceeds {TAIL_WEIGHT_LIMIT}; extend the profile domain"
-        )
-    return (num + num_tail) / (den + den_tail)
 
 
 def single_cline_speed(s: float, S: float):
@@ -199,9 +159,6 @@ def solve_traveling_bvp(
     r: float,
     eps: float,
     u0: WaveProfile | None = None,
-    grid_dx: float = 0.05,
-    max_iter: int = 40,
-    continuation_steps: int = 4,
 ) -> tuple[float, WaveProfile]:
     """Traveling profile and speed by Newton continuation from the standing wave.
 
@@ -223,7 +180,7 @@ def solve_traveling_bvp(
     if eps < 0.0 or eps > 0.1 * S:
         raise ValueError(f"eps must lie in [0, 0.1 S] = [0, {0.1 * S}], got {eps}")
     if u0 is None:
-        u0 = profile_from_quadrature(S, r, dx=grid_dx)
+        u0 = profile_from_quadrature(S, r, dx=BVP_GRID_DX)
     x, base, base_slope = u0.x, u0.u, u0.du
     dx = u0.dx
     tol = NEWTON_TOL / (dx * dx)
@@ -236,10 +193,10 @@ def solve_traveling_bvp(
     if eps == 0.0:
         stages = [0.0]
     else:
-        stages = [eps * (0.5 ** k) for k in range(continuation_steps - 1, -1, -1)]
+        stages = [eps * (0.5 ** k) for k in range(CONTINUATION_STEPS - 1, -1, -1)]
 
     for eps_k in stages:
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             res = _traveling_residual(u, c, eps_k, S, r, dx, u_left, u_right)
             phase = float(np.dot(u - base[1:-1], phase_weight))
             norm = max(float(np.max(np.abs(res))), abs(phase))
@@ -303,7 +260,6 @@ class SpeedReport:
     c1_star: float
     measured_speed: float
     frame: str
-    relative_gap: float
 
     @property
     def frame_factor(self) -> float:
@@ -318,6 +274,11 @@ class SpeedReport:
     @property
     def predicted_original(self) -> float:
         return self.s * self.c1_star * self.frame_factor
+
+    @property
+    def relative_gap(self) -> float:
+        predicted = self.predicted_original
+        return abs(self.measured_speed - predicted) / predicted
 
     def csv_row(self):
         return [self.S, self.r, self.s, self.sigma2, self.c1_exact, self.c1_series,
@@ -340,8 +301,10 @@ def measure_full_system_speed(
     """
     from . import pde
 
-    if not (dt > 0.0 and dx > 0.0):
-        raise ValueError(f"dt and dx must be positive, got dt={dt}, dx={dx}")
+    if not dx > 0.0:
+        raise ValueError(f"dx must be positive, got dx={dx}")
+    cfg = pde.SimConfig(dt=dt, t_end=t_end)  # rejects a bad dt or t_end before 2 / dt and the grid
+    cfg = replace(cfg, record_every=max(1, int(round(2.0 / dt))))
     scale = math.sqrt(sigma2 / 2.0)
     clearance = default_half_width(S) * scale
     travel = 2.0 * s * c1_star(S, r) * scale * t_end
@@ -350,19 +313,12 @@ def measure_full_system_speed(
     grid = pde.Grid1D(-behind * dx, ahead * dx, behind + ahead + 1)
     init = pde.stacked_pqd_init(grid, S, sigma2)
     fp = FitnessParams(sA=s, sB=s, SA=S, SB=S, r=r, sigma2=sigma2)
-    record_every = max(1, int(round(2.0 / dt)))
-    cfg = pde.SimConfig(dt=dt, t_end=t_end, record_every=record_every)
     traj = pde.simulate_pqd(init, fp, grid, cfg)
     measured = pde.instantaneous_speed(traj, "p", window=(TRANSIENT_FRACTION * t_end, t_end))
-
-    exact = c1_exact(S, r)
-    star = c1_star(S, r)
-    predicted = s * star * scale
-    gap = abs(measured - predicted) / predicted
     return SpeedReport(
         S=S, r=r, s=s, sigma2=sigma2,
-        c1_exact=exact, c1_series=c1_series(S, r, 2), c1_star=star,
-        measured_speed=measured, frame="original", relative_gap=gap,
+        c1_exact=c1_exact(S, r), c1_series=c1_series(S, r, 2), c1_star=c1_star(S, r),
+        measured_speed=measured, frame="original",
     )
 
 

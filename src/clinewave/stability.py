@@ -17,8 +17,8 @@ translation mode u0' spans the kernel of L and the weighted slope
     psi = u0' exp((4S/r)(u0^2 - u0))
 
 spans the kernel of the adjoint. The Fredholm solvability ratio
-< psi, g(u0) + (2/r) u0'^2 > / < psi, -u0' > reproduces the first-order
-wave speed coefficient, which ties this module to the speed module.
+< psi, g(u0) + (2/r) u0'^2 > / < psi, -u0' > is the x-space form of the
+first-order wave speed coefficient, whose height-space form is `speed.c1_exact`.
 
 Both operators are assembled on the interior nodes of the profile grid
 with second-order central stencils and pinned (zero) boundary rows.
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ProfileTooShortError
 from .pde import Grid1D, SimConfig, front_position_values, simulate_reduced
 from .speed import c1_exact
 from .standing import WaveProfile, bistable_f, bistable_f_prime, exp_tail_extension, logistic_g
@@ -52,6 +52,7 @@ from .standing import WaveProfile, bistable_f, bistable_f_prime, exp_tail_extens
 ESSENTIAL_CUTOFF_FRACTION = 0.5
 
 SETTLE_TOL = 1e-6  # sup distance to the shifted control that counts as settled
+TAIL_WEIGHT_LIMIT = 1e-8  # share of an integral the tail corrections may carry
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,14 @@ def kernel_mode_residual(op_L: DiscretizedOperator, u0: WaveProfile) -> float:
     return float(np.max(np.abs(op_L.apply(du))) / np.max(np.abs(du)))
 
 
-def adjoint_kernel_vector(u0: WaveProfile) -> np.ndarray:
-    """Discretized adjoint null vector u0' exp((4S/r)(u0^2 - u0)) (interior)."""
-    return (u0.du * u0.weight)[1:-1]
+def _adjoint_null_vector(u0: WaveProfile) -> np.ndarray:
+    """psi = u0' exp((4S/r)(u0^2 - u0)) at the profile nodes."""
+    return u0.du * u0.weight
+
+
+def _pair_with_psi(u0: WaveProfile, f: np.ndarray) -> float:
+    """int f psi dx by the trapezoid rule on the profile grid."""
+    return float(np.trapezoid(f * _adjoint_null_vector(u0), dx=u0.dx))
 
 
 def adjoint_kernel_residual(u0: WaveProfile, weighted: bool = True) -> float:
@@ -204,22 +210,35 @@ def adjoint_kernel_residual(u0: WaveProfile, weighted: bool = True) -> float:
     under refinement (negative control).
     """
     op = assemble_L(u0)
-    psi = adjoint_kernel_vector(u0) if weighted else u0.du[1:-1].copy()
+    psi = (_adjoint_null_vector(u0) if weighted else u0.du)[1:-1]
     return float(np.linalg.norm(op.apply_transpose(psi)) / np.linalg.norm(psi))
 
 
 def solvability_ratio(u0: WaveProfile) -> float:
-    """< psi, g(u0) + (2/r) u0'^2 > / < psi, -u0' > on the profile grid.
+    """< psi, g(u0) + (2/r) u0'^2 > / < psi, -u0' >: the speed coefficient in x-space.
 
-    Trapezoid quadrature; equals the first-order speed coefficient when
-    psi spans the adjoint kernel (the solvability condition for the
-    traveling branch).
+    Trapezoid quadrature plus matched-exponential corrections for the
+    truncated tails; psi spans the adjoint kernel, so this is the
+    solvability condition of the traveling branch.
+
+    Raises:
+        ProfileTooShortError: tail corrections exceed ``TAIL_WEIGHT_LIMIT``
+            of either integral.
     """
-    psi = u0.du * u0.weight
-    forcing = logistic_g(u0.u) + (2.0 / u0.r) * u0.du**2
-    num = float(np.trapezoid(psi * forcing, dx=u0.dx))
-    den = float(np.trapezoid(psi * (-u0.du), dx=u0.dx))
-    return num / den
+    num = _pair_with_psi(u0, logistic_g(u0.u) + (2.0 / u0.r) * u0.du**2)
+    den = _pair_with_psi(u0, -u0.du)
+
+    # Past an edge at height h from its limit the front relaxes like h e^{-sqrt(S)|x|}
+    # and the weight tends to 1: -h^2/2 more in num, -sqrt(S) h^2/2 in den (psi < 0).
+    h_r, h_l = u0.u[-1], 1.0 - u0.u[0]
+    num_tail = 0.5 * (h_r * h_r + h_l * h_l)
+    den_tail = math.sqrt(u0.S) * num_tail
+    if num_tail > TAIL_WEIGHT_LIMIT * abs(num) or den_tail > TAIL_WEIGHT_LIMIT * abs(den):
+        raise ProfileTooShortError(
+            f"tail weight {max(num_tail / abs(num), den_tail / abs(den)):.2e} "
+            f"exceeds {TAIL_WEIGHT_LIMIT}; extend the profile domain"
+        )
+    return (num - num_tail) / (den - den_tail)
 
 
 def second_kernel_solution(u0: WaveProfile) -> np.ndarray:
@@ -278,10 +297,8 @@ def perturbation_projection(u0: WaveProfile, h: np.ndarray) -> tuple[float, floa
     Returns (raw, normalized): the integral int h u0' e^{(4S/r)(u0^2-u0)} dx
     and the same divided by int u0'^2 e^{...} dx.
     """
-    psi = u0.du * u0.weight
-    raw = float(np.trapezoid(np.asarray(h, float) * psi, dx=u0.dx))
-    norm = float(np.trapezoid(u0.du**2 * u0.weight, dx=u0.dx))
-    return raw, raw / norm
+    raw = _pair_with_psi(u0, np.asarray(h, float))
+    return raw, raw / _pair_with_psi(u0, u0.du)
 
 
 def relaxation_shift(

@@ -216,6 +216,8 @@ def exp_tail_extension(x: np.ndarray, u: np.ndarray, S: float):
 def _symmetric_grid(x_max: float, dx: float) -> np.ndarray:
     if not 0.0 < dx < math.inf:
         raise ValueError(f"dx must be positive and finite, got {dx}")
+    if not abs(x_max) < math.inf:
+        raise ValueError(f"x_max must be finite, got {x_max}")
     half = int(round(x_max / dx))
     return np.arange(-half, half + 1) * dx
 
@@ -230,8 +232,8 @@ def profile_from_quadrature(
     check rather than a construction artifact. Within ``TAIL_CUTOFF`` of
     a limit state the matched tails C exp(-+sqrt(S) x) take over.
     """
-    if S <= 0 or r <= 0:
-        raise ValueError(f"need S > 0 and r > 0, got S={S}, r={r}")
+    if not (0.0 < S < math.inf and 0.0 < r < math.inf):
+        raise ValueError(f"need finite S > 0 and r > 0, got S={S}, r={r}")
     if x_max is None:
         x_max = default_half_width(S)
     x = _symmetric_grid(x_max, dx)

@@ -92,18 +92,12 @@ def test_criterion_03_speed_coefficient():
 
 
 def test_criterion_04_profile_formula_consistency(profiles):
-    worst_prof = 0.0
-    worst_solv = 0.0
+    worst = 0.0
     for (S, r), (quad, _shot) in profiles.items():
         cx = speed.c1_exact(S, r)
-        worst_prof = max(worst_prof,
-                         abs(speed.c_eps_from_profile(quad) - cx) / cx)
-        worst_solv = max(worst_solv,
-                         abs(stability.solvability_ratio(quad) - cx) / cx)
-    ok = worst_prof < 1e-6 and worst_solv < 1e-6
-    check(4, ok,
-          f"profile-integral vs quadrature {worst_prof:.2e} (<1e-6), "
-          f"solvability identity {worst_solv:.2e} (<1e-6)")
+        worst = max(worst, abs(stability.solvability_ratio(quad) - cx) / cx)
+    check(4, worst < 1e-6,
+          f"x-space solvability ratio vs height-space quadrature {worst:.2e} (<1e-6)")
 
 
 def test_criterion_05_bvp_first_order_law(profile_spectral):
@@ -245,7 +239,7 @@ def test_criterion_12_order_of_accuracy():
     # converged at the working resolution.
     a = standing.profile_from_quadrature(0.1, 0.1, dx=0.02)
     b = standing.profile_from_quadrature(0.1, 0.1, dx=0.01)
-    quad_shift = abs(speed.c_eps_from_profile(a) - speed.c_eps_from_profile(b))
+    quad_shift = abs(stability.solvability_ratio(a) - stability.solvability_ratio(b))
     quad_ok = quad_shift < 1e-8
 
     ok = splitting_ok and quad_ok

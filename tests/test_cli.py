@@ -198,14 +198,40 @@ class TestConfigHandling:
         assert err["snapshot"]["u_reduced"] == {
             "min": None, "max": None, "nonfinite": nodes, "worst_node": 0, "worst_value": None}
 
-    @pytest.mark.parametrize("argv", [["simulate", "--dx", "0"], ["standing", "--dx", "0"],
-                                      ["compare", "--dx", "0"], ["compare", "--dt", "0"]],
-                             ids=["simulate-dx", "standing-dx", "compare-dx", "compare-dt"])
-    def test_zero_spacing_exits_3_with_error_json(self, tmp_path, argv):
-        out = tmp_path / "zero"
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dx", "0"], ["standing", "--dx", "0"],
+        ["compare", "--dx", "0"], ["compare", "--dt", "0"],
+        # a NaN or infinite S or r used to hang the profile quadrature or
+        # write a NaN speed table
+        ["standing", "--r", "nan"], ["stability", "--r", "nan"],
+        ["simulate", "--model", "reduced", "--r", "inf"],
+        ["speed", "--r", "nan"], ["speed", "--r", "inf"],
+        # infinite lengths and times used to escape as OverflowError, or run
+        # to t = nan
+        ["simulate", "--t-end", "inf"], ["simulate", "--half-width", "inf"],
+        ["standing", "--x-max", "inf"],
+        ["compare", "--t-end", "inf", "--r-grid", "0.5:0.5:0.1"],
+        ["simulate", "--model", "reduced", "--dt", "inf", "--t-end", "10"],
+        # a t_end that is not a whole number of steps used to end elsewhere
+        ["simulate", "--model", "reduced", "--dt", "0.3", "--t-end", "1.0",
+         "--record-every", "1"],
+    ], ids=["simulate-dx", "standing-dx", "compare-dx", "compare-dt",
+            "standing-r-nan", "stability-r-nan", "simulate-reduced-r-inf",
+            "speed-r-nan", "speed-r-inf", "simulate-t-end-inf", "simulate-half-width-inf",
+            "standing-x-max-inf", "compare-t-end-inf", "simulate-dt-inf",
+            "simulate-t-end-off-step"])
+    def test_bad_numeric_flag_exits_3_with_error_json(self, tmp_path, argv):
+        out = tmp_path / "bad"
         assert main(argv + ["--out", str(out)]) == 3
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["exit_code"]) == ("ValueError", 3)
+
+    def test_too_short_stability_domain_exits_4(self, tmp_path):
+        # the tail corrections of the solvability ratio carry too much weight
+        out = tmp_path / "short"
+        assert main(["stability", "--x-max", "12", "--out", str(out)]) == 4
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ProfileTooShortError", 4)
 
     def test_error_payload_copies_scalar_diagnostics(self):
         payload = _error_payload(NewtonDivergenceError("stalled", 3.5e-9), 4)

@@ -46,6 +46,13 @@ class TestGridAndConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(dt=0.0, t_end=1.0)
+        for dt, t_end in ((math.inf, 10.0), (math.nan, 10.0), (0.2, math.inf),
+                          (0.2, math.nan), (0.2, -1.0), (0.3, 1.0), (0.6, 1.0)):
+            with pytest.raises(ValueError):
+                SimConfig(dt=dt, t_end=t_end)
+        # whole step counts pass, rounding in t_end / dt included
+        for dt, t_end in ((0.2, 200.0), (0.3, 0.8999999999999999), (0.1, 0.3), (0.25, 0.0)):
+            SimConfig(dt=dt, t_end=t_end)
 
     def test_boundary_init_guard(self):
         grid = Grid1D.symmetric(5.0, 0.1)  # far too narrow for the front

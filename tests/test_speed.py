@@ -9,6 +9,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from clinewave import speed
+from clinewave.stability import solvability_ratio
 from clinewave.errors import NewtonDivergenceError, ProfileTooShortError
 from clinewave.speed import (
     _traveling_residual,
@@ -16,7 +17,6 @@ from clinewave.speed import (
     c1_exact,
     c1_series,
     c1_star,
-    c_eps_from_profile,
     measure_full_system_speed,
     single_cline_speed,
     solve_traveling_bvp,
@@ -92,28 +92,28 @@ class TestC1Series:
 
 class TestProfileFormula:
     def test_matches_quadrature_route(self, profile_01):
-        # Oracle: the height-space integral obtained from this very
-        # x-space ratio by the change of variable u = u0(x).
-        assert c_eps_from_profile(profile_01) == pytest.approx(
+        # Oracle: the height-space integral obtained from the x-space
+        # solvability ratio by the change of variable u = u0(x).
+        assert solvability_ratio(profile_01) == pytest.approx(
             c1_exact(0.1, 0.1), rel=1e-6
         )
 
     @pytest.mark.parametrize("S,r", [(0.6, 0.25), (0.25, 0.25), (0.3, 0.5)])
     def test_positivity(self, S, r):
         prof = profile_from_quadrature(S, r)
-        assert c_eps_from_profile(prof) > 0.0
+        assert solvability_ratio(prof) > 0.0
 
     def test_resolution_insensitivity(self):
         a = profile_from_quadrature(0.1, 0.1, dx=0.02)
         b = profile_from_quadrature(0.1, 0.1, dx=0.01)
-        va = c_eps_from_profile(a)
-        vb = c_eps_from_profile(b)
+        va = solvability_ratio(a)
+        vb = solvability_ratio(b)
         assert abs(va - vb) < 1e-8
 
     def test_short_profile_rejected(self):
         short = profile_from_quadrature(0.1, 0.1, x_max=12.0, dx=0.02)
         with pytest.raises(ProfileTooShortError):
-            c_eps_from_profile(short)
+            solvability_ratio(short)
 
 
 class TestClosedFormSpeeds:
@@ -170,10 +170,11 @@ class TestTravelingBVP:
         with pytest.raises(ValueError):
             solve_traveling_bvp(0.1, 0.1, 0.05, u0=profile_01)
 
-    def test_newton_divergence_reports_residual(self, profile_01):
+    def test_newton_divergence_reports_residual(self, profile_01, monkeypatch):
+        monkeypatch.setattr(speed, "NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(speed, "CONTINUATION_STEPS", 1)
         with pytest.raises(NewtonDivergenceError) as err:
-            solve_traveling_bvp(0.1, 0.1, 1e-3, u0=profile_01,
-                                max_iter=1, continuation_steps=1)
+            solve_traveling_bvp(0.1, 0.1, 1e-3, u0=profile_01)
         assert err.value.last_residual > 0.0
 
     def test_zero_phase_weight_fails_at_the_first_step(self, profile_01, monkeypatch):
@@ -328,6 +329,7 @@ class TestFullSystemComparison:
     def test_report_row_shape(self):
         rep = SpeedReport(S=0.1, r=0.5, s=0.01, sigma2=2.0, c1_exact=3.34,
                           c1_series=3.34, c1_star=3.33, measured_speed=0.033,
-                          frame="original", relative_gap=0.01)
+                          frame="original")
         assert len(rep.csv_row()) == len(SpeedReport.CSV_HEADER)
         assert rep.predicted_original == pytest.approx(0.01 * 3.33, rel=1e-12)
+        assert rep.relative_gap == pytest.approx(1.0 - 0.033 / 0.0333, rel=1e-12)
