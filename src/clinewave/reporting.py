@@ -23,15 +23,20 @@ def fmt_float(value) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows of numbers (or strings) under a header line."""
+    """Write rows of numbers (or strings) under a header line, one ``%`` per
+    line: the first row's types pick ``%s`` or ``FLOAT_FMT`` for each column.
+    Rows go out in blocks of 1024, so memory stays bounded."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    line = ",".join("%s" if isinstance(item, str) else FLOAT_FMT
+                    for item in (rows[0] if len(rows) else ())) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                item if isinstance(item, str) else fmt_float(item) for item in row
-            ) + "\n")
+        for start in range(0, len(rows), 1024):
+            block = rows[start:start + 1024]
+            fh.write("".join(line % tuple(row) for row in (
+                block.tolist() if isinstance(block, np.ndarray) else block)))
 
 
 def _jsonable(obj):

@@ -21,8 +21,9 @@ follows from it by the change of variable u = u0(x).
 
 Limit cases with closed forms: a single cline travels at s/sqrt(S) with
 an explicit tanh profile; fully linked clines (r = 0) behave as one locus
-with doubled coefficients, giving 2s/sqrt(2S). Both bracket c1: for any
-finite recombination 1/sqrt(S) < c1 < sqrt(2)/sqrt(S).
+with doubled coefficients, giving 2s/sqrt(2S). They bracket c1,
+1/sqrt(S) < c1 < sqrt(2)/sqrt(S), only for S/r below about 1.261:
+c1 sqrt(S) depends on S/r alone and passes sqrt(2) there.
 
 `solve_traveling_bvp` computes the genuinely nonlinear traveling wave by
 Newton continuation on the discretized profile equation, with the phase

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
-from .errors import ConvergenceError, ProfileTooShortError
+from .errors import ConvergenceError, FieldInvariantError, ProfileTooShortError
 from .pde import Grid1D, SimConfig, front_position_values, simulate_reduced
 from .speed import c1_exact
 from .standing import WaveProfile, bistable_f, bistable_f_prime, exp_tail_extension, logistic_g
@@ -172,6 +172,8 @@ def spectrum(op: DiscretizedOperator, k: int = 6):
     exactly real. Eigenvectors come back in the operator's own frame,
     normalized to unit Euclidean norm.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     d, e, scale = _symmetrize(op)
     n = d.size
     k = min(k, n)
@@ -310,27 +312,32 @@ def relaxation_shift(
     """Relax u0 + eps_amp * h under the symmetric dynamics and measure the shift.
 
     The perturbed state is evolved with the reduced equation (eps = 0)
-    next to an unperturbed control run; the control supplies the discrete
-    standing state, removing the O(dx^2) gap between the continuum
+    next to an unperturbed control run to cfg.t_end, whose final state is
+    the discrete standing state: no O(dx^2) gap between the continuum
     profile and the attractor of the discrete dynamics. The shift is the
     minimizer of the L2 distance to the translated control, seeded by the
     front positions; settling means the remaining sup distance fell
     below ``SETTLE_TOL``.
 
+    The perturbed run goes one record interval at a time and stops at the
+    first settled record. Each leg restarts `simulate_reduced` from the last
+    record, which repeats the continuing run bit for bit (a record closes
+    and a run opens with a half reaction), and re-runs the t = 0 boundary
+    and range guards on a record state that passed the range guard. A
+    `FieldInvariantError` from a later leg carries the absolute time.
+
     Raises:
         ConvergenceError: distance still above tolerance at cfg.t_end.
-        ValueError: amplitude too large for the linear regime (> 0.05).
+        ValueError: |eps_amp| zero, NaN or above 0.05, the linear regime.
     """
-    if abs(eps_amp) > 0.05:
-        raise ValueError(f"|eps_amp| must be <= 0.05 for the linear regime, got {eps_amp}")
+    if not 0.0 < abs(eps_amp) <= 0.05:
+        raise ValueError(f"need 0 < |eps_amp| <= 0.05 for the linear regime, got {eps_amp}")
     h = np.asarray(h, dtype=float)
     if h.shape != u0.x.shape:
         raise ValueError("perturbation must be sampled on the profile grid")
     grid = Grid1D(float(u0.x[0]), float(u0.x[-1]), u0.x.size)
 
     control = simulate_reduced(u0.u, u0.S, 0.0, u0.r, grid, cfg)
-    perturbed = simulate_reduced(u0.u + eps_amp * h, u0.S, 0.0, u0.r, grid, cfg)
-
     settled = control.fields["u_reduced"][-1]
     control_at = exp_tail_extension(grid.x, settled, u0.S)
     front_control = front_position_values(settled, grid.x)
@@ -345,16 +352,25 @@ def relaxation_shift(
         )
         return float(res.x)
 
-    t_settled = math.nan
-    shift = math.nan
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    state = u0.u + eps_amp * h
+    done_steps = 0
     dist = math.inf
-    for i in range(1, perturbed.times.size):
-        state = perturbed.fields["u_reduced"][i]
+    while done_steps < n_steps and not dist < SETTLE_TOL:
+        k = min(cfg.record_every, n_steps - done_steps)
+        try:
+            leg = simulate_reduced(state, u0.S, 0.0, u0.r, grid,
+                                   SimConfig(cfg.dt, k * cfg.dt, record_every=k))
+        except FieldInvariantError as err:
+            if not done_steps:
+                raise
+            t = done_steps * cfg.dt + err.t
+            raise FieldInvariantError(str(err).replace(f"t={err.t}", f"t={t}"),
+                                      t, err.snapshot) from err
+        state = leg.fields["u_reduced"][-1]
+        done_steps += k
         shift = best_shift(state)
         dist = float(np.max(np.abs(state - control_at(grid.x - shift))))
-        if dist < SETTLE_TOL:
-            t_settled = float(perturbed.times[i])
-            break
     if not (dist < SETTLE_TOL):
         raise ConvergenceError(
             f"perturbation did not settle below {SETTLE_TOL} by t={cfg.t_end} "
@@ -370,5 +386,5 @@ def relaxation_shift(
         predicted_shift=-eps_amp * normalized,
         predicted_shift_unnormalized=-eps_amp * raw,
         final_distance=dist,
-        t_settled=t_settled,
+        t_settled=done_steps * cfg.dt,
     )

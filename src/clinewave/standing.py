@@ -219,6 +219,8 @@ def _symmetric_grid(x_max: float, dx: float) -> np.ndarray:
     if not abs(x_max) < math.inf:
         raise ValueError(f"x_max must be finite, got {x_max}")
     half = int(round(x_max / dx))
+    if half < 3:  # ode_residual's seven-point stencil
+        raise ValueError(f"x_max={x_max} at dx={dx} gives fewer than 7 nodes")
     return np.arange(-half, half + 1) * dx
 
 

@@ -198,33 +198,43 @@ class TestConfigHandling:
         assert err["snapshot"]["u_reduced"] == {
             "min": None, "max": None, "nonfinite": nodes, "worst_node": 0, "worst_value": None}
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--dx", "0"], ["standing", "--dx", "0"],
-        ["compare", "--dx", "0"], ["compare", "--dt", "0"],
+    @pytest.mark.parametrize("argv, names", [
+        (["simulate", "--dx", "0"], "dx"), (["standing", "--dx", "0"], "dx"),
+        (["compare", "--dx", "0"], "dx"), (["compare", "--dt", "0"], "dt"),
         # a NaN or infinite S or r used to hang the profile quadrature or
         # write a NaN speed table
-        ["standing", "--r", "nan"], ["stability", "--r", "nan"],
-        ["simulate", "--model", "reduced", "--r", "inf"],
-        ["speed", "--r", "nan"], ["speed", "--r", "inf"],
+        (["standing", "--r", "nan"], "r=nan"), (["stability", "--r", "nan"], "r=nan"),
+        (["simulate", "--model", "reduced", "--r", "inf"], "r=inf"),
+        (["speed", "--r", "nan"], "r=nan"), (["speed", "--r", "inf"], "r=inf"),
         # infinite lengths and times used to escape as OverflowError, or run
         # to t = nan
-        ["simulate", "--t-end", "inf"], ["simulate", "--half-width", "inf"],
-        ["standing", "--x-max", "inf"],
-        ["compare", "--t-end", "inf", "--r-grid", "0.5:0.5:0.1"],
-        ["simulate", "--model", "reduced", "--dt", "inf", "--t-end", "10"],
+        (["simulate", "--t-end", "inf"], "t_end"),
+        (["simulate", "--half-width", "inf"], "half-width"),
+        (["standing", "--x-max", "inf"], "x_max"),
+        (["compare", "--t-end", "inf", "--r-grid", "0.5:0.5:0.1"], "t_end"),
+        (["simulate", "--model", "reduced", "--dt", "inf", "--t-end", "10"], "dt"),
         # a t_end that is not a whole number of steps used to end elsewhere
-        ["simulate", "--model", "reduced", "--dt", "0.3", "--t-end", "1.0",
-         "--record-every", "1"],
+        (["simulate", "--model", "reduced", "--dt", "0.3", "--t-end", "1.0",
+          "--record-every", "1"], "t_end"),
+        # grids below the seven-node stencil, and k < 1, used to fail
+        # inside numpy or scipy with messages that named neither
+        (["standing", "--dx", "100"], "dx"), (["stability", "--dx", "100"], "dx"),
+        (["standing", "--x-max", "0.01"], "dx"),
+        (["standing", "--dx", "30", "--x-max", "60"], "dx"),
+        (["stability", "--k", "0"], "k must"), (["stability", "--k", "-3"], "k must"),
     ], ids=["simulate-dx", "standing-dx", "compare-dx", "compare-dt",
             "standing-r-nan", "stability-r-nan", "simulate-reduced-r-inf",
             "speed-r-nan", "speed-r-inf", "simulate-t-end-inf", "simulate-half-width-inf",
             "standing-x-max-inf", "compare-t-end-inf", "simulate-dt-inf",
-            "simulate-t-end-off-step"])
-    def test_bad_numeric_flag_exits_3_with_error_json(self, tmp_path, argv):
+            "simulate-t-end-off-step", "standing-dx-coarse", "stability-dx-coarse",
+            "standing-x-max-short", "standing-five-nodes", "stability-k-0",
+            "stability-k-negative"])
+    def test_bad_numeric_flag_exits_3_with_error_json(self, tmp_path, argv, names):
         out = tmp_path / "bad"
         assert main(argv + ["--out", str(out)]) == 3
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["exit_code"]) == ("ValueError", 3)
+        assert names in err["message"]
 
     def test_too_short_stability_domain_exits_4(self, tmp_path):
         # the tail corrections of the solvability ratio carry too much weight

@@ -387,6 +387,24 @@ class TestStrangCoreMatchesReference:
     def test_bit_identical_merged_order(self, model):
         self._compare(model, record_every=4, merged=True)
 
+    @pytest.mark.parametrize("model", ["pqd", "gametes", "reduced"])
+    def test_restart_from_a_record_continues_bit_for_bit(self, model):
+        # every run opens with a half reaction and every record closes with
+        # one, so a run restarted from its record at step 4 repeats the rest
+        grid = Grid1D.symmetric(130.0, 0.2)
+        p, q, D = stacked_pqd_init(grid, 0.1, 2.0, offset_p=-3.0, offset_q=3.0)
+        simulate, init = {
+            "pqd": (lambda y, cfg: simulate_pqd(y, self.FP, grid, cfg), (p, q, D)),
+            "gametes": (lambda y, cfg: simulate_gametes(y, self.FP, grid, cfg),
+                        genetics.gametes_from_pqd(p, q, D)),
+            "reduced": (lambda y, cfg: simulate_reduced(y, 0.1, 0.005, 0.1, grid, cfg), p),
+        }[model]
+        full = simulate(init, SimConfig(dt=0.2, t_end=12 * 0.2, record_every=4))
+        restart = simulate([arr[1] for arr in full.fields.values()],
+                           SimConfig(dt=0.2, t_end=8 * 0.2, record_every=4))
+        for tag, arr in full.fields.items():
+            assert np.array_equal(restart.fields[tag], arr[1:]), tag
+
 
 def _fig1_fields(model, cfg):
     """Recorded fields of a run on the fig1 grid, with the clines started

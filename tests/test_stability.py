@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.optimize import minimize_scalar
 
-from clinewave.errors import ConvergenceError
+from clinewave import stability
+from clinewave.errors import ConvergenceError, FieldInvariantError
+from clinewave.pde import Grid1D, SimConfig, front_position_values, simulate_reduced
 from clinewave.stability import (
+    SETTLE_TOL,
+    RelaxationResult,
     adjoint_kernel_residual,
     assemble_L,
     assemble_M,
@@ -21,7 +26,7 @@ from clinewave.stability import (
     spectrum,
 )
 from clinewave.speed import c1_exact
-from clinewave.standing import profile_from_quadrature
+from clinewave.standing import exp_tail_extension, profile_from_quadrature
 
 S, R = 0.1, 0.1
 
@@ -187,12 +192,83 @@ class TestRelaxation:
             10.0 * abs(first.measured_shift - first.predicted_shift)
 
     def test_amplitude_guard(self, u0):
-        with pytest.raises(ValueError):
-            relaxation_shift(u0, u0.du, 0.2)
+        # 0 used to divide by zero, NaN to fail the range guard at t = 0
+        for eps_amp in (0.0, math.nan, 0.2):
+            with pytest.raises(ValueError):
+                relaxation_shift(u0, u0.du, eps_amp)
 
     def test_nonconvergence_raises(self, u0):
-        from clinewave.pde import SimConfig
-
         with pytest.raises(ConvergenceError):
             relaxation_shift(u0, u0.du, 0.02,
                              cfg=SimConfig(dt=0.25, t_end=2.0, record_every=8))
+
+
+def oracle_relaxation_shift(u0, h, eps_amp, cfg):
+    """The one-run route: the perturbed run goes to t_end, then its records
+    are scanned for the first settled one."""
+    grid = Grid1D(float(u0.x[0]), float(u0.x[-1]), u0.x.size)
+    settled = simulate_reduced(u0.u, u0.S, 0.0, u0.r, grid, cfg).fields["u_reduced"][-1]
+    perturbed = simulate_reduced(u0.u + eps_amp * h, u0.S, 0.0, u0.r, grid, cfg)
+    control_at = exp_tail_extension(grid.x, settled, u0.S)
+    for i in range(1, perturbed.times.size):
+        state = perturbed.fields["u_reduced"][i]
+        guess = front_position_values(state, grid.x) - front_position_values(settled, grid.x)
+        span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
+        shift = float(minimize_scalar(
+            lambda d: float(np.sum((state - control_at(grid.x - d)) ** 2)),
+            bounds=(guess - span, guess + span), method="bounded",
+            options={"xatol": 1e-12}).x)
+        dist = float(np.max(np.abs(state - control_at(grid.x - shift))))
+        if dist < SETTLE_TOL:
+            raw, normalized = perturbation_projection(u0, h)
+            return RelaxationResult(shift, shift / eps_amp, raw, normalized,
+                                    -eps_amp * normalized, -eps_amp * raw, dist,
+                                    float(perturbed.times[i]))
+    raise AssertionError("oracle did not settle")
+
+
+class TestRelaxationLegs:
+    """The perturbed run goes one record interval at a time and stops at
+    the first settled record."""
+
+    # records at t = 20, 40, 60, 75: the even bump settles at 60, the odd
+    # one at the end of the short last leg
+    CFG = SimConfig(dt=0.25, t_end=75.0, record_every=80)
+
+    @pytest.mark.parametrize("shape, t_settled", [("even", 60.0), ("odd", 75.0)])
+    def test_equals_the_one_run_route(self, u0, shape, t_settled):
+        bump = np.exp(-(u0.x**2))
+        h = bump if shape == "even" else u0.x * bump
+        res = relaxation_shift(u0, h, 0.02, self.CFG)
+        assert res == oracle_relaxation_shift(u0, h, 0.02, self.CFG)
+        assert res.t_settled == t_settled
+
+    def test_legs_stop_at_the_settled_record(self, u0, monkeypatch):
+        steps = []
+
+        def counting(init, S, eps, r, grid, cfg):
+            steps.append((int(round(cfg.t_end / cfg.dt)), cfg.record_every))
+            return simulate_reduced(init, S, eps, r, grid, cfg)
+
+        monkeypatch.setattr(stability, "simulate_reduced", counting)
+        cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
+        res = relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
+        # the control runs to t_end, then one leg per record until settled
+        assert steps[0] == (640, 80)
+        assert steps[1:] == [(80, 80)] * 3
+        assert res.t_settled == 3 * 80 * cfg.dt
+
+    def test_later_leg_failure_carries_absolute_time(self, u0, monkeypatch):
+        calls = []
+
+        def second_leg_blows_up(init, S, eps, r, grid, cfg):
+            calls.append(cfg)
+            # the third call is the second leg; S = 1e300 overflows its first step
+            return simulate_reduced(init, 1e300 if len(calls) == 3 else S, eps, r, grid, cfg)
+
+        monkeypatch.setattr(stability, "simulate_reduced", second_leg_blows_up)
+        cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
+        with pytest.raises(FieldInvariantError) as info:
+            relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
+        assert info.value.t == 20.25
+        assert "at t=20.25 " in str(info.value)
