@@ -201,6 +201,8 @@ def _parse_r_grid(expr: str) -> list[float]:
         start, stop, step = (float(tok) for tok in expr.split(":"))
     except ValueError as exc:
         raise ConfigError(f"r-grid must be start:stop:step, got {expr!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"r-grid needs finite start, stop and step, got {expr!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"r-grid must increase, got {expr!r}")
     count = math.floor((stop - start) / step + 1e-9)
@@ -557,6 +559,8 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
         if key not in known:
             raise ConfigError(f"--vary key {key!r} unknown for {command!r}")
         varied[key] = [v.strip() for v in values.split(",") if v.strip()]
+        if not varied[key]:
+            raise ConfigError(f"--vary key {key!r} has no values")
     if not varied:
         raise ConfigError("sweep needs at least one --vary KEY=V1,V2,...")
     # the sweep's own --config and --svg apply to every point
@@ -610,7 +614,7 @@ def _error_payload(exc: Exception, code: int) -> dict:
     values are written as null, so the file stays strict JSON.
     """
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    for attr in ("last_residual", "escape_state", "crossings", "gametes"):
+    for attr in ("last_residual", "escape_state", "crossings"):
         if hasattr(exc, attr):
             payload[attr] = getattr(exc, attr)
     if isinstance(exc, FieldInvariantError):

@@ -14,14 +14,6 @@ class ClinewaveError(Exception):
     """Base class for all toolkit errors."""
 
 
-class InfeasibleStateError(ClinewaveError):
-    """A (p, q, D) triple reconstructs gamete frequencies outside [0, 1]."""
-
-    def __init__(self, message: str, gametes: tuple[float, float, float, float]):
-        super().__init__(message)
-        self.gametes = gametes
-
-
 class FieldInvariantError(ClinewaveError):
     """A simulated field left its admissible range beyond tolerance.
 

@@ -16,30 +16,23 @@ plus linkage disequilibrium (p, q, D) with
 
     p = u + v,   q = u + w,   D = u z - v w = u - p q.
 
-`recursion_step_exact` advances the gamete frequencies by one full
-generation (random fusion, selection, recombination, gamete release).
-`recursion_step_first_order` is the weak-selection limit of that map,
-obtained by scaling all selection coefficients and the recombination
-probability by a common small factor ``alpha``: the state plus ``alpha``
-times `pqd_reaction`, which is also the reaction term the (p, q, D)
-spatial solver integrates.
+`_step_arrays` advances the gamete frequencies by one full generation
+(random fusion, selection, recombination, gamete release); its change per
+generation is the reaction the four-gamete spatial solver integrates.
+`pqd_reaction` is the weak-selection limit of that map: with all
+selection coefficients and the recombination probability scaled by a
+common small factor ``alpha``, one generation moves (p, q, D) by
+``alpha`` times `pqd_reaction`, up to O(alpha^2). It is the reaction the
+(p, q, D) spatial solver integrates. `gametes_from_pqd` maps (p, q, D)
+to gamete frequencies.
 
-All functions are pure and operate on value types; they are safe to call
-concurrently. Scalar formulas accept numpy arrays componentwise, which
-is what the spatial integrators rely on.
+All functions are pure and act componentwise on numpy arrays; they are
+safe to call concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import InfeasibleStateError
-
-# Tolerances for simplex membership and (p,q,D) feasibility checks.
-SUM_TOL = 1e-12
-FEAS_TOL = 1e-12
 
 # Linkage disequilibrium is bounded by 1/4 in absolute value on the simplex.
 D_MAX = 0.25
@@ -73,53 +66,6 @@ class FitnessParams:
         if not (self.sigma2 > 0.0):
             raise ValueError(f"dispersal variance must be positive, got {self.sigma2}")
 
-    def scaled(self, alpha: float) -> "FitnessParams":
-        """All selection coefficients and r multiplied by ``alpha`` (weak-effects scaling)."""
-        return FitnessParams(
-            sA=self.sA * alpha,
-            sB=self.sB * alpha,
-            SA=self.SA * alpha,
-            SB=self.SB * alpha,
-            r=self.r * alpha,
-            sigma2=self.sigma2,
-        )
-
-
-@dataclass(frozen=True)
-class GameteFreqs:
-    """Frequencies of the four gamete types AB, Ab, aB, ab."""
-
-    u: float
-    v: float
-    w: float
-    z: float
-
-    def __post_init__(self):
-        for name, val in (("u", self.u), ("v", self.v), ("w", self.w), ("z", self.z)):
-            if not (-SUM_TOL <= val <= 1.0 + SUM_TOL):
-                raise ValueError(f"gamete frequency {name}={val} outside [0, 1]")
-        total = self.u + self.v + self.w + self.z
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"gamete frequencies sum to {total}, expected 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.w, self.z])
-
-
-@dataclass(frozen=True)
-class PQD:
-    """Allele frequencies and linkage disequilibrium (p, q, D)."""
-
-    p: float
-    q: float
-    D: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0 and 0.0 <= self.q <= 1.0):
-            raise ValueError(f"allele frequencies must lie in [0, 1], got p={self.p}, q={self.q}")
-        if abs(self.D) > D_MAX + FEAS_TOL:
-            raise ValueError(f"linkage disequilibrium |D|={abs(self.D)} exceeds 1/4")
-
 
 def _fitness_weights(fp: FitnessParams) -> tuple[float, float, float, float]:
     """Per-locus genotype fitnesses (homozygote AA-like, heterozygote) for both loci."""
@@ -128,15 +74,6 @@ def _fitness_weights(fp: FitnessParams) -> tuple[float, float, float, float]:
     wBB = 1.0 + 2.0 * fp.sB
     wBb = 1.0 + fp.sB - fp.SB
     return wAA, wAa, wBB, wBb
-
-
-def mean_fitness(g: GameteFreqs, fp: FitnessParams):
-    """Population mean fitness after random fusion of gametes.
-
-    The sum of the four recursion numerators, in which the recombination
-    flux cancels: the w-bar that `_step_arrays` divides by.
-    """
-    return sum(_recursion_numerators(g.u, g.v, g.w, g.z, fp))
 
 
 def _recursion_numerators(u, v, w, z, fp: FitnessParams):
@@ -169,19 +106,6 @@ def _step_arrays(u, v, w, z, fp: FitnessParams):
     return num_u / wbar, num_v / wbar, num_w / wbar, num_z / wbar
 
 
-def recursion_step_exact(g: GameteFreqs, fp: FitnessParams) -> GameteFreqs:
-    """Advance gamete frequencies by one full generation.
-
-    Selection acts on the sixteen ordered diploid genotypes formed by
-    random fusion; recombination reshuffles double heterozygotes. The
-    output is renormalized by its exact sum to keep long iterations on
-    the simplex despite rounding.
-    """
-    u, v, w, z = _step_arrays(g.u, g.v, g.w, g.z, fp)
-    total = u + v + w + z
-    return GameteFreqs(u / total, v / total, w / total, z / total)
-
-
 def pqd_reaction(p, q, D, fp: FitnessParams):
     """Weak-selection rates of change (dp, dq, dD) per generation.
 
@@ -203,41 +127,7 @@ def pqd_reaction(p, q, D, fp: FitnessParams):
             (-fp.r - hA * selA - hB * selB) * D)
 
 
-def recursion_step_first_order(s: PQD, fp: FitnessParams, alpha: float) -> PQD:
-    """Weak-selection one-generation map on (p, q, D): s + alpha * `pqd_reaction`.
-
-    Limit of the exact recursion when every selection coefficient and
-    the recombination probability are scaled by ``alpha``; correct to
-    first order in ``alpha``.
-    """
-    dp, dq, dD = pqd_reaction(s.p, s.q, s.D, fp)
-    return PQD(s.p + alpha * dp, s.q + alpha * dq, s.D + alpha * dD)
-
-
-def to_pqd(g: GameteFreqs) -> PQD:
-    """Allele frequencies and linkage disequilibrium of a gamete state."""
-    return PQD(p=g.u + g.v, q=g.u + g.w, D=g.u * g.z - g.v * g.w)
-
-
 def gametes_from_pqd(p, q, D):
     """Gamete frequencies (u, v, w, z) with allele frequencies p, q and
     disequilibrium D, componentwise on arrays; no range check."""
     return (p * q + D, p * (1.0 - q) - D, (1.0 - p) * q - D, (1.0 - p) * (1.0 - q) + D)
-
-
-def from_pqd(s: PQD) -> GameteFreqs:
-    """Reconstruct gamete frequencies from (p, q, D).
-
-    Raises:
-        InfeasibleStateError: if any reconstructed frequency falls
-            outside [0, 1] by more than the feasibility tolerance.
-            Noise inside the tolerance band is clamped to the boundary.
-    """
-    gametes = gametes_from_pqd(s.p, s.q, s.D)
-    if min(gametes) < -FEAS_TOL or max(gametes) > 1.0 + FEAS_TOL:
-        raise InfeasibleStateError(
-            f"(p={s.p}, q={s.q}, D={s.D}) reconstructs gametes outside [0, 1]: {gametes}",
-            gametes,
-        )
-    u, v, w, z = (min(max(y, 0.0), 1.0) for y in gametes)
-    return GameteFreqs(u, v, w, z)

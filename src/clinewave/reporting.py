@@ -18,10 +18,6 @@ import numpy as np
 FLOAT_FMT = "%.17g"
 
 
-def fmt_float(value) -> str:
-    return FLOAT_FMT % float(value)
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write rows of numbers (or strings) under a header line, one ``%`` per
     line: the first row's types pick ``%s`` or ``FLOAT_FMT`` for each column.

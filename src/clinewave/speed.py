@@ -31,8 +31,8 @@ condition int (u - u0) u0' dx = 0 closing the system for the speed; it
 is the independent check that c(eps)/eps -> c1 as eps -> 0.
 
 `compare_speeds` runs the full (p, q, D) system and reports measured
-front speeds against the predictions; rescaled-frame speeds convert to
-the original frame by the factor sigma/sqrt(2).
+original-frame front speeds against the predictions, which convert from
+the rescaled frame by the factor sigma/sqrt(2).
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ class SpeedReport:
     """Measured front speed of the full system next to the predictions.
 
     Predicted coefficients are per unit eps in the rescaled frame;
-    ``measured_speed`` is in the frame named by ``frame``. The original
-    frame relates to the rescaled one by the factor sigma/sqrt(2).
+    ``measured_speed`` is in the original frame, which relates to the
+    rescaled one by the factor sigma/sqrt(2).
     """
 
     S: float
@@ -260,17 +260,10 @@ class SpeedReport:
     c1_series: float
     c1_star: float
     measured_speed: float
-    frame: str
 
     @property
     def frame_factor(self) -> float:
         return math.sqrt(self.sigma2 / 2.0)
-
-    @property
-    def measured_rescaled(self) -> float:
-        if self.frame == "rescaled":
-            return self.measured_speed
-        return self.measured_speed / self.frame_factor
 
     @property
     def predicted_original(self) -> float:
@@ -283,7 +276,7 @@ class SpeedReport:
 
     def csv_row(self):
         return [self.S, self.r, self.s, self.sigma2, self.c1_exact, self.c1_series,
-                self.c1_star, self.measured_speed, self.frame, self.relative_gap]
+                self.c1_star, self.measured_speed, "original", self.relative_gap]
 
     CSV_HEADER = ["S", "r", "s", "sigma2", "c1_exact", "c1_series2", "c1_star",
                   "measured_speed", "frame", "relative_gap"]
@@ -319,7 +312,7 @@ def measure_full_system_speed(
     return SpeedReport(
         S=S, r=r, s=s, sigma2=sigma2,
         c1_exact=c1_exact(S, r), c1_series=c1_series(S, r, 2), c1_star=c1_star(S, r),
-        measured_speed=measured, frame="original",
+        measured_speed=measured,
     )
 
 

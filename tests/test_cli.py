@@ -270,6 +270,16 @@ class TestSpeedCommand:
         assert (len(default), default[-1]) == (8, 0.5)
         assert _parse_r_grid("0.3:0.3:0.1") == [0.3]
 
+    @pytest.mark.parametrize("grid", ["0.1:inf:0.1", "0.1:0.5:nan", "nan:0.5:0.1",
+                                      "0.1:0.5:inf"])
+    def test_non_finite_r_grid_exits_2_with_error_json(self, tmp_path, grid):
+        # an infinite stop used to escape as OverflowError, a NaN or an
+        # infinite step as an invariant violation (exit 3)
+        out = tmp_path / "bad"
+        assert main(["speed", "--S", "0.1", "--r-grid", grid, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+
     def test_requires_r_or_grid(self, tmp_path):
         code = main(["speed", "--S", "0.1", "--out", str(tmp_path / "x")])
         assert code == 2
@@ -444,3 +454,10 @@ class TestSweepCommand:
         code = main(["sweep", "standing", "--vary", "zap=1,2",
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_vary_key_without_values_exits_2(self, tmp_path):
+        # it used to exit 0 with "runs": [] after running nothing
+        out = tmp_path / "x"
+        assert main(["sweep", "standing", "--vary", "r=", "--out", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+        assert not (out / "manifest.json").exists()

@@ -2,10 +2,15 @@
 
 import numpy as np
 
-from clinewave.reporting import fmt_float, write_csv
+from clinewave.reporting import write_csv
 
 EDGE_VALUES = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
                1.0 / 3.0, 2.0**60, 2**60, 7, np.int64(-3), np.float64(0.1)]
+
+
+def fmt_float(value) -> str:
+    """The byte oracle: every number at 17 significant digits, as a float."""
+    return "%.17g" % float(value)
 
 
 def test_lines_match_fmt_float_byte_for_byte(tmp_path):

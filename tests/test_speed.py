@@ -279,12 +279,7 @@ class TestFullSystemComparison:
 
     def test_measured_speed_tracks_first_order_theory(self):
         rep = measure_full_system_speed(0.1, 0.5, 0.01, 2.0, t_end=400.0)
-        assert rep.frame == "original"
         assert rep.relative_gap < 0.10
-        # frame conversion is the exact factor sigma/sqrt(2)
-        assert rep.measured_rescaled == pytest.approx(
-            rep.measured_speed / math.sqrt(rep.sigma2 / 2.0), rel=1e-14
-        )
 
     @pytest.mark.parametrize("r", [0.5, 0.15])
     def test_one_sided_domain_matches_the_symmetric_one(self, monkeypatch, r):
@@ -328,8 +323,8 @@ class TestFullSystemComparison:
 
     def test_report_row_shape(self):
         rep = SpeedReport(S=0.1, r=0.5, s=0.01, sigma2=2.0, c1_exact=3.34,
-                          c1_series=3.34, c1_star=3.33, measured_speed=0.033,
-                          frame="original")
+                          c1_series=3.34, c1_star=3.33, measured_speed=0.033)
         assert len(rep.csv_row()) == len(SpeedReport.CSV_HEADER)
+        assert rep.csv_row()[SpeedReport.CSV_HEADER.index("frame")] == "original"
         assert rep.predicted_original == pytest.approx(0.01 * 3.33, rel=1e-12)
         assert rep.relative_gap == pytest.approx(1.0 - 0.033 / 0.0333, rel=1e-12)
