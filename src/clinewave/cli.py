@@ -558,6 +558,8 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
         key = key.strip()
         if key not in known:
             raise ConfigError(f"--vary key {key!r} unknown for {command!r}")
+        if key in varied:
+            raise ConfigError(f"--vary key {key!r} given more than once")
         varied[key] = [v.strip() for v in values.split(",") if v.strip()]
         if not varied[key]:
             raise ConfigError(f"--vary key {key!r} has no values")

@@ -28,9 +28,11 @@ through the discrete weight. Assembled operators are immutable;
 independent parameter cases can run concurrently.
 
 `relaxation_shift` closes the loop dynamically: a perturbed front is
-evolved until it settles on a translate of the standing wave, and the
-measured shift is compared with the two candidate first-order
-predictions (the raw weighted projection and its normalized variant).
+evolved beside an unperturbed control, record by record, until it
+settles on a translate of the control at the same time; the run's
+t_end only caps the search. The measured shift is compared with the
+two candidate first-order predictions (the raw weighted projection and
+its normalized variant).
 """
 
 from __future__ import annotations
@@ -275,7 +277,7 @@ class RelaxationResult:
     """Outcome of relaxing a perturbed standing front.
 
     measured_shift is the front displacement of the settled state
-    relative to the unperturbed control run; divide by the perturbation
+    relative to the unperturbed control at the same time; divide by the
     amplitude for the first-order rate. Both first-order predictions are
     reported: ``projection`` is the raw weighted integral
     int h u0' e^{(4S/r)(u0^2-u0)} dx and ``projection_normalized`` divides
@@ -312,15 +314,17 @@ def relaxation_shift(
     """Relax u0 + eps_amp * h under the symmetric dynamics and measure the shift.
 
     The perturbed state is evolved with the reduced equation (eps = 0)
-    next to an unperturbed control run to cfg.t_end, whose final state is
-    the discrete standing state: no O(dx^2) gap between the continuum
-    profile and the attractor of the discrete dynamics. The shift is the
+    beside an unperturbed control run from u0, and each perturbed record
+    is compared with the control record at the same time. The common
+    transient from the continuum profile to the attractor of the discrete
+    dynamics cancels in that comparison: no O(dx^2) gap. The shift is the
     minimizer of the L2 distance to the translated control, seeded by the
     front positions; settling means the remaining sup distance fell
-    below ``SETTLE_TOL``.
+    below ``SETTLE_TOL``, and both runs stop at the first settled record.
+    cfg.t_end only caps the search.
 
-    The perturbed run goes one record interval at a time and stops at the
-    first settled record. Each leg restarts `simulate_reduced` from the last
+    Each pass runs one record-interval leg of the control and one of the
+    perturbed run. A leg restarts `simulate_reduced` from its run's last
     record, which repeats the continuing run bit for bit (a record closes
     and a run opens with a half reaction), and re-runs the t = 0 boundary
     and range guards on a record state that passed the range guard. A
@@ -328,48 +332,42 @@ def relaxation_shift(
 
     Raises:
         ConvergenceError: distance still above tolerance at cfg.t_end.
-        ValueError: |eps_amp| zero, NaN or above 0.05, the linear regime.
+        ValueError: |eps_amp| zero, NaN or above 0.05, the linear regime;
+            a perturbation not finite or off the profile grid.
     """
     if not 0.0 < abs(eps_amp) <= 0.05:
         raise ValueError(f"need 0 < |eps_amp| <= 0.05 for the linear regime, got {eps_amp}")
     h = np.asarray(h, dtype=float)
-    if h.shape != u0.x.shape:
-        raise ValueError("perturbation must be sampled on the profile grid")
+    if h.shape != u0.x.shape or not np.isfinite(h).all():
+        raise ValueError("perturbation must be finite and sampled on the profile grid")
     grid = Grid1D(float(u0.x[0]), float(u0.x[-1]), u0.x.size)
 
-    control = simulate_reduced(u0.u, u0.S, 0.0, u0.r, grid, cfg)
-    settled = control.fields["u_reduced"][-1]
-    control_at = exp_tail_extension(grid.x, settled, u0.S)
-    front_control = front_position_values(settled, grid.x)
-
-    def best_shift(state: np.ndarray) -> float:
-        guess = front_position_values(state, grid.x) - front_control
-        span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
-        res = minimize_scalar(
-            lambda d: float(np.sum((state - control_at(grid.x - d)) ** 2)),
-            bounds=(guess - span, guess + span), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return float(res.x)
-
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    state = u0.u + eps_amp * h
-    done_steps = 0
-    dist = math.inf
-    while done_steps < n_steps and not dist < SETTLE_TOL:
-        k = min(cfg.record_every, n_steps - done_steps)
+    def leg(state: np.ndarray, done_steps: int, k: int) -> np.ndarray:
         try:
-            leg = simulate_reduced(state, u0.S, 0.0, u0.r, grid,
-                                   SimConfig(cfg.dt, k * cfg.dt, record_every=k))
+            return simulate_reduced(state, u0.S, 0.0, u0.r, grid, SimConfig(
+                cfg.dt, k * cfg.dt, record_every=k)).fields["u_reduced"][-1]
         except FieldInvariantError as err:
             if not done_steps:
                 raise
             t = done_steps * cfg.dt + err.t
             raise FieldInvariantError(str(err).replace(f"t={err.t}", f"t={t}"),
                                       t, err.snapshot) from err
-        state = leg.fields["u_reduced"][-1]
+
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    control, state = u0.u, u0.u + eps_amp * h
+    span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
+    done_steps = 0
+    dist = math.inf
+    while done_steps < n_steps and not dist < SETTLE_TOL:
+        k = min(cfg.record_every, n_steps - done_steps)
+        control, state = leg(control, done_steps, k), leg(state, done_steps, k)
         done_steps += k
-        shift = best_shift(state)
+        control_at = exp_tail_extension(grid.x, control, u0.S)
+        guess = front_position_values(state, grid.x) - front_position_values(control, grid.x)
+        shift = float(minimize_scalar(
+            lambda d: float(np.sum((state - control_at(grid.x - d)) ** 2)),
+            bounds=(guess - span, guess + span), method="bounded",
+            options={"xatol": 1e-12}).x)
         dist = float(np.max(np.abs(state - control_at(grid.x - shift))))
     if not (dist < SETTLE_TOL):
         raise ConvergenceError(

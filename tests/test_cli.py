@@ -461,3 +461,12 @@ class TestSweepCommand:
         assert main(["sweep", "standing", "--vary", "r=", "--out", str(out)]) == 2
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
         assert not (out / "manifest.json").exists()
+
+    def test_repeated_vary_key_exits_2(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["sweep", "standing", "--vary", "dx=abc", "--vary", "dx=xyz",
+                     "--out", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["exit_code"] == 2
+        assert "'dx'" in error["message"]
+        assert not (out / "manifest.json").exists()

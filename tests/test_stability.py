@@ -197,6 +197,13 @@ class TestRelaxation:
             with pytest.raises(ValueError):
                 relaxation_shift(u0, u0.du, eps_amp)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_perturbation_rejected(self, u0, bad):
+        h = u0.du.copy()
+        h[h.size // 2] = bad
+        with pytest.raises(ValueError, match="perturbation"):
+            relaxation_shift(u0, h, 0.02)
+
     def test_nonconvergence_raises(self, u0):
         with pytest.raises(ConvergenceError):
             relaxation_shift(u0, u0.du, 0.02,
@@ -204,16 +211,18 @@ class TestRelaxation:
 
 
 def oracle_relaxation_shift(u0, h, eps_amp, cfg):
-    """The one-run route: the perturbed run goes to t_end, then its records
-    are scanned for the first settled one."""
+    """The one-run route at equal times: the control and the perturbed run
+    both go to t_end, then their records are scanned pairwise for the first
+    settled one."""
     grid = Grid1D(float(u0.x[0]), float(u0.x[-1]), u0.x.size)
-    settled = simulate_reduced(u0.u, u0.S, 0.0, u0.r, grid, cfg).fields["u_reduced"][-1]
+    control = simulate_reduced(u0.u, u0.S, 0.0, u0.r, grid, cfg)
     perturbed = simulate_reduced(u0.u + eps_amp * h, u0.S, 0.0, u0.r, grid, cfg)
-    control_at = exp_tail_extension(grid.x, settled, u0.S)
+    span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
     for i in range(1, perturbed.times.size):
+        settled = control.fields["u_reduced"][i]
         state = perturbed.fields["u_reduced"][i]
+        control_at = exp_tail_extension(grid.x, settled, u0.S)
         guess = front_position_values(state, grid.x) - front_position_values(settled, grid.x)
-        span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
         shift = float(minimize_scalar(
             lambda d: float(np.sum((state - control_at(grid.x - d)) ** 2)),
             bounds=(guess - span, guess + span), method="bounded",
@@ -228,8 +237,8 @@ def oracle_relaxation_shift(u0, h, eps_amp, cfg):
 
 
 class TestRelaxationLegs:
-    """The perturbed run goes one record interval at a time and stops at
-    the first settled record."""
+    """The control and the perturbed run go one record interval at a time,
+    side by side, and both stop at the first settled record."""
 
     # records at t = 20, 40, 60, 75: the even bump settles at 60, the odd
     # one at the end of the short last leg
@@ -253,22 +262,34 @@ class TestRelaxationLegs:
         monkeypatch.setattr(stability, "simulate_reduced", counting)
         cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
         res = relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
-        # the control runs to t_end, then one leg per record until settled
-        assert steps[0] == (640, 80)
-        assert steps[1:] == [(80, 80)] * 3
+        # one control leg and one perturbed leg per record until settled;
+        # neither run goes on to t_end
+        assert steps == [(80, 80)] * 6
         assert res.t_settled == 3 * 80 * cfg.dt
 
-    def test_later_leg_failure_carries_absolute_time(self, u0, monkeypatch):
+    def test_result_does_not_depend_on_t_end(self, u0):
+        # the control is compared at the same time, so t_end is only a cap
+        h = np.exp(-(u0.x**2))
+        short, long = (relaxation_shift(u0, h, 0.02, SimConfig(0.25, t_end, record_every=80))
+                       for t_end in (160.0, 400.0))
+        assert short == long
+
+    # calls alternate control, perturbed: the third is the second control
+    # leg, the fourth the second perturbed leg
+    @pytest.mark.parametrize("failing_call", [3, 4], ids=["control", "perturbed"])
+    def test_later_leg_failure_carries_absolute_time(self, u0, monkeypatch, failing_call):
         calls = []
 
         def second_leg_blows_up(init, S, eps, r, grid, cfg):
             calls.append(cfg)
-            # the third call is the second leg; S = 1e300 overflows its first step
-            return simulate_reduced(init, 1e300 if len(calls) == 3 else S, eps, r, grid, cfg)
+            # S = 1e300 overflows the first step of the failing leg
+            return simulate_reduced(init, 1e300 if len(calls) == failing_call else S,
+                                    eps, r, grid, cfg)
 
         monkeypatch.setattr(stability, "simulate_reduced", second_leg_blows_up)
         cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
         with pytest.raises(FieldInvariantError) as info:
             relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
+        assert len(calls) == failing_call
         assert info.value.t == 20.25
         assert "at t=20.25 " in str(info.value)
