@@ -446,14 +446,14 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
     S, r = params["S"], params["r"]
     prof = standing.profile_from_quadrature(S, r, x_max=params["x_max"],
                                             dx=params["dx"])
+    x = prof.x[1:-1]
     op_L = stability.assemble_L(prof)
-    op_M = stability.assemble_M(prof)
     vals, vecs = stability.spectrum(op_L, k=params["k"])
     write_csv(outdir / "eigenvalues.csv", ["index", "eigenvalue"],
               [[float(i), v] for i, v in enumerate(vals)])
     write_csv(outdir / "eigenvectors.csv",
               ["x"] + [f"mode_{i}" for i in range(vals.size)],
-              np.column_stack([op_L.x, vecs]))
+              np.column_stack([x, vecs]))
     du = prof.du[1:-1]
     cosine = float(abs(np.dot(vecs[:, 0], du))
                    / (np.linalg.norm(vecs[:, 0]) * np.linalg.norm(du)))
@@ -463,7 +463,7 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
         "kernel_cosine_with_slope": cosine,
         "kernel_mode_residual": stability.kernel_mode_residual(op_L, prof),
         "adjoint_kernel_residual": stability.adjoint_kernel_residual(prof),
-        "similarity_defect": stability.similarity_defect(op_L, op_M),
+        "similarity_defect": stability.similarity_defect(prof),
         "solvability_ratio": stability.solvability_ratio(prof),
         "c1_exact": speed.c1_exact(S, r),
         "second_kernel_growth_rate": stability.second_kernel_growth_rate(prof),
@@ -474,7 +474,7 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
         from .svgplot import line_plot
 
         line_plot(outdir / "modes.svg",
-                  [(f"mode {i} ({vals[i]:.4f})", op_L.x, vecs[:, i])
+                  [(f"mode {i} ({vals[i]:.4f})", x, vecs[:, i])
                    for i in range(min(3, vals.size))],
                   title=f"leading modes, S={S} r={r}", xlabel="x")
     return report
@@ -499,6 +499,9 @@ _PRESETS = {
         ["r_grid", "t_end", "dt", "dx", "initial_offset=0"]),
 }
 
+# simulate flags of the pqd and gametes models (and fig1), unread by reduced
+_FULL_MODEL_FLAGS = {"sA", "sB", "SA", "SB", "sigma2", "offset_p", "offset_q"}
+
 _RUNNERS = {
     "simulate": run_simulate,
     "standing": run_standing,
@@ -511,8 +514,9 @@ _RUNNERS = {
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
     """Flags given win, then preset values, then the registry defaults.
 
-    A flag that a preset cannot honour (``--S``/``--r`` with fig2) is a
-    ``ConfigError`` rather than a value recorded but never used.
+    A flag that the preset or model cannot honour (``--S``/``--r`` with
+    fig2, ``--eps``/``--init`` with pqd and gametes, ``--sA`` with reduced)
+    is a ``ConfigError`` rather than a value recorded but never used.
 
     ``params`` is the resolved configuration, the command included.
     ``defaulted`` lists the keys whose resolved value equals the registry
@@ -532,6 +536,11 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
         params[key] = value
         if value == default:
             defaulted.append(key)
+    if command == "simulate":
+        unread = _FULL_MODEL_FLAGS if params["model"] == "reduced" else {"eps", "init"}
+        flags = sorted("--" + key.replace("_", "-") for key in unread & passed.keys())
+        if flags:
+            raise ConfigError(f"--model {params['model']} does not use {', '.join(flags)}")
     return params, defaulted
 
 

@@ -34,8 +34,10 @@ tracks the fronts. It checks finiteness before every diffusion and the
 field ranges at every record, since only recorded states are complete
 Strang states. Diffusion acts on the whole (components, nodes)
 state at once: one Crank-Nicolson step, a single tridiagonal solve with a
-right-hand-side column per component, on no-flux boundaries. Runs are
-deterministic given their config; independent runs share no state.
+right-hand-side column per component, on no-flux boundaries, with the
+one band type `Tridiagonal` that the stability operators and the BVP
+Newton Jacobian share. Runs are deterministic given their config;
+independent runs share no state.
 """
 
 from __future__ import annotations
@@ -182,38 +184,40 @@ def logistic_front(x: np.ndarray, S: float, center: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Diffusion substep
+# Tridiagonal operators
 # ---------------------------------------------------------------------------
 
 
-class _Diffusion:
-    """One Crank-Nicolson diffusion step on a fixed grid for a
-    (components, nodes) state.
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """Tridiagonal matrix A by its bands lower[i] = A[i+1, i], diag[i] = A[i, i]
+    and upper[i] = A[i, i+1]; its methods act along the last axis."""
 
-    Solves (I - a T) u+ = (I + a T) u with a = nu dt / (2 dx^2) and T the
-    second-difference stencil; the no-flux boundary rows take a ghost node
-    mirroring the inner neighbor, which doubles it.
-    """
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
 
-    def __init__(self, grid: Grid1D, nu: float, dt: float):
-        a = nu * dt / (2.0 * grid.dx**2)
-        self.a = a
-        ab = np.zeros((3, grid.n))  # (upper, diagonal, lower) of I - a T
-        ab[0, 1:] = ab[2, :-1] = -a
-        ab[1] = 1.0 + 2.0 * a
-        ab[0, 1] = ab[2, -2] = -2.0 * a  # ghost mirrors at the edges
-        self._ab = ab
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        out = self.diag * u
+        out[..., :-1] += self.upper * u[..., 1:]
+        out[..., 1:] += self.lower * u[..., :-1]
+        return out
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        a = self.a
-        rhs = u.copy()  # (I + a T) u along the last axis
-        rhs[..., 1:-1] += a * (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2])
-        rhs[..., 0] += a * (2.0 * u[..., 1] - 2.0 * u[..., 0])
-        rhs[..., -1] += a * (2.0 * u[..., -2] - 2.0 * u[..., -1])
-        # No finiteness scan here: the loop checks the state just before
-        # diffusion, and a non-finite solve (only by overflow) is caught by
-        # that check on the next step.
-        return solve_banded((1, 1), self._ab, rhs.T, check_finite=False).T
+    def apply_transpose(self, u: np.ndarray) -> np.ndarray:
+        return Tridiagonal(self.upper, self.diag, self.lower).apply(u)
+
+    @cached_property
+    def _banded(self) -> np.ndarray:
+        ab = np.zeros((3, self.diag.size))  # LAPACK's (upper, diagonal, lower) layout
+        ab[0, 1:] = self.upper
+        ab[1] = self.diag
+        ab[2, :-1] = self.lower
+        return ab
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        # No finiteness scan: the run loop checks the state before each
+        # diffusion, which also catches a non-finite solve (only by overflow).
+        return solve_banded((1, 1), self._banded, rhs.T, check_finite=False).T
 
 
 def _check_boundary_init(fields: dict[str, np.ndarray]) -> None:
@@ -304,7 +308,13 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
     store = np.empty((len(tags), len(record_steps), grid.n))
     store[:, 0] = state
     slot = 1
-    diff = _Diffusion(grid, nu, cfg.dt)
+    # Crank-Nicolson, (I - a T) u+ = (I + a T) u with a = nu dt / (2 dx^2) and
+    # T the second differences; a no-flux edge row mirrors its inner
+    # neighbor into a ghost node, which doubles that neighbor's coefficient.
+    inner = np.ones(grid.n - 2)
+    lap = Tridiagonal(np.append(inner, 2.0), np.full(grid.n, -2.0), np.append(2.0, inner))
+    a = nu * cfg.dt / (2.0 * grid.dx**2)
+    implicit = Tridiagonal(-a * lap.lower, 1.0 - a * lap.diag, -a * lap.upper)
     half = 0.5 * cfg.dt
     lead = half  # reaction time before the next diffusion
     with np.errstate(over="ignore", invalid="ignore"):
@@ -316,7 +326,7 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
                     "(reaction overshoot; reduce dt or smooth the initial data)",
                     step * cfg.dt, dict(zip(tags, state)),
                 )
-            state = diff.step(state)
+            state = implicit.solve(state + a * lap.apply(state))
             if step % cfg.record_every == 0 or step == n_steps:
                 state = _rk4(rhs, state, half)
                 lead = half

@@ -28,7 +28,9 @@ c1 sqrt(S) depends on S/r alone and passes sqrt(2) there.
 `solve_traveling_bvp` computes the genuinely nonlinear traveling wave by
 Newton continuation on the discretized profile equation, with the phase
 condition int (u - u0) u0' dx = 0 closing the system for the speed; it
-is the independent check that c(eps)/eps -> c1 as eps -> 0.
+is the independent check that c(eps)/eps -> c1 as eps -> 0. Its Newton
+Jacobian is `stability.linearization` (L's stencil with eps and c), whose
+`pde.Tridiagonal` bands go to `spsolve` as a sparse matrix.
 
 `compare_speeds` runs the full (p, q, D) system and reports measured
 original-frame front speeds against the predictions, which convert from
@@ -47,11 +49,11 @@ from scipy.sparse.linalg import spsolve
 
 from .errors import NewtonDivergenceError, QuadratureError
 from .genetics import FitnessParams
+from .stability import linearization
 from .standing import (
     WaveProfile,
     _slope_scalar,
     bistable_f,
-    bistable_f_prime,
     default_half_width,
     logistic_g,
     profile_from_quadrature,
@@ -176,9 +178,10 @@ def solve_traveling_bvp(
         NewtonDivergenceError: a continuation stage failed to converge, or
             a Newton step came out singular or non-finite (e.g. a profile
             with zero slope gives the phase condition no weight).
-        ValueError: eps too large for the perturbative branch (> 0.1 S).
+        ValueError: eps NaN, negative, or too large for the perturbative
+            branch (> 0.1 S).
     """
-    if eps < 0.0 or eps > 0.1 * S:
+    if not 0.0 <= eps <= 0.1 * S:
         raise ValueError(f"eps must lie in [0, 0.1 S] = [0, {0.1 * S}], got {eps}")
     if u0 is None:
         u0 = profile_from_quadrature(S, r, dx=BVP_GRID_DX)
@@ -205,16 +208,11 @@ def solve_traveling_bvp(
                 break
             full = np.concatenate(([u_left], u, [u_right]))
             up = (full[2:] - full[:-2]) / (2.0 * dx)
-            coef = S * (2.0 * u - 1.0) + eps_k
-            diag = (-2.0 / (dx * dx) + S * bistable_f_prime(u)
-                    + eps_k * (1.0 - 2.0 * u) + (4.0 * S / r) * up * up)
-            off_common = c / (2.0 * dx) + (2.0 / r) * coef * up / dx
-            upper = 1.0 / (dx * dx) + off_common
-            lower = 1.0 / (dx * dx) - off_common
+            J = linearization(u, up, S, r, dx, eps=eps_k, c=c)
             # Keller's bordering: the Jacobian is the tridiagonal T bordered
             # by the column dR/dc = u' and the phase row w. One solve
             # T [y z] = [-res u'] gives dc = (w.y + phase) / (w.z), du = y - z dc.
-            T = sps.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1], format="csc")
+            T = sps.diags([J.lower, J.diag, J.upper], [-1, 0, 1], format="csc")
             y, z = spsolve(T, np.column_stack((-res, up))).T
             wz = float(np.dot(phase_weight, z))
             dc = (float(np.dot(phase_weight, y)) + phase) / wz if wz != 0.0 else math.nan

@@ -21,10 +21,13 @@ spans the kernel of the adjoint. The Fredholm solvability ratio
 first-order wave speed coefficient, whose height-space form is `speed.c1_exact`.
 
 Both operators are assembled on the interior nodes of the profile grid
-with second-order central stencils and pinned (zero) boundary rows.
-Spectra are computed on the exactly symmetrized tridiagonal form, so all
-reported eigenvalues are real by construction; eigenvectors map back
-through the discrete weight. Assembled operators are immutable;
+with second-order central stencils and pinned (zero) boundary rows, as
+`pde.Tridiagonal` bands. L is `linearization` at eps = c = 0: the one
+stencil of the linearized front equation, which with eps and c is also
+the Newton Jacobian of `speed.solve_traveling_bvp`. Spectra are computed
+on the exactly symmetrized tridiagonal form, so all reported eigenvalues
+are real by construction; eigenvectors map back through the discrete
+weight `similarity_weight`. Assembled operators are immutable;
 independent parameter cases can run concurrently.
 
 `relaxation_shift` closes the loop dynamically: a perturbed front is
@@ -45,56 +48,29 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, FieldInvariantError, ProfileTooShortError
-from .pde import Grid1D, SimConfig, front_position_values, simulate_reduced
-from .speed import c1_exact
+from .pde import Grid1D, SimConfig, Tridiagonal, front_position_values, simulate_reduced
 from .standing import WaveProfile, bistable_f, bistable_f_prime, exp_tail_extension, logistic_g
-
-# Discrete eigenvalues live above the essential-spectrum cluster near -S;
-# kernel checks ignore anything below this fraction of -S.
-ESSENTIAL_CUTOFF_FRACTION = 0.5
 
 SETTLE_TOL = 1e-6  # sup distance to the shifted control that counts as settled
 TAIL_WEIGHT_LIMIT = 1e-8  # share of an integral the tail corrections may carry
 
 
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """Tridiagonal finite-difference operator on the interior of a profile grid.
+def linearization(u: np.ndarray, du: np.ndarray, S: float, r: float, dx: float,
+                  eps: float = 0.0, c: float = 0.0) -> Tridiagonal:
+    """Central-difference Jacobian of u'' + c u' + S f + eps g + (2/r)(S(2u-1)+eps) u'^2
+    about interior values u with slopes du, the boundary values held fixed.
 
-    Pinned (zero) boundary rows lie outside the interior block.
-
-    Attributes:
-        x: interior node abscissae.
-        lower, diag, upper: the three stencil bands (lower/upper have
-            length n-1 aligned with rows 1..n-1 and 0..n-2 respectively).
-        weight: diagonal similarity mapping M-frame vectors to L-frame
-            ones (exp((2S/r)(u0^2 - u0)) up to normalization); None for M.
+    At eps = c = 0 it is L: the eps and c terms come after L's, so there
+    they add only zeros. The BVP's Newton loop passes its own eps and c.
     """
-
-    x: np.ndarray
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    weight: np.ndarray | None = None
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = self.diag * vec
-        out[:-1] += self.upper * vec[1:]
-        out[1:] += self.lower * vec[:-1]
-        return out
-
-    def apply_transpose(self, vec: np.ndarray) -> np.ndarray:
-        out = self.diag * vec
-        out[:-1] += self.lower * vec[1:]
-        out[1:] += self.upper * vec[:-1]
-        return out
+    b = (4.0 * S / r) * du * (2.0 * u - 1.0)
+    diag = (-2.0 / dx**2 + S * (bistable_f_prime(u) + (4.0 / r) * du * du)
+            + eps * (1.0 - 2.0 * u))
+    off = b / (2.0 * dx) + (c + (4.0 / r) * eps * du) / (2.0 * dx)
+    return Tridiagonal(1.0 / dx**2 - off[1:], diag, 1.0 / dx**2 + off[:-1])
 
 
-def _interior(profile: WaveProfile):
-    return profile.x[1:-1], profile.u[1:-1], profile.du[1:-1], profile.dx
-
-
-def assemble_L(u0: WaveProfile) -> DiscretizedOperator:
+def assemble_L(u0: WaveProfile) -> Tridiagonal:
     """Discretize the linearization L around the standing profile, at its (S, r).
 
     Second-order central stencils on interior nodes; the profile slope
@@ -105,26 +81,22 @@ def assemble_L(u0: WaveProfile) -> DiscretizedOperator:
         ValueError: grid too coarse to resolve the front (dx > 0.1/sqrt(S)).
     """
     _check_resolution(u0)
-    S, r = u0.S, u0.r
-    x, u, du, dx = _interior(u0)
-    b = (4.0 * S / r) * du * (2.0 * u - 1.0)
-    a = S * (bistable_f_prime(u) + (4.0 / r) * du * du)
-    diag = -2.0 / dx**2 + a
-    upper = 1.0 / dx**2 + b[:-1] / (2.0 * dx)
-    lower = 1.0 / dx**2 - b[1:] / (2.0 * dx)
-    weight = np.exp((2.0 * S / r) * (u * u - u))
-    return DiscretizedOperator(x=x, lower=lower, diag=diag, upper=upper, weight=weight)
+    return linearization(u0.u[1:-1], u0.du[1:-1], u0.S, u0.r, u0.dx)
 
 
-def assemble_M(u0: WaveProfile) -> DiscretizedOperator:
+def assemble_M(u0: WaveProfile) -> Tridiagonal:
     """Discretize the weight-conjugated symmetric form M = d^2/dx^2 + c(x)."""
     _check_resolution(u0)
-    S, r = u0.S, u0.r
-    x, u, _du, dx = _interior(u0)
+    S, r, u, dx = u0.S, u0.r, u0.u[1:-1], u0.dx
     c = (2.0 * S * S / r) * (2.0 * u - 1.0) * bistable_f(u) + S * bistable_f_prime(u)
-    diag = -2.0 / dx**2 + c
-    off = np.full(x.size - 1, 1.0 / dx**2)
-    return DiscretizedOperator(x=x, lower=off, diag=diag, upper=off.copy())
+    off = np.full(u.size - 1, 1.0 / dx**2)
+    return Tridiagonal(off, -2.0 / dx**2 + c, off)
+
+
+def similarity_weight(u0: WaveProfile) -> np.ndarray:
+    """W = exp((2S/r)(u0^2 - u0)) on the interior nodes: L = W^-1 M W."""
+    u = u0.u[1:-1]
+    return np.exp((2.0 * u0.S / u0.r) * (u * u - u))
 
 
 def _check_resolution(u0: WaveProfile) -> None:
@@ -133,22 +105,22 @@ def _check_resolution(u0: WaveProfile) -> None:
         raise ValueError(f"grid too coarse: dx={u0.dx} exceeds 0.1/sqrt(S)={limit:.4g}")
 
 
-def similarity_defect(op_L: DiscretizedOperator, op_M: DiscretizedOperator) -> float:
+def similarity_defect(u0: WaveProfile) -> float:
     """Defect of L - W^-1 M W acting on a smooth probe (O(dx^2)).
 
     The individual stencil bands of the two assemblies differ at O(1);
     the discrepancies cancel on smooth vectors, which is what similarity
     of the discretized operators means.
     """
-    w = op_L.weight
-    span = float(op_L.x[-1] - op_L.x[0])
-    probe = np.exp(-((4.0 * op_L.x / span) ** 2))
-    lhs = op_L.apply(probe)
-    rhs = op_M.apply(w * probe) / w
+    w = similarity_weight(u0)
+    x = u0.x[1:-1]
+    probe = np.exp(-((4.0 * x / float(x[-1] - x[0])) ** 2))
+    lhs = assemble_L(u0).apply(probe)
+    rhs = assemble_M(u0).apply(w * probe) / w
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _symmetrize(op: DiscretizedOperator):
+def _symmetrize(op: Tridiagonal):
     """Exact diagonal similarity to a symmetric tridiagonal matrix.
 
     Returns (d, e, scale) with d the diagonal, e the symmetric
@@ -165,7 +137,7 @@ def _symmetrize(op: DiscretizedOperator):
     return op.diag.copy(), e, np.exp(log_scale)
 
 
-def spectrum(op: DiscretizedOperator, k: int = 6):
+def spectrum(op: Tridiagonal, k: int = 6):
     """The k largest eigenvalues (descending) and their eigenvectors.
 
     L, M and the transpose of L all reduce to a symmetric tridiagonal
@@ -188,7 +160,7 @@ def spectrum(op: DiscretizedOperator, k: int = 6):
     return vals, out
 
 
-def kernel_mode_residual(op_L: DiscretizedOperator, u0: WaveProfile) -> float:
+def kernel_mode_residual(op_L: Tridiagonal, u0: WaveProfile) -> float:
     """sup |L u0'| / sup |u0'|: the translation mode should be annihilated."""
     du = u0.du[1:-1]
     return float(np.max(np.abs(op_L.apply(du))) / np.max(np.abs(du)))

@@ -321,6 +321,28 @@ class TestSimulateCommand:
         assert header == "t,x,u,v,w,z"
 
 
+class TestModelFlags:
+    """A simulate flag that the chosen model does not read is rejected, not
+    recorded in the manifest and ignored by the run."""
+
+    @pytest.mark.parametrize("args", [
+        [*model, flag, value]
+        for model in (["--model", "pqd"], ["--model", "gametes"], ["--preset", "fig1"])
+        for flag, value in (("--eps", "0.01"), ("--init", "logistic"))
+    ] + [
+        ["--model", "reduced", flag, value]
+        for flag, value in (("--sA", "0.05"), ("--sB", "0.05"), ("--SA", "0.2"),
+                            ("--SB", "0.2"), ("--sigma2", "8"), ("--offset-p", "20"),
+                            ("--offset-q", "20"))
+    ])
+    def test_unused_flag_exits_2(self, tmp_path, args):
+        code, out = run_cli(["simulate", *args], tmp_path)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert args[-2] in err["message"]
+
+
 class TestFig1Preset:
     """fig1 is preset data for simulate: its runs are plain pqd and gamete runs."""
 

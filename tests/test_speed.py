@@ -9,7 +9,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from clinewave import speed
-from clinewave.stability import solvability_ratio
+from clinewave.stability import linearization, solvability_ratio
 from clinewave.errors import NewtonDivergenceError, ProfileTooShortError
 from clinewave.speed import (
     _traveling_residual,
@@ -167,8 +167,9 @@ class TestTravelingBVP:
         assert abs(phase) < 1e-10
 
     def test_eps_bound_enforced(self, profile_01):
-        with pytest.raises(ValueError):
-            solve_traveling_bvp(0.1, 0.1, 0.05, u0=profile_01)
+        for eps in (0.05, math.nan, -1e-3):  # above 0.1 S, NaN, negative
+            with pytest.raises(ValueError):
+                solve_traveling_bvp(0.1, 0.1, eps, u0=profile_01)
 
     def test_newton_divergence_reports_residual(self, profile_01, monkeypatch):
         monkeypatch.setattr(speed, "NEWTON_MAX_ITER", 1)
@@ -262,6 +263,32 @@ class TestBorderedSolveMatchesReference:
         c_ref, u_ref = _reference_bvp(0.1, r, eps, u0)
         assert abs(c - c_ref) <= 1e-13
         assert np.max(np.abs(prof.u - u_ref)) <= 1e-12
+
+
+class TestLinearizationIsTheResidualJacobian:
+    """`stability.linearization` with c and eps is the Jacobian of the
+    traveling-wave residual, column by column against central differences.
+    The residual is at most cubic in each node value, so the differences
+    carry only rounding and an h^2 term far below the bound."""
+
+    @pytest.mark.parametrize("c, eps", [(0.0, 0.0), (0.3, 0.01), (-0.2, 0.007)])
+    def test_matches_central_differences(self, c, eps):
+        S, r = 0.1, 0.15
+        u0 = profile_from_quadrature(S, r, x_max=20.0, dx=0.2)
+        dx = u0.dx
+        # off the standing wave, so every term of the residual is at work
+        u = u0.u[1:-1] + 0.05 * np.sin(u0.x[1:-1])
+        full = np.concatenate(([1.0], u, [0.0]))
+        J = linearization(u, (full[2:] - full[:-2]) / (2.0 * dx), S, r, dx, eps=eps, c=c)
+        dense = np.diag(J.diag) + np.diag(J.upper, 1) + np.diag(J.lower, -1)
+        h = 1e-5
+        fd = np.empty_like(dense)
+        for j in range(u.size):
+            step = np.zeros_like(u)
+            step[j] = h
+            fd[:, j] = (_traveling_residual(u + step, c, eps, S, r, dx, 1.0, 0.0)
+                        - _traveling_residual(u - step, c, eps, S, r, dx, 1.0, 0.0)) / (2.0 * h)
+        np.testing.assert_allclose(dense, fd, rtol=0.0, atol=1e-8)
 
 
 class TestFullSystemComparison:
