@@ -52,6 +52,7 @@ from .errors import (
 )
 from .genetics import FitnessParams, gametes_from_pqd
 from .reporting import run_id, write_csv, write_json
+from .svgplot import line_plot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,7 +105,6 @@ _OPTIONS = {
         ("r", dict(type=float, default=None, help="single recombination value")),
         ("r-grid", dict(type=str, default=None, help="start:stop:step sweep")),
         ("s", dict(type=float, default=None, help="scale outputs by an asymmetry s")),
-        ("sigma2", dict(type=float, default=2.0)),
     ],
     "compare": [
         ("preset", dict(type=str, default=None, choices=["fig3"])),
@@ -273,8 +273,6 @@ def run_standing(params: dict, outdir: Path, make_svg: bool) -> dict:
     }
     write_json(outdir / "report.json", report)
     if make_svg:
-        from .svgplot import line_plot
-
         line_plot(outdir / "profile.svg",
                   [("height", quad.x, quad.u), ("slope", quad.x, quad.du)],
                   title=f"standing front S={S} r={r}", xlabel="x")
@@ -321,8 +319,6 @@ def run_simulate(params: dict, outdir: Path, make_svg: bool) -> dict:
     write_csv(outdir / "fronts.csv", ["t"] + [f"front_{t}" for t in tags],
               np.column_stack([traj.times] + [traj.front_positions[t] for t in tags]))
     if make_svg:
-        from .svgplot import line_plot
-
         last = traj.times.size - 1
         for tag in sorted(traj.fields):
             line_plot(outdir / f"{tag}.svg",
@@ -359,8 +355,6 @@ def _fig1_panels(params: dict, outdir: Path, make_svg: bool) -> dict:
     write_csv(outdir / "front_separation.csv", ["t", "separation"],
               np.column_stack([traj_pqd.times, sep]))
     if make_svg:
-        from .svgplot import line_plot
-
         for panel, idx in enumerate(picks):
             line_plot(outdir / f"fig1_panel_t{panel}.svg",
                       [(k, grid.x, traj_pqd.fields[k][idx]) for k in ("p", "q", "D")],
@@ -375,6 +369,8 @@ def _fig1_panels(params: dict, outdir: Path, make_svg: bool) -> dict:
 
 def run_speed(params: dict, outdir: Path, make_svg: bool) -> dict:
     S = params["S"]
+    if params["r_grid"] and params["r"] is not None:
+        raise ConfigError("speed takes --r or --r-grid, not both")
     if params["r_grid"]:
         r_values = _parse_r_grid(params["r_grid"])
     elif params["r"] is not None:
@@ -401,8 +397,6 @@ def run_speed(params: dict, outdir: Path, make_svg: bool) -> dict:
     write_csv(outdir / "speed_table.csv", header,
               [[row[k] for k in header] for row in rows])
     if make_svg:
-        from .svgplot import line_plot
-
         rs = [row["r"] for row in rows]
         series = [("c1_exact", rs, [row["c1_exact"] for row in rows]),
                   ("c1_star", rs, [row["c1_star"] for row in rows])]
@@ -430,8 +424,6 @@ def run_compare(params: dict, outdir: Path, make_svg: bool) -> dict:
          for rep in reports],
     )
     if make_svg:
-        from .svgplot import line_plot
-
         rs = [rep.r for rep in reports]
         line_plot(outdir / "speed_comparison.svg",
                   [("measured", rs, [rep.measured_speed for rep in reports]),
@@ -471,8 +463,6 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
     }
     write_json(outdir / "residuals.json", report)
     if make_svg:
-        from .svgplot import line_plot
-
         line_plot(outdir / "modes.svg",
                   [(f"mode {i} ({vals[i]:.4f})", x, vecs[:, i])
                    for i in range(min(3, vals.size))],

@@ -56,7 +56,7 @@ from .errors import (
     InsufficientSamplesError,
 )
 from .genetics import FitnessParams
-from .standing import bistable_f, logistic_g
+from .standing import reduced_reaction
 
 RANGE_TOL = 1e-6          # abort threshold for field-range violations
 BOUNDARY_INIT_TOL = 1e-6  # required closeness of initial data to limit states
@@ -394,14 +394,9 @@ def simulate_reduced(init, S: float, eps: float, r: float,
     control. u_x is recomputed at every Runge-Kutta stage.
     """
     dx = grid.dx
-    two_over_r = 0.0 if math.isinf(r) else 2.0 / r
 
     def rhs(state):
-        u = state[0]
-        ux = _gradient(u, dx)
-        du = (S * bistable_f(u) + eps * logistic_g(u)
-              + two_over_r * (S * (2.0 * u - 1.0) + eps) * ux * ux)
-        return du[np.newaxis, :]
+        return reduced_reaction(state[0], _gradient(state[0], dx), S, r, eps)[np.newaxis, :]
 
     return _run_strang(init, ["u_reduced"], grid, cfg, 1.0, rhs,
                        {"model": "reduced", "params": {"S": S, "eps": eps, "r": r}})

@@ -47,16 +47,16 @@ from scipy.integrate import quad
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
+from . import pde
 from .errors import NewtonDivergenceError, QuadratureError
 from .genetics import FitnessParams
 from .stability import linearization
 from .standing import (
     WaveProfile,
     _slope_scalar,
-    bistable_f,
     default_half_width,
-    logistic_g,
     profile_from_quadrature,
+    reduced_reaction,
 )
 
 # Newton stops once the residual and the phase defect fall below
@@ -102,6 +102,8 @@ def c1_series(S: float, r: float, order: int = 2) -> float:
     """Small-S/r expansion of the speed coefficient, truncated at ``order``."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    if not (0.0 < S < math.inf and 0.0 < r < math.inf):
+        raise ValueError(f"need finite S > 0 and r > 0, got S={S}, r={r}")
     ratio = S / r
     total = 1.0
     if order >= 1:
@@ -131,7 +133,7 @@ def single_cline_speed(s: float, S: float):
     speed = s / math.sqrt(S)
 
     def profile(x, t=0.0):
-        return 0.5 - 0.5 * np.tanh(0.5 * math.sqrt(S) * (np.asarray(x) - speed * t))
+        return pde.logistic_front(np.asarray(x), S, center=speed * t)
 
     return speed, profile
 
@@ -153,8 +155,7 @@ def _traveling_residual(u, c, eps, S, r, dx, u_left, u_right):
     full = np.concatenate(([u_left], u, [u_right]))
     upp = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (dx * dx)
     up = (full[2:] - full[:-2]) / (2.0 * dx)
-    return (upp + c * up + S * bistable_f(u) + eps * logistic_g(u)
-            + (2.0 / r) * (S * (2.0 * u - 1.0) + eps) * up * up)
+    return upp + c * up + reduced_reaction(u, up, S, r, eps)
 
 
 def solve_traveling_bvp(
@@ -231,9 +232,7 @@ def solve_traveling_bvp(
 
     values = np.concatenate(([u_left], u, [u_right]))
     slopes = np.gradient(values, dx)
-    profile = WaveProfile(x=x, u=values, du=slopes, S=S, r=r, method="bvp",
-                          condition_ok=bool(S < 4.0 * r))
-    return c, profile
+    return c, WaveProfile(x=x, u=values, du=slopes, S=S, r=r, method="bvp")
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +288,12 @@ def measure_full_system_speed(
     Original-frame simulation; the report carries the measured speed in
     the original frame and the gap against s * c1_star converted to it.
     The domain keeps `standing.default_half_width` of tail clearance behind
-    the front, and that plus twice the predicted travel ahead (s >= 0).
+    the front, and that plus twice the predicted travel ahead (s > 0).
     """
-    from . import pde
-
     if not dx > 0.0:
         raise ValueError(f"dx must be positive, got dx={dx}")
+    if not 0.0 < s < math.inf:  # the predicted speed divides relative_gap
+        raise ValueError(f"need finite s > 0, got s={s}")
     cfg = pde.SimConfig(dt=dt, t_end=t_end)  # rejects a bad dt or t_end before 2 / dt and the grid
     cfg = replace(cfg, record_every=max(1, int(round(2.0 / dt))))
     scale = math.sqrt(sigma2 / 2.0)

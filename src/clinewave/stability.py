@@ -57,8 +57,9 @@ TAIL_WEIGHT_LIMIT = 1e-8  # share of an integral the tail corrections may carry
 
 def linearization(u: np.ndarray, du: np.ndarray, S: float, r: float, dx: float,
                   eps: float = 0.0, c: float = 0.0) -> Tridiagonal:
-    """Central-difference Jacobian of u'' + c u' + S f + eps g + (2/r)(S(2u-1)+eps) u'^2
-    about interior values u with slopes du, the boundary values held fixed.
+    """Central-difference Jacobian of u'' + c u' + `standing.reduced_reaction`
+    (u, u', S, r, eps) about interior values u with slopes du, the boundary
+    values held fixed.
 
     At eps = c = 0 it is L: the eps and c terms come after L's, so there
     they add only zeros. The BVP's Newton loop passes its own eps and c.

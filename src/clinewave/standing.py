@@ -61,6 +61,8 @@ def default_half_width(S: float) -> float:
 
     Scales like 1/sqrt(S); equals 60 at S = 0.1.
     """
+    if not 0.0 < S < math.inf:
+        raise ValueError(f"need finite S > 0, got S={S}")
     return 60.0 * np.sqrt(0.1 / S)
 
 
@@ -77,6 +79,17 @@ def bistable_f_prime(u):
 def logistic_g(u):
     """Unbalancing term u (1 - u)."""
     return u * (1.0 - u)
+
+
+def reduced_reaction(u, du, S: float, r: float, eps: float = 0.0):
+    """Reaction of the reduced equation at heights u with slopes du:
+    S f(u) + eps g(u) + (2/r)(S(2u - 1) + eps) du^2.
+
+    The one statement of the reduced model: the simulator, the BVP, the
+    phase-plane shot and the standing-front residual all call it.
+    """
+    return (S * bistable_f(u) + eps * logistic_g(u)
+            + (2.0 / r) * (S * (2.0 * u - 1.0) + eps) * du * du)
 
 
 # Horner coefficients 1/14!, ..., 1/3! of the Taylor tail y^2/2 + ... + y^14/14!
@@ -146,7 +159,7 @@ class WaveProfile:
         du: slopes at the nodes (negative on the interior).
         S, r: reaction and recombination parameters the profile solves for.
         method: construction route, one of {"shooting", "quadrature", "bvp"}.
-        condition_ok: whether the barrier condition S < 4r held; outside it
+        condition_ok: whether the barrier condition S < 4r holds; outside it
             construction is attempted anyway and this flag records the regime.
     """
 
@@ -156,11 +169,14 @@ class WaveProfile:
     S: float
     r: float
     method: str
-    condition_ok: bool = True
 
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
+
+    @property
+    def condition_ok(self) -> bool:
+        return bool(self.S < 4.0 * self.r)
 
     @cached_property
     def weight(self) -> np.ndarray:
@@ -242,8 +258,7 @@ def profile_from_quadrature(
     center = x.size // 2
     u = np.concatenate((_quadrature_half(x[:center], -x_max, S, r),
                         _quadrature_half(x[center:], x_max, S, r)))
-    return WaveProfile(x=x, u=u, du=_slope(u, S, r), S=S, r=r, method="quadrature",
-                       condition_ok=bool(S < 4.0 * r))
+    return WaveProfile(x=x, u=u, du=_slope(u, S, r), S=S, r=r, method="quadrature")
 
 
 def _quadrature_half(x_half: np.ndarray, end: float, S: float, r: float) -> np.ndarray:
@@ -301,7 +316,7 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
 
     def rhs(_x, state):
         u, y = state
-        return [y, -S * bistable_f(u) - (2.0 * S / r) * (2.0 * u - 1.0) * y * y]
+        return [y, -reduced_reaction(u, y, S, r)]
 
     def crossing(_x, state):
         return state[0] - 0.5
@@ -352,8 +367,7 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
     du[:center] = du[center + 1:][::-1]
     u[center] = 0.5
 
-    profile = WaveProfile(x=x, u=u, du=du, S=S, r=r, method="shooting",
-                          condition_ok=bool(S < 4.0 * r))
+    profile = WaveProfile(x=x, u=u, du=du, S=S, r=r, method="shooting")
     gap = float(np.max(np.abs(u - reference.u)))
     if gap > SHOOTING_TOL:
         raise ClinewaveError(
@@ -377,9 +391,7 @@ def ode_residual(profile: WaveProfile) -> np.ndarray:
         du[6:] - 9.0 * du[5:-1] + 45.0 * du[4:-2]
         - 45.0 * du[2:-4] + 9.0 * du[1:-5] - du[:-6]
     ) / (60.0 * dx)
-    ui = u[3:-3]
-    dui = du[3:-3]
-    return d2u + S * bistable_f(ui) + (2.0 * S / r) * (2.0 * ui - 1.0) * dui * dui
+    return d2u + reduced_reaction(u[3:-3], du[3:-3], S, r)
 
 
 def symmetry_defect(profile: WaveProfile) -> float:

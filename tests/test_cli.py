@@ -222,13 +222,22 @@ class TestConfigHandling:
         (["standing", "--x-max", "0.01"], "dx"),
         (["standing", "--dx", "30", "--x-max", "60"], "dx"),
         (["stability", "--k", "0"], "k must"), (["stability", "--k", "-3"], "k must"),
+        # S <= 0, r = 0 and s = 0 used to die in a ZeroDivisionError (exit 1,
+        # no error.json), or print numpy's sqrt warning first
+        (["simulate", "--S", "0"], "S=0.0"),
+        (["simulate", "--model", "gametes", "--S", "0"], "S=0.0"),
+        (["simulate", "--S", "-0.1"], "S=-0.1"),
+        (["compare", "--S", "0", "--r-grid", "0.3:0.3:0.1"], "S=0.0"),
+        (["compare", "--r-grid", "0:0:0.1"], "r=0.0"),
+        (["compare", "--s", "0", "--t-end", "10", "--r-grid", "0.3:0.3:0.1"], "s=0.0"),
     ], ids=["simulate-dx", "standing-dx", "compare-dx", "compare-dt",
             "standing-r-nan", "stability-r-nan", "simulate-reduced-r-inf",
             "speed-r-nan", "speed-r-inf", "simulate-t-end-inf", "simulate-half-width-inf",
             "standing-x-max-inf", "compare-t-end-inf", "simulate-dt-inf",
             "simulate-t-end-off-step", "standing-dx-coarse", "stability-dx-coarse",
             "standing-x-max-short", "standing-five-nodes", "stability-k-0",
-            "stability-k-negative"])
+            "stability-k-negative", "simulate-S-0", "simulate-gametes-S-0",
+            "simulate-S-negative", "compare-S-0", "compare-r-0", "compare-s-0"])
     def test_bad_numeric_flag_exits_3_with_error_json(self, tmp_path, argv, names):
         out = tmp_path / "bad"
         assert main(argv + ["--out", str(out)]) == 3
@@ -279,6 +288,19 @@ class TestSpeedCommand:
         assert main(["speed", "--S", "0.1", "--r-grid", grid, "--out", str(out)]) == 2
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+
+    @pytest.mark.parametrize("flags, names", [
+        # both used to exit 0: the table ran over the grid and the manifest
+        # recorded --r; --sigma2 was recorded and read by nothing
+        (["--r", "0.3", "--r-grid", "0.1:0.2:0.1"], ["--r ", "--r-grid"]),
+        (["--r", "0.3", "--sigma2", "4"], ["--sigma2"]),
+    ], ids=["r-and-r-grid", "sigma2"])
+    def test_conflicting_or_unread_flag_exits_2(self, tmp_path, flags, names):
+        out = tmp_path / "bad"
+        assert main(["speed", "--S", "0.1"] + flags + ["--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert all(name in err["message"] for name in names)
 
     def test_requires_r_or_grid(self, tmp_path):
         code = main(["speed", "--S", "0.1", "--out", str(tmp_path / "x")])

@@ -75,6 +75,10 @@ class TestC1Exact:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             c1_exact(0.0, 0.1)
+        # the series divided by r = 0 (ZeroDivisionError) in compare
+        for series in (c1_series, c1_star):
+            with pytest.raises(ValueError, match="r=0.0"):
+                series(0.1, 0.0)
 
 
 class TestC1Series:
@@ -303,6 +307,19 @@ class TestFullSystemComparison:
         cfg = pde.SimConfig(dt=0.2, t_end=200.0, record_every=100)
         traj = pde.simulate_pqd(init, fp, grid, cfg)
         assert abs(pde.instantaneous_speed(traj, "p")) < grid.dx / 200.0
+
+    @pytest.mark.parametrize("s", [0.0, -0.01, math.nan])
+    def test_non_positive_s_rejected_before_the_run(self, monkeypatch, s):
+        # s = 0 used to run every lab-frame simulation and only then divide
+        # by the zero prediction in relative_gap
+        from clinewave import pde
+
+        def never(*_args):
+            raise AssertionError("simulate_pqd called")
+
+        monkeypatch.setattr(pde, "simulate_pqd", never)
+        with pytest.raises(ValueError, match="s > 0"):
+            measure_full_system_speed(0.1, 0.5, s, 2.0, t_end=10.0)
 
     def test_measured_speed_tracks_first_order_theory(self):
         rep = measure_full_system_speed(0.1, 0.5, 0.01, 2.0, t_end=400.0)
