@@ -50,7 +50,7 @@ from .errors import (
     ConfigError,
     FieldInvariantError,
 )
-from .genetics import FitnessParams, gametes_from_pqd
+from .genetics import FitnessParams, check_positive, gametes_from_pqd
 from .reporting import run_id, write_csv, write_json
 from .svgplot import line_plot
 
@@ -282,8 +282,17 @@ def run_standing(params: dict, outdir: Path, make_svg: bool) -> dict:
 
 
 def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
-    """Set up the grid, time stepping and initial data of one model, and run it."""
+    """Check the parameters of one model, set up its run, and run it."""
     S = params["S"]
+    check_positive(S=S)
+    if model == "reduced":
+        check_positive(r=params["r"])  # finite, as the standing profile needs
+        if not math.isfinite(params["eps"]):  # either sign
+            raise ValueError(f"need finite eps, got eps={params['eps']}")
+    else:
+        SA, SB = (S if params[key] is None else params[key] for key in ("SA", "SB"))
+        fp = FitnessParams(sA=params["sA"], sB=params["sB"], SA=SA, SB=SB,
+                           r=params["r"], sigma2=params["sigma2"])
     half = params["half_width"]
     if half is None:
         scale = math.sqrt(params["sigma2"] / 2.0) if model != "reduced" else 1.0
@@ -298,10 +307,6 @@ def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
         else:
             init = pde.logistic_front(grid.x, S)
         return grid, pde.simulate_reduced(init, S, params["eps"], params["r"], grid, cfg)
-    SA = params["SA"] if params["SA"] is not None else S
-    SB = params["SB"] if params["SB"] is not None else S
-    fp = FitnessParams(sA=params["sA"], sB=params["sB"], SA=SA, SB=SB,
-                       r=params["r"], sigma2=params["sigma2"])
     p, q, D = pde.stacked_pqd_init(grid, S, params["sigma2"],
                                    offset_p=params["offset_p"],
                                    offset_q=params["offset_q"])
@@ -548,6 +553,8 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
     Returns the sweep directory and the worst exit code of its points.
     """
     command = args.subcommand
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     known = _known_keys(command)
     varied: dict[str, list[str]] = {}
     for item in args.vary:

@@ -32,10 +32,25 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Linkage disequilibrium is bounded by 1/4 in absolute value on the simplex.
 D_MAX = 0.25
+
+
+def check_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"need finite {name} > 0, got {name}={value}")
+
+
+def check_bistable(s: float, S: float) -> None:
+    """Raise ValueError outside the bistable window: finite S > 0 and 0 < s < S."""
+    check_positive(S=S)
+    if not 0.0 < s < S:
+        raise ValueError(f"need finite s > 0 and s < S, got s={s}, S={S}")
 
 
 @dataclass(frozen=True)
@@ -44,9 +59,9 @@ class FitnessParams:
 
     Attributes:
         sA, sB: directional advantage of A over a (resp. B over b), >= 0.
-        SA, SB: heterozygote fitness costs, > 0, with sA < SA and sB < SB.
+        SA, SB: heterozygote fitness costs, finite, > 0, sA < SA, sB < SB.
         r: recombination probability between the two loci, in [0, 1/2].
-        sigma2: dispersal variance per generation (squared space units).
+        sigma2: dispersal variance per generation (squared space units), > 0.
     """
 
     sA: float
@@ -57,14 +72,13 @@ class FitnessParams:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        check_positive(SA=self.SA, SB=self.SB, sigma2=self.sigma2)
         if not (0.0 <= self.sA < self.SA):
             raise ValueError(f"need 0 <= sA < SA, got sA={self.sA}, SA={self.SA}")
         if not (0.0 <= self.sB < self.SB):
             raise ValueError(f"need 0 <= sB < SB, got sB={self.sB}, SB={self.SB}")
         if not (0.0 <= self.r <= 0.5):
             raise ValueError(f"recombination must lie in [0, 1/2], got {self.r}")
-        if not (self.sigma2 > 0.0):
-            raise ValueError(f"dispersal variance must be positive, got {self.sigma2}")
 
 
 def _fitness_weights(fp: FitnessParams) -> tuple[float, float, float, float]:

@@ -90,10 +90,7 @@ class Grid1D:
 
     @staticmethod
     def symmetric(half_width: float, dx: float) -> "Grid1D":
-        if not 0.0 < dx < math.inf:
-            raise ValueError(f"dx must be positive and finite, got {dx}")
-        if not abs(half_width) < math.inf:
-            raise ValueError(f"half-width must be finite, got {half_width}")
+        genetics.check_positive(dx=dx, **{"half-width": half_width})
         half = int(round(half_width / dx))
         return Grid1D(-half * dx, half * dx, 2 * half + 1)
 
@@ -107,8 +104,7 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        genetics.check_positive(dt=self.dt)
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         steps = self.t_end / self.dt

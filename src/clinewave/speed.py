@@ -40,7 +40,7 @@ the rescaled frame by the factor sigma/sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,7 +49,7 @@ from scipy.sparse.linalg import spsolve
 
 from . import pde
 from .errors import NewtonDivergenceError, QuadratureError
-from .genetics import FitnessParams
+from .genetics import FitnessParams, check_bistable, check_positive
 from .stability import linearization
 from .standing import (
     WaveProfile,
@@ -78,8 +78,7 @@ def c1_exact(S: float, r: float) -> float:
         QuadratureError: the integrator's error estimate exceeds the
             requested relative tolerance.
     """
-    if not (0.0 < S < math.inf and 0.0 < r < math.inf):
-        raise ValueError(f"need finite S > 0 and r > 0, got S={S}, r={r}")
+    check_positive(S=S, r=r)
     k = 4.0 * S / r
 
     def numerator(u):
@@ -102,8 +101,7 @@ def c1_series(S: float, r: float, order: int = 2) -> float:
     """Small-S/r expansion of the speed coefficient, truncated at ``order``."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    if not (0.0 < S < math.inf and 0.0 < r < math.inf):
-        raise ValueError(f"need finite S > 0 and r > 0, got S={S}, r={r}")
+    check_positive(S=S, r=r)
     ratio = S / r
     total = 1.0
     if order >= 1:
@@ -128,8 +126,7 @@ def single_cline_speed(s: float, S: float):
     Raises:
         ValueError: outside the bistable window 0 < s < S.
     """
-    if not (0.0 < s < S):
-        raise ValueError(f"bistability needs 0 < s < S, got s={s}, S={S}")
+    check_bistable(s, S)
     speed = s / math.sqrt(S)
 
     def profile(x, t=0.0):
@@ -140,8 +137,7 @@ def single_cline_speed(s: float, S: float):
 
 def zero_recombination_speed(s: float, S: float) -> float:
     """Speed 2s/sqrt(2S) of fully linked clines (one locus, doubled effects)."""
-    if not (0.0 < s < S):
-        raise ValueError(f"bistability needs 0 < s < S, got s={s}, S={S}")
+    check_bistable(s, S)
     return 2.0 * s / math.sqrt(2.0 * S)
 
 
@@ -182,6 +178,7 @@ def solve_traveling_bvp(
         ValueError: eps NaN, negative, or too large for the perturbative
             branch (> 0.1 S).
     """
+    check_positive(S=S, r=r)
     if not 0.0 <= eps <= 0.1 * S:
         raise ValueError(f"eps must lie in [0, 0.1 S] = [0, {0.1 * S}], got {eps}")
     if u0 is None:
@@ -290,12 +287,9 @@ def measure_full_system_speed(
     The domain keeps `standing.default_half_width` of tail clearance behind
     the front, and that plus twice the predicted travel ahead (s > 0).
     """
-    if not dx > 0.0:
-        raise ValueError(f"dx must be positive, got dx={dx}")
-    if not 0.0 < s < math.inf:  # the predicted speed divides relative_gap
-        raise ValueError(f"need finite s > 0, got s={s}")
-    cfg = pde.SimConfig(dt=dt, t_end=t_end)  # rejects a bad dt or t_end before 2 / dt and the grid
-    cfg = replace(cfg, record_every=max(1, int(round(2.0 / dt))))
+    check_bistable(s, S)  # s > 0: the predicted speed divides relative_gap
+    check_positive(r=r, sigma2=sigma2, dx=dx, dt=dt)
+    cfg = pde.SimConfig(dt=dt, t_end=t_end, record_every=max(1, int(round(2.0 / dt))))
     scale = math.sqrt(sigma2 / 2.0)
     clearance = default_half_width(S) * scale
     travel = 2.0 * s * c1_star(S, r) * scale * t_end

@@ -36,6 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import ClinewaveError, NoHeteroclinicError
+from .genetics import check_positive
 
 # Height at which the slope-law integration hands over to the exponential tails.
 TAIL_CUTOFF = 1e-10
@@ -61,8 +62,7 @@ def default_half_width(S: float) -> float:
 
     Scales like 1/sqrt(S); equals 60 at S = 0.1.
     """
-    if not 0.0 < S < math.inf:
-        raise ValueError(f"need finite S > 0, got S={S}")
+    check_positive(S=S)
     return 60.0 * np.sqrt(0.1 / S)
 
 
@@ -229,17 +229,6 @@ def exp_tail_extension(x: np.ndarray, u: np.ndarray, S: float):
     return evaluate
 
 
-def _symmetric_grid(x_max: float, dx: float) -> np.ndarray:
-    if not 0.0 < dx < math.inf:
-        raise ValueError(f"dx must be positive and finite, got {dx}")
-    if not abs(x_max) < math.inf:
-        raise ValueError(f"x_max must be finite, got {x_max}")
-    half = int(round(x_max / dx))
-    if half < 3:  # ode_residual's seven-point stencil
-        raise ValueError(f"x_max={x_max} at dx={dx} gives fewer than 7 nodes")
-    return np.arange(-half, half + 1) * dx
-
-
 def profile_from_quadrature(
     S: float, r: float, x_max: float | None = None, dx: float = 0.02
 ) -> WaveProfile:
@@ -250,14 +239,14 @@ def profile_from_quadrature(
     check rather than a construction artifact. Within ``TAIL_CUTOFF`` of
     a limit state the matched tails C exp(-+sqrt(S) x) take over.
     """
-    if not (0.0 < S < math.inf and 0.0 < r < math.inf):
-        raise ValueError(f"need finite S > 0 and r > 0, got S={S}, r={r}")
-    if x_max is None:
-        x_max = default_half_width(S)
-    x = _symmetric_grid(x_max, dx)
-    center = x.size // 2
-    u = np.concatenate((_quadrature_half(x[:center], -x_max, S, r),
-                        _quadrature_half(x[center:], x_max, S, r)))
+    x_max = default_half_width(S) if x_max is None else x_max
+    check_positive(S=S, r=r, dx=dx, x_max=x_max)
+    half = int(round(x_max / dx))
+    if half < 3:  # ode_residual's seven-point stencil
+        raise ValueError(f"x_max={x_max} at dx={dx} gives fewer than 7 nodes")
+    x = np.arange(-half, half + 1) * dx
+    u = np.concatenate((_quadrature_half(x[:half], -x_max, S, r),
+                        _quadrature_half(x[half:], x_max, S, r)))
     return WaveProfile(x=x, u=u, du=_slope(u, S, r), S=S, r=r, method="quadrature")
 
 

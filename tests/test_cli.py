@@ -18,6 +18,7 @@ from clinewave.standing import default_half_width
 BLOWUP_EVERYWHERE = ["simulate", "--model", "reduced", "--init", "logistic",
                      "--S", "0.1", "--r", "0.001", "--dt", "5.0", "--t-end", "50"]
 BLOWUP = BLOWUP_EVERYWHERE + ["--half-width", repr(40.0 / math.sqrt(0.1))]
+LOGISTIC = ["simulate", "--model", "reduced", "--init", "logistic"]
 
 
 def run_cli(args, tmp_path, name="run"):
@@ -230,6 +231,25 @@ class TestConfigHandling:
         (["compare", "--S", "0", "--r-grid", "0.3:0.3:0.1"], "S=0.0"),
         (["compare", "--r-grid", "0:0:0.1"], "r=0.0"),
         (["compare", "--s", "0", "--t-end", "10", "--r-grid", "0.3:0.3:0.1"], "s=0.0"),
+        # the reduced model with a logistic start used to run a flat front
+        # (S = 0), divide by r = 0 (exit 1, no error.json) or run with a
+        # negative r; a NaN eps stepped the run into a blow-up (exit 4)
+        (LOGISTIC + ["--S", "0", "--half-width", "50"], "S=0.0"),
+        (LOGISTIC + ["--r", "0"], "r=0.0"), (LOGISTIC + ["--r", "-0.1"], "r=-0.1"),
+        (LOGISTIC + ["--r", "inf"], "r=inf"), (LOGISTIC + ["--eps", "nan"], "eps=nan"),
+        # S = 0 with a given half-width used to be blamed on SA
+        (["simulate", "--S", "0", "--half-width", "40"], "S=0.0"),
+        # s >= S used to name sA and SA
+        (["compare", "--s", "0.2"], "s=0.2"),
+        # an infinite sigma2 or dx escaped as OverflowError or a NaN grid; a
+        # zero or negative sigma2 failed in the grid or in math.sqrt; an
+        # infinite sigma2 or SA stepped the run into a blow-up (exit 4)
+        (["compare", "--sigma2", "inf"], "sigma2=inf"),
+        (["compare", "--dx", "inf"], "dx=inf"),
+        (["simulate", "--sigma2", "0"], "sigma2=0.0"),
+        (["simulate", "--sigma2", "-1"], "sigma2=-1.0"),
+        (["simulate", "--sigma2", "inf"], "sigma2=inf"),
+        (["simulate", "--SA", "inf"], "SA=inf"),
     ], ids=["simulate-dx", "standing-dx", "compare-dx", "compare-dt",
             "standing-r-nan", "stability-r-nan", "simulate-reduced-r-inf",
             "speed-r-nan", "speed-r-inf", "simulate-t-end-inf", "simulate-half-width-inf",
@@ -237,7 +257,11 @@ class TestConfigHandling:
             "simulate-t-end-off-step", "standing-dx-coarse", "stability-dx-coarse",
             "standing-x-max-short", "standing-five-nodes", "stability-k-0",
             "stability-k-negative", "simulate-S-0", "simulate-gametes-S-0",
-            "simulate-S-negative", "compare-S-0", "compare-r-0", "compare-s-0"])
+            "simulate-S-negative", "compare-S-0", "compare-r-0", "compare-s-0",
+            "logistic-S-0", "logistic-r-0", "logistic-r-negative", "logistic-r-inf",
+            "logistic-eps-nan", "simulate-S-0-half-width", "compare-s-above-S",
+            "compare-sigma2-inf", "compare-dx-inf", "simulate-sigma2-0",
+            "simulate-sigma2-negative", "simulate-sigma2-inf", "simulate-SA-inf"])
     def test_bad_numeric_flag_exits_3_with_error_json(self, tmp_path, argv, names):
         out = tmp_path / "bad"
         assert main(argv + ["--out", str(out)]) == 3
@@ -461,6 +485,18 @@ class TestSweepCommand:
         assert code == 2
         assert json.loads((out / "dx=abc" / "error.json").read_text())["exit_code"] == 2
         assert (out / "dx=0.05" / "report.json").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, threads):
+        # -3 used to run the points serially and exit 0
+        out = tmp_path / "sweepy"
+        code = main(["sweep", "standing", "--vary", "dx=0.05", "--threads", threads,
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert "--threads" in err["message"]
+        assert not (out / "dx=0.05").exists()
 
     def test_config_reaches_every_point(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -143,6 +143,39 @@ class TestClosedFormSpeeds:
             zero_recombination_speed(0.1, 0.1)
 
 
+# Every library entry that takes S, r or s: the parameters it takes, and
+# the call with the full triple (S, r, s).
+DOMAIN_ENTRIES = {
+    "default_half_width": ("S", lambda S, r, s: default_half_width(S)),
+    "profile_from_quadrature": ("Sr", lambda S, r, s: profile_from_quadrature(S, r)),
+    "c1_exact": ("Sr", lambda S, r, s: c1_exact(S, r)),
+    "c1_series": ("Sr", lambda S, r, s: c1_series(S, r)),
+    "c1_star": ("Sr", lambda S, r, s: c1_star(S, r)),
+    "single_cline_speed": ("Ss", lambda S, r, s: single_cline_speed(s, S)),
+    "zero_recombination_speed": ("Ss", lambda S, r, s: zero_recombination_speed(s, S)),
+    "measure_full_system_speed": (
+        "Srs", lambda S, r, s: measure_full_system_speed(S, r, s, 2.0, t_end=10.0)),
+    "solve_traveling_bvp": ("Sr", lambda S, r, s: solve_traveling_bvp(S, r, 0.0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DOMAIN_ENTRIES))
+def test_each_domain_is_stated_once(entry):
+    # one message per domain, whichever entry rejects the value
+    takes, call = DOMAIN_ENTRIES[entry]
+    bad = (0.0, -0.1, math.inf, math.nan)
+    cases = [({"S": v}, f"need finite S > 0, got S={v}") for v in bad]
+    if "r" in takes:
+        cases += [({"r": v}, f"need finite r > 0, got r={v}") for v in bad]
+    if "s" in takes:
+        cases += [({"s": v}, f"need finite s > 0 and s < S, got s={v}, S=0.1")
+                  for v in bad + (0.1, 0.2)]
+    for values, message in cases:
+        with pytest.raises(ValueError) as info:
+            call(**({"S": 0.1, "r": 0.3, "s": 0.01} | values))
+        assert str(info.value) == message
+
+
 class TestTravelingBVP:
     def test_zero_eps_returns_standing_state(self, profile_01):
         c, prof = solve_traveling_bvp(0.1, 0.1, 0.0, u0=profile_01)
