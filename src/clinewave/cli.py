@@ -30,6 +30,11 @@ returns the worst.
 
 The default output root is ``./clinewave-runs``, overridable by the
 ``CLINEWAVE_OUT`` environment variable or ``--out``.
+
+At module level this driver imports only ``pde`` and the scipy-free
+modules; each runner imports the layer it runs, so ``simulate``,
+``--help`` and a sweep's own process never load the standing-front,
+speed or stability layers or the scipy stacks behind them.
 """
 
 from __future__ import annotations
@@ -38,19 +43,18 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, pde, speed, stability, standing
+from . import __version__, pde
 from .errors import (
     ClinewaveError,
     ConfigError,
     FieldInvariantError,
 )
-from .genetics import FitnessParams, check_positive, gametes_from_pqd
+from .genetics import FitnessParams, check_positive, default_half_width, gametes_from_pqd
 from .reporting import run_id, write_csv, write_json
 from .svgplot import line_plot
 
@@ -236,6 +240,8 @@ def _manifest(outdir: Path, command: str, resolved: dict, defaulted: list[str],
 
 
 def _profile_report(prof, label: str) -> dict:
+    from . import standing
+
     residual = float(np.max(np.abs(standing.ode_residual(prof))))
     report = {
         "method": prof.method,
@@ -251,6 +257,8 @@ def _profile_report(prof, label: str) -> dict:
 
 
 def run_standing(params: dict, outdir: Path, make_svg: bool) -> dict:
+    from . import standing
+
     if params["preset"] == "fig2":  # both phase-plane regimes
         summary = {}
         for label, (S, r) in (("condition-holds", (0.6, 0.25)),
@@ -296,13 +304,15 @@ def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
     half = params["half_width"]
     if half is None:
         scale = math.sqrt(params["sigma2"] / 2.0) if model != "reduced" else 1.0
-        half = (standing.default_half_width(S)
+        half = (default_half_width(S)
                 + max(abs(params["offset_p"]), abs(params["offset_q"]))) * scale
     grid = pde.Grid1D.symmetric(half, params["dx"])
     cfg = pde.SimConfig(dt=params["dt"], t_end=params["t_end"],
                         record_every=params["record_every"])
     if model == "reduced":
         if params["init"] == "standing":
+            from . import standing
+
             init = standing.profile_from_quadrature(S, params["r"]).interp(grid.x)
         else:
             init = pde.logistic_front(grid.x, S)
@@ -373,6 +383,8 @@ def _fig1_panels(params: dict, outdir: Path, make_svg: bool) -> dict:
 
 
 def run_speed(params: dict, outdir: Path, make_svg: bool) -> dict:
+    from . import speed
+
     S = params["S"]
     if params["r_grid"] and params["r"] is not None:
         raise ConfigError("speed takes --r or --r-grid, not both")
@@ -412,6 +424,8 @@ def run_speed(params: dict, outdir: Path, make_svg: bool) -> dict:
 
 
 def run_compare(params: dict, outdir: Path, make_svg: bool) -> dict:
+    from . import speed
+
     S = params["S"]
     r_values = _parse_r_grid(params["r_grid"])
     sweep = [(S, r, params["s"], params["sigma2"]) for r in r_values]
@@ -440,6 +454,8 @@ def run_compare(params: dict, outdir: Path, make_svg: bool) -> dict:
 
 
 def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
+    from . import speed, stability, standing
+
     S, r = params["S"], params["r"]
     prof = standing.profile_from_quadrature(S, r, x_max=params["x_max"],
                                             dx=params["dx"])
@@ -590,6 +606,8 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
         argvs.append(argv + ["--out", str(root / labels[-1])])
 
     if args.threads > 1 and len(argvs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(args.threads, len(argvs))) as pool:
             codes = list(pool.map(main, argvs))
     else:

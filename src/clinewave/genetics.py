@@ -26,6 +26,12 @@ common small factor ``alpha``, one generation moves (p, q, D) by
 (p, q, D) spatial solver integrates. `gametes_from_pqd` maps (p, q, D)
 to gamete frequencies.
 
+The module also holds the formulas of the reduced scalar model of
+stacked clines: the bistable and logistic terms, their combination
+`reduced_reaction`, and the domain half-width `default_half_width`. It
+imports nothing from scipy, so the simulators use these formulas without
+loading the standing-front layer, which calls them too.
+
 All functions are pure and act componentwise on numpy arrays; they are
 safe to call concurrently.
 """
@@ -145,3 +151,38 @@ def gametes_from_pqd(p, q, D):
     """Gamete frequencies (u, v, w, z) with allele frequencies p, q and
     disequilibrium D, componentwise on arrays; no range check."""
     return (p * q + D, p * (1.0 - q) - D, (1.0 - p) * q - D, (1.0 - p) * (1.0 - q) + D)
+
+
+def default_half_width(S: float) -> float:
+    """Domain half-width that pushes tail values below ~5e-9.
+
+    Scales like 1/sqrt(S); equals 60 at S = 0.1.
+    """
+    check_positive(S=S)
+    return 60.0 * math.sqrt(0.1 / S)
+
+
+def bistable_f(u):
+    """Balanced bistable reaction term u (2u - 1) (1 - u)."""
+    return u * (2.0 * u - 1.0) * (1.0 - u)
+
+
+def bistable_f_prime(u):
+    """Derivative of the balanced bistable term: -6u^2 + 6u - 1."""
+    return -6.0 * u * u + 6.0 * u - 1.0
+
+
+def logistic_g(u):
+    """Unbalancing term u (1 - u)."""
+    return u * (1.0 - u)
+
+
+def reduced_reaction(u, du, S: float, r: float, eps: float = 0.0):
+    """Reaction of the reduced equation at heights u with slopes du:
+    S f(u) + eps g(u) + (2/r)(S(2u - 1) + eps) du^2.
+
+    The one statement of the reduced model: the simulator, the BVP, the
+    phase-plane shot and the standing-front residual all call it.
+    """
+    return (S * bistable_f(u) + eps * logistic_g(u)
+            + (2.0 / r) * (S * (2.0 * u - 1.0) + eps) * du * du)

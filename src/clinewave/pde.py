@@ -21,7 +21,8 @@ step among them (see `_run_strang`):
   * `simulate_reduced` integrates the scalar equation for stacked clines
     in the rescaled frame (unit diffusion),
 
-        u_t = u_xx + S f(u) + eps g(u) + (2/r)(S (2u-1) + eps) u_x^2,
+        u_t = u_xx + genetics.reduced_reaction(u, u_x, S, r, eps)
+            = u_xx + S f(u) + eps g(u) + (2/r)(S (2u-1) + eps) u_x^2,
 
     recomputing u_x at every Runge-Kutta stage so the split is strictly
     symmetric. Pass r = inf to drop the gradient coupling (plain bistable
@@ -38,6 +39,10 @@ right-hand-side column per component, on no-flux boundaries, with the
 one band type `Tridiagonal` that the stability operators and the BVP
 Newton Jacobian share. Runs are deterministic given their config;
 independent runs share no state.
+
+Every reaction comes from `genetics`; this module imports nothing from
+the standing-front, speed or stability layers, so a simulation loads
+numpy and `scipy.linalg` only.
 """
 
 from __future__ import annotations
@@ -55,8 +60,7 @@ from .errors import (
     FrontTrackingError,
     InsufficientSamplesError,
 )
-from .genetics import FitnessParams
-from .standing import reduced_reaction
+from .genetics import FitnessParams, reduced_reaction
 
 RANGE_TOL = 1e-6          # abort threshold for field-range violations
 BOUNDARY_INIT_TOL = 1e-6  # required closeness of initial data to limit states
@@ -92,6 +96,9 @@ class Grid1D:
     def symmetric(half_width: float, dx: float) -> "Grid1D":
         genetics.check_positive(dx=dx, **{"half-width": half_width})
         half = int(round(half_width / dx))
+        if half < 1:
+            raise ValueError(f"need half-width > dx/2 for a node either side of x = 0, "
+                             f"got half-width={half_width}, dx={dx}")
         return Grid1D(-half * dx, half * dx, 2 * half + 1)
 
 

@@ -49,15 +49,15 @@ from scipy.sparse.linalg import spsolve
 
 from . import pde
 from .errors import NewtonDivergenceError, QuadratureError
-from .genetics import FitnessParams, check_bistable, check_positive
-from .stability import linearization
-from .standing import (
-    WaveProfile,
-    _slope_scalar,
+from .genetics import (
+    FitnessParams,
+    check_bistable,
+    check_positive,
     default_half_width,
-    profile_from_quadrature,
     reduced_reaction,
 )
+from .stability import linearization
+from .standing import WaveProfile, _slope_scalar, profile_from_quadrature
 
 # Newton stops once the residual and the phase defect fall below
 # NEWTON_TOL / dx^2. The residual's second difference carries rounding of
@@ -284,7 +284,7 @@ def measure_full_system_speed(
 
     Original-frame simulation; the report carries the measured speed in
     the original frame and the gap against s * c1_star converted to it.
-    The domain keeps `standing.default_half_width` of tail clearance behind
+    The domain keeps `genetics.default_half_width` of tail clearance behind
     the front, and that plus twice the predicted travel ahead (s > 0).
     """
     check_bistable(s, S)  # s > 0: the predicted speed divides relative_gap

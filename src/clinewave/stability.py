@@ -49,7 +49,8 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, FieldInvariantError, ProfileTooShortError
 from .pde import Grid1D, SimConfig, Tridiagonal, front_position_values, simulate_reduced
-from .standing import WaveProfile, bistable_f, bistable_f_prime, exp_tail_extension, logistic_g
+from .genetics import bistable_f, bistable_f_prime, logistic_g
+from .standing import WaveProfile, exp_tail_extension
 
 SETTLE_TOL = 1e-6  # sup distance to the shifted control that counts as settled
 TAIL_WEIGHT_LIMIT = 1e-8  # share of an integral the tail corrections may carry
@@ -57,7 +58,7 @@ TAIL_WEIGHT_LIMIT = 1e-8  # share of an integral the tail corrections may carry
 
 def linearization(u: np.ndarray, du: np.ndarray, S: float, r: float, dx: float,
                   eps: float = 0.0, c: float = 0.0) -> Tridiagonal:
-    """Central-difference Jacobian of u'' + c u' + `standing.reduced_reaction`
+    """Central-difference Jacobian of u'' + c u' + `genetics.reduced_reaction`
     (u, u', S, r, eps) about interior values u with slopes du, the boundary
     values held fixed.
 

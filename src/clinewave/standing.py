@@ -36,7 +36,16 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import ClinewaveError, NoHeteroclinicError
-from .genetics import check_positive
+# The reduced model's formulas live in `genetics`; the three this module does
+# not call stay importable from here with the two it does.
+from .genetics import (  # noqa: F401
+    bistable_f,
+    bistable_f_prime,
+    check_positive,
+    default_half_width,
+    logistic_g,
+    reduced_reaction,
+)
 
 # Height at which the slope-law integration hands over to the exponential tails.
 TAIL_CUTOFF = 1e-10
@@ -55,41 +64,6 @@ _RTOL = 1e-13
 _ATOL = 1e-16
 
 SHOOTING_TOL = 1e-6  # largest gap allowed between the shot and the slope-law heights
-
-
-def default_half_width(S: float) -> float:
-    """Domain half-width that pushes tail values below ~5e-9.
-
-    Scales like 1/sqrt(S); equals 60 at S = 0.1.
-    """
-    check_positive(S=S)
-    return 60.0 * np.sqrt(0.1 / S)
-
-
-def bistable_f(u):
-    """Balanced bistable reaction term u (2u - 1) (1 - u)."""
-    return u * (2.0 * u - 1.0) * (1.0 - u)
-
-
-def bistable_f_prime(u):
-    """Derivative of the balanced bistable term: -6u^2 + 6u - 1."""
-    return -6.0 * u * u + 6.0 * u - 1.0
-
-
-def logistic_g(u):
-    """Unbalancing term u (1 - u)."""
-    return u * (1.0 - u)
-
-
-def reduced_reaction(u, du, S: float, r: float, eps: float = 0.0):
-    """Reaction of the reduced equation at heights u with slopes du:
-    S f(u) + eps g(u) + (2/r)(S(2u - 1) + eps) du^2.
-
-    The one statement of the reduced model: the simulator, the BVP, the
-    phase-plane shot and the standing-front residual all call it.
-    """
-    return (S * bistable_f(u) + eps * logistic_g(u)
-            + (2.0 / r) * (S * (2.0 * u - 1.0) + eps) * du * du)
 
 
 # Horner coefficients 1/14!, ..., 1/3! of the Taylor tail y^2/2 + ... + y^14/14!

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its artifact contracts."""
 
+import concurrent.futures
 import json
 import math
 
@@ -10,7 +11,7 @@ from clinewave import cli
 from clinewave.cli import _error_payload, _parse_r_grid, _resolve, build_parser, main
 from clinewave.errors import NewtonDivergenceError, NoHeteroclinicError
 from clinewave.pde import Grid1D
-from clinewave.standing import default_half_width
+from clinewave.genetics import default_half_width
 
 
 # reaction overshoot from a hostile dt on the reduced model: every node goes
@@ -211,6 +212,9 @@ class TestConfigHandling:
         # to t = nan
         (["simulate", "--t-end", "inf"], "t_end"),
         (["simulate", "--half-width", "inf"], "half-width"),
+        # a half-width under dx/2 used to round to a one-node grid, whose
+        # error named x_min and x_max instead of either flag
+        (["simulate", "--half-width", "0.05"], "half-width=0.05, dx=0.2"),
         (["standing", "--x-max", "inf"], "x_max"),
         (["compare", "--t-end", "inf", "--r-grid", "0.5:0.5:0.1"], "t_end"),
         (["simulate", "--model", "reduced", "--dt", "inf", "--t-end", "10"], "dt"),
@@ -253,6 +257,7 @@ class TestConfigHandling:
     ], ids=["simulate-dx", "standing-dx", "compare-dx", "compare-dt",
             "standing-r-nan", "stability-r-nan", "simulate-reduced-r-inf",
             "speed-r-nan", "speed-r-inf", "simulate-t-end-inf", "simulate-half-width-inf",
+            "simulate-half-width-under-half-dx",
             "standing-x-max-inf", "compare-t-end-inf", "simulate-dt-inf",
             "simulate-t-end-off-step", "standing-dx-coarse", "stability-dx-coarse",
             "standing-x-max-short", "standing-five-nodes", "stability-k-0",
@@ -525,7 +530,8 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # run_sweep imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         code = main(["sweep", "standing", "--vary", "S=0.1,0.25", "--threads", "64",
                      "--out", str(tmp_path / "sweepy"), "--", "--r", "0.25", "--dx", "0.05"])
         assert (code, asked) == (0, [2])

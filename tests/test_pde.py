@@ -14,7 +14,7 @@ from clinewave.errors import (
     FrontTrackingError,
     InsufficientSamplesError,
 )
-from clinewave.genetics import FitnessParams
+from clinewave.genetics import FitnessParams, bistable_f, logistic_g
 from clinewave.pde import (
     Grid1D,
     SimConfig,
@@ -26,7 +26,7 @@ from clinewave.pde import (
     simulate_reduced,
     stacked_pqd_init,
 )
-from clinewave.standing import bistable_f, logistic_g, profile_from_quadrature
+from clinewave.standing import profile_from_quadrature
 
 SYMMETRIC_FP = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.1, sigma2=2.0)
 
@@ -42,6 +42,10 @@ class TestGridAndConfig:
             Grid1D(1.0, -1.0, 100)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 2)
+        # a half-width under dx/2 leaves no node off x = 0
+        assert Grid1D.symmetric(0.11, 0.2).n == 3
+        with pytest.raises(ValueError, match="half-width=0.05, dx=0.2"):
+            Grid1D.symmetric(0.05, 0.2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,8 @@ from clinewave.speed import (
     solve_traveling_bvp,
     zero_recombination_speed,
 )
-from clinewave.standing import bistable_f_prime, default_half_width, profile_from_quadrature
+from clinewave.genetics import bistable_f_prime, default_half_width
+from clinewave.standing import profile_from_quadrature
 
 
 @pytest.fixture(scope="module")
