@@ -27,11 +27,12 @@ step among them (see `_run_strang`):
     recomputing u_x at every Runge-Kutta stage so the split is strictly
     symmetric. Pass r = inf to drop the gradient coupling (plain bistable
     control). Speeds measured here convert to the original frame by the
-    factor sigma/sqrt(2).
+    factor sigma/sqrt(2). A (k, n) initial state is k independent fronts.
 
 Each simulator only builds its reaction right-hand side, once per run;
 the shared driver copies and checks the initial data, steps, records and
-tracks the fronts. It checks finiteness before every diffusion and the
+tracks the fronts. A run ends at t_end, or at the first record its stop
+rule accepts. It checks finiteness before every diffusion and the
 field ranges at every record, since only recorded states are complete
 Strang states. Diffusion acts on the whole (components, nodes)
 state at once: one Crank-Nicolson step, a single tridiagonal solve with a
@@ -278,7 +279,7 @@ def _range_guard(t: float, fields: dict[str, np.ndarray]) -> None:
             raise FieldInvariantError(message, t, dict(fields))
 
 
-def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
+def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None) -> Trajectory:
     """The one run driver: Strang splitting with merged half-reactions.
 
     Each step is half reaction, diffusion, half reaction, but between two
@@ -287,13 +288,17 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
 
         R(dt/2) D R(dt) D ... R(dt) D R(dt/2)
 
-    A record is taken every record_every steps and at the last step, so a
-    run always ends with its state at t_end. The loop splits back into two
-    halves only at records, so every recorded state is a complete Strang
-    state and the scheme keeps Strang's second order with about half the
-    reaction evaluations; at record_every = 1 it is the classic loop. The
-    finiteness check runs before every diffusion; the range guard runs at
-    the records, the only complete states.
+    A record is taken every record_every steps and at the last step. The
+    loop splits back into two halves only at records, so every recorded
+    state is a complete Strang state and the scheme keeps Strang's second
+    order with about half the reaction evaluations; at record_every = 1 it
+    is the classic loop. The finiteness check runs before every diffusion;
+    the range guard runs at the records, the only complete states.
+
+    A run ends at t_end, or at the first record its stop rule accepts:
+    stop(record) is asked with each stored record after t = 0, once the
+    range guard has passed it, under the loop's errstate (overflow and
+    invalid ignored).
 
     init (one array per tag, or a bare array for one component) is copied
     into the (components, nodes) state and checked before the first step.
@@ -336,12 +341,14 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary) -> Trajectory:
                 _range_guard(step * cfg.dt, dict(zip(tags, state)))
                 store[:, slot] = state
                 slot += 1
+                if stop is not None and stop(store[:, slot - 1]):
+                    break
             else:
                 lead = cfg.dt
-    fields = dict(zip(tags, store))
+    fields = dict(zip(tags, store[:, :slot]))
     return Trajectory(
         # integer step first, then dt: the same bits as step * dt in the loop
-        times=np.array(record_steps) * cfg.dt,
+        times=np.array(record_steps[:slot]) * cfg.dt,
         grid=grid, fields=fields,
         front_positions={tag: np.array([_front_of(tag, rec, grid.x) for rec in arr])
                          for tag, arr in fields.items()},
@@ -388,21 +395,26 @@ def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> T
 
 
 def simulate_reduced(init, S: float, eps: float, r: float,
-                     grid: Grid1D, cfg: SimConfig) -> Trajectory:
+                     grid: Grid1D, cfg: SimConfig, stop=None) -> Trajectory:
     """Integrate the reduced scalar equation for stacked clines.
 
     Works in the rescaled frame (unit diffusion); convert measured speeds
     to the original frame by multiplying with sigma/sqrt(2). The gradient
     coupling scales with 2/r; pass r = inf for the uncoupled bistable
-    control. u_x is recomputed at every Runge-Kutta stage.
+    control. u_x is recomputed at every Runge-Kutta stage. A (k, n) init
+    is k independent fronts, each repeating its own run bit for bit and,
+    for k > 1, tagged u_reduced0, u_reduced1, ...; one front is u_reduced.
+    stop is the driver's stop rule (see `_run_strang`).
     """
     dx = grid.dx
 
     def rhs(state):
-        return reduced_reaction(state[0], _gradient(state[0], dx), S, r, eps)[np.newaxis, :]
+        return reduced_reaction(state, np.array([_gradient(u, dx) for u in state]), S, r, eps)
 
-    return _run_strang(init, ["u_reduced"], grid, cfg, 1.0, rhs,
-                       {"model": "reduced", "params": {"S": S, "eps": eps, "r": r}})
+    rows = 1 if np.ndim(init) == 1 else len(init)
+    tags = ["u_reduced"] if rows == 1 else [f"u_reduced{i}" for i in range(rows)]
+    return _run_strang(init, tags, grid, cfg, 1.0, rhs,
+                       {"model": "reduced", "params": {"S": S, "eps": eps, "r": r}}, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +432,9 @@ def qle_disequilibrium(p: np.ndarray, q: np.ndarray, grid: Grid1D,
     steady balance of diffusion, decay at rate r, and the gradient source.
 
     Raises:
-        ValueError: unknown mode, or the result breaks |D| <= 1/4.
+        ValueError: a bad sigma2 or r, an unknown mode, or |D| > 1/4.
     """
+    genetics.check_positive(sigma2=sigma2, r=r)
     dx = grid.dx
     source = _gradient(np.asarray(p, float), dx) * _gradient(np.asarray(q, float), dx)
     if mode == "local":

@@ -30,10 +30,11 @@ are real by construction; eigenvectors map back through the discrete
 weight `similarity_weight`. Assembled operators are immutable;
 independent parameter cases can run concurrently.
 
-`relaxation_shift` closes the loop dynamically: a perturbed front is
-evolved beside an unperturbed control, record by record, until it
-settles on a translate of the control at the same time; the run's
-t_end only caps the search. The measured shift is compared with the
+`relaxation_shift` closes the loop dynamically: a perturbed front and
+an unperturbed control are evolved as the two rows of one run, which
+stops at the first record where the perturbed row has settled on a
+translate of the control at the same time; the run's t_end only caps
+the search. The measured shift is compared with the
 two candidate first-order predictions (the raw weighted projection and
 its normalized variant).
 """
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
-from .errors import ConvergenceError, FieldInvariantError, ProfileTooShortError
+from .errors import ConvergenceError, ProfileTooShortError
 from .pde import Grid1D, SimConfig, Tridiagonal, front_position_values, simulate_reduced
 from .genetics import bistable_f, bistable_f_prime, logistic_g
 from .standing import WaveProfile, exp_tail_extension
@@ -288,21 +289,15 @@ def relaxation_shift(
     """Relax u0 + eps_amp * h under the symmetric dynamics and measure the shift.
 
     The perturbed state is evolved with the reduced equation (eps = 0)
-    beside an unperturbed control run from u0, and each perturbed record
-    is compared with the control record at the same time. The common
-    transient from the continuum profile to the attractor of the discrete
-    dynamics cancels in that comparison: no O(dx^2) gap. The shift is the
-    minimizer of the L2 distance to the translated control, seeded by the
-    front positions; settling means the remaining sup distance fell
-    below ``SETTLE_TOL``, and both runs stop at the first settled record.
-    cfg.t_end only caps the search.
-
-    Each pass runs one record-interval leg of the control and one of the
-    perturbed run. A leg restarts `simulate_reduced` from its run's last
-    record, which repeats the continuing run bit for bit (a record closes
-    and a run opens with a half reaction), and re-runs the t = 0 boundary
-    and range guards on a record state that passed the range guard. A
-    `FieldInvariantError` from a later leg carries the absolute time.
+    beside an unperturbed control run from u0, as the two rows of one
+    `simulate_reduced` run, and each perturbed record is compared with the
+    control record at the same time. The common transient from the
+    continuum profile to the attractor of the discrete dynamics cancels in
+    that comparison: no O(dx^2) gap. The shift is the minimizer of the L2
+    distance to the translated control, seeded by the front positions;
+    settling means the remaining sup distance fell below ``SETTLE_TOL``,
+    and the run stops at the first settled record. cfg.t_end only caps
+    the search.
 
     Raises:
         ConvergenceError: distance still above tolerance at cfg.t_end.
@@ -315,39 +310,28 @@ def relaxation_shift(
     if h.shape != u0.x.shape or not np.isfinite(h).all():
         raise ValueError("perturbation must be finite and sampled on the profile grid")
     grid = Grid1D(float(u0.x[0]), float(u0.x[-1]), u0.x.size)
-
-    def leg(state: np.ndarray, done_steps: int, k: int) -> np.ndarray:
-        try:
-            return simulate_reduced(state, u0.S, 0.0, u0.r, grid, SimConfig(
-                cfg.dt, k * cfg.dt, record_every=k)).fields["u_reduced"][-1]
-        except FieldInvariantError as err:
-            if not done_steps:
-                raise
-            t = done_steps * cfg.dt + err.t
-            raise FieldInvariantError(str(err).replace(f"t={err.t}", f"t={t}"),
-                                      t, err.snapshot) from err
-
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    control, state = u0.u, u0.u + eps_amp * h
     span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
-    done_steps = 0
-    dist = math.inf
-    while done_steps < n_steps and not dist < SETTLE_TOL:
-        k = min(cfg.record_every, n_steps - done_steps)
-        control, state = leg(control, done_steps, k), leg(state, done_steps, k)
-        done_steps += k
+    fit = {"dist": math.inf}  # shift and sup distance at the last record
+
+    def settled(record: np.ndarray) -> bool:
+        control, state = record
         control_at = exp_tail_extension(grid.x, control, u0.S)
         guess = front_position_values(state, grid.x) - front_position_values(control, grid.x)
         shift = float(minimize_scalar(
             lambda d: float(np.sum((state - control_at(grid.x - d)) ** 2)),
             bounds=(guess - span, guess + span), method="bounded",
             options={"xatol": 1e-12}).x)
-        dist = float(np.max(np.abs(state - control_at(grid.x - shift))))
-    if not (dist < SETTLE_TOL):
+        fit.update(shift=shift, dist=float(np.max(np.abs(state - control_at(grid.x - shift)))))
+        return fit["dist"] < SETTLE_TOL
+
+    traj = simulate_reduced(np.stack((u0.u, u0.u + eps_amp * h)), u0.S, 0.0, u0.r,
+                            grid, cfg, stop=settled)
+    if not fit["dist"] < SETTLE_TOL:
         raise ConvergenceError(
             f"perturbation did not settle below {SETTLE_TOL} by t={cfg.t_end} "
-            f"(last distance {dist:.3e})"
+            f"(last distance {fit['dist']:.3e})"
         )
+    shift, dist = fit["shift"], fit["dist"]
 
     raw, normalized = perturbation_projection(u0, h)
     return RelaxationResult(
@@ -358,5 +342,5 @@ def relaxation_shift(
         predicted_shift=-eps_amp * normalized,
         predicted_shift_unnormalized=-eps_amp * raw,
         final_distance=dist,
-        t_settled=done_steps * cfg.dt,
+        t_settled=float(traj.times[-1]),
     )

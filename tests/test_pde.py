@@ -410,6 +410,71 @@ class TestStrangCoreMatchesReference:
             assert np.array_equal(restart.fields[tag], arr[1:]), tag
 
 
+class TestStopRule:
+    """A run ends at t_end or at the first record its stop rule accepts, and
+    a (k, n) reduced run is k independent fronts."""
+
+    GRID = Grid1D.symmetric(130.0, 0.2)
+    CFG = SimConfig(dt=0.2, t_end=12 * 0.2, record_every=4)  # records at steps 0, 4, 8, 12
+
+    def _run(self, init, stop=None):
+        return simulate_reduced(init, 0.1, 0.005, 0.1, self.GRID, self.CFG, stop=stop)
+
+    def test_stops_at_the_first_accepted_record_on_the_uninterrupted_prefix(self):
+        p = pde.logistic_front(self.GRID.x, 0.1)
+        full = self._run(p)
+        seen = []
+
+        def second_record(record):
+            seen.append(record.copy())
+            return len(seen) == 2
+
+        traj = self._run(p, stop=second_record)
+        assert np.array_equal(traj.times, full.times[:3])
+        assert np.array_equal(traj.fields["u_reduced"], full.fields["u_reduced"][:3])
+        assert np.array_equal(traj.front_positions["u_reduced"],
+                              full.front_positions["u_reduced"][:3])
+        # asked at the records after t = 0 only, with the stored record
+        assert len(seen) == 2
+        for i, record in enumerate(seen, start=1):
+            assert np.array_equal(record, full.fields["u_reduced"][i:i + 1])
+
+    def test_a_rule_that_writes_into_its_record_leaves_later_records_alone(self):
+        p = pde.logistic_front(self.GRID.x, 0.1)
+        full = self._run(p)
+        calls = []
+
+        def scribble_on_the_first(record):
+            calls.append(1)
+            if len(calls) == 1:
+                record[...] = 0.5
+            return False
+
+        traj = self._run(p, stop=scribble_on_the_first)
+        assert np.array_equal(traj.times, full.times)
+        # the rule wrote into its own copy; the run went on from its state
+        assert np.array_equal(traj.fields["u_reduced"][2:], full.fields["u_reduced"][2:])
+        assert np.array_equal(traj.front_positions["u_reduced"][2:],
+                              full.front_positions["u_reduced"][2:])
+
+    def test_a_1d_init_keeps_its_single_tag(self):
+        traj = self._run(pde.logistic_front(self.GRID.x, 0.1), stop=lambda record: True)
+        assert list(traj.fields) == list(traj.front_positions) == ["u_reduced"]
+        assert traj.times.size == 2
+
+    def test_rows_run_as_independent_fronts_bit_for_bit(self):
+        rows = np.stack([pde.logistic_front(self.GRID.x, 0.1, center=c) for c in (0.0, 3.0)])
+        both = self._run(rows)
+        assert sorted(both.fields) == ["u_reduced0", "u_reduced1"]
+        for i, row in enumerate(rows):
+            alone = self._run(row)
+            tag = f"u_reduced{i}"
+            assert np.array_equal(both.times, alone.times)
+            assert np.array_equal(both.fields[tag], alone.fields["u_reduced"]), tag
+            assert np.array_equal(both.front_positions[tag],
+                                  alone.front_positions["u_reduced"]), tag
+
+
 def _fig1_fields(model, cfg):
     """Recorded fields of a run on the fig1 grid, with the clines started
     close enough to stack by t = 400."""

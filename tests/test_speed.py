@@ -23,6 +23,7 @@ from clinewave.speed import (
     zero_recombination_speed,
 )
 from clinewave.genetics import bistable_f_prime, default_half_width
+from clinewave.pde import Grid1D, logistic_front, qle_disequilibrium
 from clinewave.standing import profile_from_quadrature
 
 
@@ -146,6 +147,8 @@ class TestClosedFormSpeeds:
 
 # Every library entry that takes S, r or s: the parameters it takes, and
 # the call with the full triple (S, r, s).
+QLE_GRID = Grid1D.symmetric(20.0, 0.1)
+QLE_P = logistic_front(QLE_GRID.x, 0.1)
 DOMAIN_ENTRIES = {
     "default_half_width": ("S", lambda S, r, s: default_half_width(S)),
     "profile_from_quadrature": ("Sr", lambda S, r, s: profile_from_quadrature(S, r)),
@@ -157,6 +160,8 @@ DOMAIN_ENTRIES = {
     "measure_full_system_speed": (
         "Srs", lambda S, r, s: measure_full_system_speed(S, r, s, 2.0, t_end=10.0)),
     "solve_traveling_bvp": ("Sr", lambda S, r, s: solve_traveling_bvp(S, r, 0.0)),
+    "qle_disequilibrium": ("r", lambda S, r, s: qle_disequilibrium(
+        QLE_P, QLE_P, QLE_GRID, 2.0, r)),
 }
 
 
@@ -165,7 +170,9 @@ def test_each_domain_is_stated_once(entry):
     # one message per domain, whichever entry rejects the value
     takes, call = DOMAIN_ENTRIES[entry]
     bad = (0.0, -0.1, math.inf, math.nan)
-    cases = [({"S": v}, f"need finite S > 0, got S={v}") for v in bad]
+    cases = []
+    if "S" in takes:
+        cases += [({"S": v}, f"need finite S > 0, got S={v}") for v in bad]
     if "r" in takes:
         cases += [({"r": v}, f"need finite r > 0, got r={v}") for v in bad]
     if "s" in takes:

@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sps
 from scipy.optimize import minimize_scalar
 
-from clinewave import stability
+from clinewave import pde, stability
 from clinewave.errors import ConvergenceError, FieldInvariantError
+from clinewave.genetics import reduced_reaction
 from clinewave.pde import Grid1D, SimConfig, front_position_values, simulate_reduced
 from clinewave.stability import (
     SETTLE_TOL,
@@ -238,8 +239,8 @@ def oracle_relaxation_shift(u0, h, eps_amp, cfg):
 
 
 class TestRelaxationLegs:
-    """The control and the perturbed run go one record interval at a time,
-    side by side, and both stop at the first settled record."""
+    """The control and the perturbed run are the two rows of one run, which
+    stops at the first settled record."""
 
     # records at t = 20, 40, 60, 75: the even bump settles at 60, the odd
     # one at the end of the short last leg
@@ -254,19 +255,20 @@ class TestRelaxationLegs:
         assert res.t_settled == t_settled
 
     def test_legs_stop_at_the_settled_record(self, u0, monkeypatch):
-        steps = []
+        runs = []
 
-        def counting(init, S, eps, r, grid, cfg):
-            steps.append((int(round(cfg.t_end / cfg.dt)), cfg.record_every))
-            return simulate_reduced(init, S, eps, r, grid, cfg)
+        def recording(*args, **kwargs):
+            runs.append(simulate_reduced(*args, **kwargs))
+            return runs[-1]
 
-        monkeypatch.setattr(stability, "simulate_reduced", counting)
+        monkeypatch.setattr(stability, "simulate_reduced", recording)
         cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
         res = relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
-        # one control leg and one perturbed leg per record until settled;
-        # neither run goes on to t_end
-        assert steps == [(80, 80)] * 6
-        assert res.t_settled == 3 * 80 * cfg.dt
+        # one two-row run, which stops at the settled record, not at t_end
+        assert len(runs) == 1
+        assert sorted(runs[0].fields) == ["u_reduced0", "u_reduced1"]
+        assert runs[0].times.tolist() == [0.0, 20.0, 40.0, 60.0]
+        assert res.t_settled == 60.0
 
     def test_result_does_not_depend_on_t_end(self, u0):
         # the control is compared at the same time, so t_end is only a cap
@@ -275,22 +277,26 @@ class TestRelaxationLegs:
                        for t_end in (160.0, 400.0))
         assert short == long
 
-    # calls alternate control, perturbed: the third is the second control
-    # leg, the fourth the second perturbed leg
-    @pytest.mark.parametrize("failing_call", [3, 4], ids=["control", "perturbed"])
-    def test_later_leg_failure_carries_absolute_time(self, u0, monkeypatch, failing_call):
+    # the 325th reaction call is the first RK4 stage of step 81: the opening
+    # half, one substep per step to 80 and the closing half at its record
+    @pytest.mark.parametrize("row", [0, 1], ids=["control", "perturbed"])
+    def test_later_leg_failure_carries_absolute_time(self, u0, monkeypatch, row):
         calls = []
 
-        def second_leg_blows_up(init, S, eps, r, grid, cfg):
-            calls.append(cfg)
-            # S = 1e300 overflows the first step of the failing leg
-            return simulate_reduced(init, 1e300 if len(calls) == failing_call else S,
-                                    eps, r, grid, cfg)
+        def row_blows_up(u, du, *args):
+            calls.append(1)
+            out = reduced_reaction(u, du, *args)
+            if len(calls) == 325:
+                out[row] = math.inf
+            return out
 
-        monkeypatch.setattr(stability, "simulate_reduced", second_leg_blows_up)
+        monkeypatch.setattr(pde, "reduced_reaction", row_blows_up)
         cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
         with pytest.raises(FieldInvariantError) as info:
             relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
-        assert len(calls) == failing_call
+        # the failing step's four stages, then the finiteness check
+        assert len(calls) == 328
         assert info.value.t == 20.25
         assert "at t=20.25 " in str(info.value)
+        assert not np.isfinite(info.value.snapshot[f"u_reduced{row}"]).all()
+        assert np.isfinite(info.value.snapshot[f"u_reduced{1 - row}"]).all()
