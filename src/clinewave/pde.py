@@ -422,37 +422,6 @@ def simulate_reduced(init, S: float, eps: float, r: float,
 # ---------------------------------------------------------------------------
 
 
-def qle_disequilibrium(p: np.ndarray, q: np.ndarray, grid: Grid1D,
-                       sigma2: float, r: float, mode: str = "local") -> np.ndarray:
-    """Quasi-equilibrium linkage disequilibrium generated by the gradients.
-
-    "local" returns (sigma2 / r) p_x q_x. "kernel" convolves p_x q_x with
-    the exponential kernel 0.5 sqrt(2r/sigma2) exp(-sqrt(2r/sigma2) |x|)
-    (normalized to unit mass on the grid) before scaling, which is the
-    steady balance of diffusion, decay at rate r, and the gradient source.
-
-    Raises:
-        ValueError: a bad sigma2 or r, an unknown mode, or |D| > 1/4.
-    """
-    genetics.check_positive(sigma2=sigma2, r=r)
-    dx = grid.dx
-    source = _gradient(np.asarray(p, float), dx) * _gradient(np.asarray(q, float), dx)
-    if mode == "local":
-        vals = (sigma2 / r) * source
-    elif mode == "kernel":
-        decay = math.sqrt(2.0 * r / sigma2)
-        half = min(int(math.ceil(20.0 / (decay * dx))), (source.size - 1) // 2)
-        offsets = np.arange(-half, half + 1) * dx
-        kernel = 0.5 * decay * np.exp(-decay * np.abs(offsets)) * dx
-        kernel /= kernel.sum()
-        vals = (sigma2 / r) * np.convolve(source, kernel, mode="same")
-    else:
-        raise ValueError(f"mode must be 'local' or 'kernel', got {mode!r}")
-    if _out_of_range("D", vals):
-        raise ValueError("D field outside [-1/4, 1/4]")
-    return vals
-
-
 def front_position_values(values: np.ndarray, x: np.ndarray) -> float:
     """Abscissa where a decreasing profile crosses 1/2.
 

@@ -146,9 +146,10 @@ def zero_recombination_speed(s: float, S: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _traveling_residual(u, c, eps, S, r, dx, u_left, u_right):
-    """Interior residual of u'' + c u' + S f + eps g + (2/r)(S(2u-1)+eps) u'^2."""
-    full = np.concatenate(([u_left], u, [u_right]))
+def _traveling_residual(u, c, eps, S, r, dx):
+    """Interior residual of u'' + c u' + S f + eps g + (2/r)(S(2u-1)+eps) u'^2,
+    with the edges pinned at u = 1 on the left and u = 0 on the right."""
+    full = np.concatenate(([1.0], u, [0.0]))
     upp = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (dx * dx)
     up = (full[2:] - full[:-2]) / (2.0 * dx)
     return upp + c * up + reduced_reaction(u, up, S, r, eps)
@@ -186,7 +187,6 @@ def solve_traveling_bvp(
     x, base, base_slope = u0.x, u0.u, u0.du
     dx = u0.dx
     tol = NEWTON_TOL / (dx * dx)
-    u_left, u_right = 1.0, 0.0
 
     u = base[1:-1].copy()
     c = 0.0
@@ -199,12 +199,12 @@ def solve_traveling_bvp(
 
     for eps_k in stages:
         for _ in range(NEWTON_MAX_ITER):
-            res = _traveling_residual(u, c, eps_k, S, r, dx, u_left, u_right)
+            res = _traveling_residual(u, c, eps_k, S, r, dx)
             phase = float(np.dot(u - base[1:-1], phase_weight))
             norm = max(float(np.max(np.abs(res))), abs(phase))
             if norm < tol:
                 break
-            full = np.concatenate(([u_left], u, [u_right]))
+            full = np.concatenate(([1.0], u, [0.0]))
             up = (full[2:] - full[:-2]) / (2.0 * dx)
             J = linearization(u, up, S, r, dx, eps=eps_k, c=c)
             # Keller's bordering: the Jacobian is the tridiagonal T bordered
@@ -227,7 +227,7 @@ def solve_traveling_bvp(
                 f"Newton stalled at eps={eps_k} with residual {norm:.3e}", norm
             )
 
-    values = np.concatenate(([u_left], u, [u_right]))
+    values = np.concatenate(([1.0], u, [0.0]))
     slopes = np.gradient(values, dx)
     return c, WaveProfile(x=x, u=values, du=slopes, S=S, r=r, method="bvp")
 
@@ -276,6 +276,13 @@ class SpeedReport:
                   "measured_speed", "frame", "relative_gap"]
 
 
+def _lab_params(S, r, s, sigma2, dx, dt) -> FitnessParams:
+    """The checked model constants of one lab-frame speed run."""
+    check_bistable(s, S)  # s > 0: the predicted speed divides relative_gap
+    check_positive(r=r, sigma2=sigma2, dx=dx, dt=dt)
+    return FitnessParams(sA=s, sB=s, SA=S, SB=S, r=r, sigma2=sigma2)
+
+
 def measure_full_system_speed(
     S: float, r: float, s: float, sigma2: float,
     t_end: float = 600.0, dt: float = 0.2, dx: float = 0.2,
@@ -287,8 +294,7 @@ def measure_full_system_speed(
     The domain keeps `genetics.default_half_width` of tail clearance behind
     the front, and that plus twice the predicted travel ahead (s > 0).
     """
-    check_bistable(s, S)  # s > 0: the predicted speed divides relative_gap
-    check_positive(r=r, sigma2=sigma2, dx=dx, dt=dt)
+    fp = _lab_params(S, r, s, sigma2, dx, dt)
     cfg = pde.SimConfig(dt=dt, t_end=t_end, record_every=max(1, int(round(2.0 / dt))))
     scale = math.sqrt(sigma2 / 2.0)
     clearance = default_half_width(S) * scale
@@ -297,7 +303,6 @@ def measure_full_system_speed(
     ahead = int(round((clearance + travel) / dx))
     grid = pde.Grid1D(-behind * dx, ahead * dx, behind + ahead + 1)
     init = pde.stacked_pqd_init(grid, S, sigma2)
-    fp = FitnessParams(sA=s, sB=s, SA=S, SB=S, r=r, sigma2=sigma2)
     traj = pde.simulate_pqd(init, fp, grid, cfg)
     measured = pde.instantaneous_speed(traj, "p", window=(TRANSIENT_FRACTION * t_end, t_end))
     return SpeedReport(
@@ -309,7 +314,9 @@ def measure_full_system_speed(
 
 def compare_speeds(sweep, t_end: float = 600.0, dt: float = 0.2,
                    dx: float = 0.2) -> list[SpeedReport]:
-    """Theory-versus-simulation table over a sweep of (S, r, s, sigma2)."""
+    """Theory-versus-simulation table over a list of (S, r, s, sigma2)."""
+    for point in sweep:  # every point is checked before the first run
+        _lab_params(*point, dx, dt)
     return [
         measure_full_system_speed(S, r, s, sigma2, t_end=t_end, dt=dt, dx=dx)
         for (S, r, s, sigma2) in sweep

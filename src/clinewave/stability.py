@@ -179,17 +179,14 @@ def _pair_with_psi(u0: WaveProfile, f: np.ndarray) -> float:
     return float(np.trapezoid(f * _adjoint_null_vector(u0), dx=u0.dx))
 
 
-def adjoint_kernel_residual(u0: WaveProfile, weighted: bool = True) -> float:
+def adjoint_kernel_residual(u0: WaveProfile) -> float:
     """||L^T psi||_2 / ||psi||_2 for the weighted slope psi.
 
     On a uniform grid the quadrature weights of the discrete L^2 pairing
-    cancel in the ratio, so the plain transpose is the adjoint. Passing
-    ``weighted=False`` drops the exponential factor from psi; that vector
-    is not in the adjoint kernel and the residual then refuses to vanish
-    under refinement (negative control).
+    cancel in the ratio, so the plain transpose is the adjoint.
     """
     op = assemble_L(u0)
-    psi = (_adjoint_null_vector(u0) if weighted else u0.du)[1:-1]
+    psi = _adjoint_null_vector(u0)[1:-1]
     return float(np.linalg.norm(op.apply_transpose(psi)) / np.linalg.norm(psi))
 
 

@@ -36,16 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import ClinewaveError, NoHeteroclinicError
-# The reduced model's formulas live in `genetics`; the three this module does
-# not call stay importable from here with the two it does.
-from .genetics import (  # noqa: F401
-    bistable_f,
-    bistable_f_prime,
-    check_positive,
-    default_half_width,
-    logistic_g,
-    reduced_reaction,
-)
+from .genetics import check_positive, default_half_width, reduced_reaction
 
 # Height at which the slope-law integration hands over to the exponential tails.
 TAIL_CUTOFF = 1e-10

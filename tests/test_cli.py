@@ -440,6 +440,20 @@ class TestCompareCommand:
         plot = (out / "speed_plot_data.csv").read_text().splitlines()
         assert plot[0].startswith("r,measured_original,predicted_star_original")
 
+    def test_grid_point_out_of_range_exits_3_before_any_run(self, tmp_path, monkeypatch):
+        # r = 0.55 is the last of eight points: the seven lab runs before it
+        # would be thrown away, so no run starts
+        from clinewave import pde
+
+        calls = []
+        monkeypatch.setattr(pde, "simulate_pqd", lambda *a, **k: calls.append(a))
+        code, out = run_cli(["compare", "--preset", "fig3", "--r-grid", "0.15:0.55:0.05"],
+                            tmp_path)
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["message"] == "recombination must lie in [0, 1/2], got 0.55"
+        assert calls == []
+
 
 class TestOutputRoot:
     def test_env_var_sets_default_root(self, tmp_path, monkeypatch):

@@ -20,7 +20,6 @@ from clinewave.pde import (
     SimConfig,
     front_position_values,
     instantaneous_speed,
-    qle_disequilibrium,
     simulate_gametes,
     simulate_pqd,
     simulate_reduced,
@@ -537,58 +536,6 @@ class TestMergedStrangOrder:
         classic = simulate_pqd(init, SYMMETRIC_FP, grid, SimConfig(dt=0.5, t_end=5.0))
         for tag in ("p", "q", "D"):
             assert np.max(np.abs(traj.fields[tag][-1] - classic.fields[tag][-1])) < 1e-7
-
-
-class TestQLE:
-    def test_constant_fields_give_zero(self):
-        grid = Grid1D.symmetric(20.0, 0.1)
-        out = qle_disequilibrium(np.full(grid.n, 0.7), np.full(grid.n, 0.2),
-                                 grid, 2.0, 0.1)
-        assert np.max(np.abs(out)) == 0.0
-
-    def test_local_mode_is_nonnegative_for_stacked_fronts(self):
-        grid = Grid1D.symmetric(40.0, 0.05)
-        p = pde.logistic_front(grid.x, 0.1)
-        out = qle_disequilibrium(p, p, grid, 2.0, 0.1, mode="local")
-        assert np.all(out >= 0.0)
-        # peak value (sigma2/r) max(p_x)^2 = (sigma2/r) S/16 at the center
-        assert out.max() == pytest.approx(2.0 / 0.1 * 0.1 / 16.0, rel=1e-3)
-
-    def test_peak_outside_the_D_range_raises(self):
-        grid = Grid1D.symmetric(40.0, 0.05)
-        p = pde.logistic_front(grid.x, 0.1)
-        # peak (sigma2/r) S/16 = (2/0.01) 0.1/16 = 1.25 breaks |D| <= 1/4
-        with pytest.raises(ValueError, match=r"D field outside \[-1/4, 1/4\]"):
-            qle_disequilibrium(p, p, grid, 2.0, 0.01)
-
-    def test_kernel_approaches_local_as_r_grows(self):
-        grid = Grid1D.symmetric(60.0, 0.02)
-        p = pde.logistic_front(grid.x, 0.1)
-        sups = []
-        for r in (0.1, 0.5, 2.5):
-            local = qle_disequilibrium(p, p, grid, 2.0, r, mode="local")
-            kernel = qle_disequilibrium(p, p, grid, 2.0, r, mode="kernel")
-            sups.append(np.max(np.abs(local - kernel)))
-        assert sups[0] > sups[1] > sups[2]
-
-    def test_kernel_matches_fine_grid_oracle(self):
-        # Oracle: the same discrete convolution on a 4x finer grid,
-        # restricted back to the coarse nodes.
-        r, sigma2 = 0.5, 2.0
-        coarse = Grid1D.symmetric(60.0, 0.08)
-        fine = Grid1D.symmetric(60.0, 0.02)
-        pc = pde.logistic_front(coarse.x, 0.1)
-        pf = pde.logistic_front(fine.x, 0.1)
-        out_c = qle_disequilibrium(pc, pc, coarse, sigma2, r, mode="kernel")
-        out_f = qle_disequilibrium(pf, pf, fine, sigma2, r, mode="kernel")
-        on_coarse = out_f[::4]
-        assert np.max(np.abs(out_c - on_coarse)) < 1e-4
-
-    def test_mode_validation(self):
-        grid = Grid1D.symmetric(10.0, 0.1)
-        with pytest.raises(ValueError):
-            qle_disequilibrium(np.zeros(grid.n), np.zeros(grid.n), grid, 2.0,
-                               0.1, mode="spectral")
 
 
 class TestFrontTracking:

@@ -23,7 +23,6 @@ from clinewave.speed import (
     zero_recombination_speed,
 )
 from clinewave.genetics import bistable_f_prime, default_half_width
-from clinewave.pde import Grid1D, logistic_front, qle_disequilibrium
 from clinewave.standing import profile_from_quadrature
 
 
@@ -147,8 +146,6 @@ class TestClosedFormSpeeds:
 
 # Every library entry that takes S, r or s: the parameters it takes, and
 # the call with the full triple (S, r, s).
-QLE_GRID = Grid1D.symmetric(20.0, 0.1)
-QLE_P = logistic_front(QLE_GRID.x, 0.1)
 DOMAIN_ENTRIES = {
     "default_half_width": ("S", lambda S, r, s: default_half_width(S)),
     "profile_from_quadrature": ("Sr", lambda S, r, s: profile_from_quadrature(S, r)),
@@ -160,8 +157,6 @@ DOMAIN_ENTRIES = {
     "measure_full_system_speed": (
         "Srs", lambda S, r, s: measure_full_system_speed(S, r, s, 2.0, t_end=10.0)),
     "solve_traveling_bvp": ("Sr", lambda S, r, s: solve_traveling_bvp(S, r, 0.0)),
-    "qle_disequilibrium": ("r", lambda S, r, s: qle_disequilibrium(
-        QLE_P, QLE_P, QLE_GRID, 2.0, r)),
 }
 
 
@@ -271,7 +266,7 @@ def _reference_bvp(S, r, eps, u0):
     phase_weight = u0.du[1:-1] * dx
     for eps_k in [eps * (0.5 ** k) for k in (3, 2, 1, 0)]:
         for _ in range(40):
-            res = _traveling_residual(u, c, eps_k, S, r, dx, 1.0, 0.0)
+            res = _traveling_residual(u, c, eps_k, S, r, dx)
             phase = float(np.dot(u - base[1:-1], phase_weight))
             if max(float(np.max(np.abs(res))), abs(phase)) < 1e-12:
                 break
@@ -331,8 +326,8 @@ class TestLinearizationIsTheResidualJacobian:
         for j in range(u.size):
             step = np.zeros_like(u)
             step[j] = h
-            fd[:, j] = (_traveling_residual(u + step, c, eps, S, r, dx, 1.0, 0.0)
-                        - _traveling_residual(u - step, c, eps, S, r, dx, 1.0, 0.0)) / (2.0 * h)
+            fd[:, j] = (_traveling_residual(u + step, c, eps, S, r, dx)
+                        - _traveling_residual(u - step, c, eps, S, r, dx)) / (2.0 * h)
         np.testing.assert_allclose(dense, fd, rtol=0.0, atol=1e-8)
 
 
