@@ -10,16 +10,15 @@ equation admits a closed-form slope law: the squared slope at height u is
     P(u) = (r^2 / 8S) * (exp(y) - 1 - y),      y = (4S / r) (u - u^2),
 
 which vanishes quadratically at u in {0, 1} and is positive in between.
-Route one (`profile_from_quadrature`) integrates u' = -sqrt(P(u)) out of
-the midpoint in both directions. Route two (`profile_from_shooting`)
-follows the phase-plane orbit leaving the saddle (1, 0) along its
-unstable manifold y = sqrt(S) (x - 1) until it meets u = 1/2, recenters,
-and mirrors. The two must coincide; their agreement is the uniqueness
-check used throughout the test suite.
-
-Tails decay like exp(-sqrt(S) |x|); where the integrated height falls
-below ``TAIL_CUTOFF`` the profile is extended by the matched exponential
-tail, which is also the exact solution of the linearized equation there.
+Route one (`profile_from_quadrature`) is a plain quadrature of that law
+in the height coordinate theta, u = 1/(1 + e^{2 theta}): the abscissa
+x(theta) is the integral from 0 to theta of 2m/sqrt(P), m = u (1 - u),
+which is smooth, even, and tends to 2/sqrt(S) in both tails, so neither
+an ODE solver nor a tail patch is needed. Route two
+(`profile_from_shooting`) follows the phase-plane orbit leaving the
+saddle (1, 0) along its unstable manifold y = sqrt(S) (x - 1) until it
+meets u = 1/2, recenters, and mirrors. The two must coincide; their
+agreement is the uniqueness check used throughout the test suite.
 
 Constructed profiles are immutable value objects and all constructors
 are pure functions, safe for concurrent use.
@@ -35,11 +34,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .errors import ClinewaveError, NoHeteroclinicError
+from .errors import ClinewaveError, ConvergenceError, NoHeteroclinicError
 from .genetics import check_positive, default_half_width, reduced_reaction
-
-# Height at which the slope-law integration hands over to the exponential tails.
-TAIL_CUTOFF = 1e-10
 
 # Handover height for the phase-plane shot. Transverse errors near the
 # receiving saddle grow like exp(+sqrt(S) x), so the shot must not chase
@@ -49,32 +45,32 @@ SHOOT_TAIL_CUTOFF = 1e-6
 # Offset along the unstable manifold used to start the phase-plane shot.
 SHOOTING_DELTA = 1e-8
 
-# Integrator tolerances; the two construction routes are expected to agree
-# to ~1e-7 or better, so the ODE error must sit well below that.
-_RTOL = 1e-13
-_ATOL = 1e-16
-
 SHOOTING_TOL = 1e-6  # largest gap allowed between the shot and the slope-law heights
 
+# The quadrature: a 10-point Gauss-Legendre rule on theta-panels of this width,
+# and the Newton iterations allowed to invert x(theta) at the grid nodes.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_PANEL = 0.5
+_NEWTON_MAX = 50
 
 # Horner coefficients 1/14!, ..., 1/3! of the Taylor tail y^2/2 + ... + y^14/14!
 # of exp(y) - 1 - y; the remainder is below 1e-19 for |y| < 0.3.
 _EXPM1_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(14, 2, -1))
 
 
+def _taylor_g(y):
+    """(exp(y) - 1 - y) / y^2 by its Taylor series, for |y| < 0.3."""
+    acc = 0.0
+    for coef in _EXPM1_TAYLOR:
+        acc = (acc + coef) * y
+    return acc + 0.5
+
+
 def _expm1_minus(y):
     """exp(y) - 1 - y without cancellation for small y."""
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.expm1(arr) - arr
-    small = np.abs(arr) < 0.3
-    if np.any(small):
-        ys = arr[small]
-        acc = np.zeros_like(ys)
-        for coef in _EXPM1_TAYLOR:
-            acc = (acc + coef) * ys
-        acc = (acc + 0.5) * ys * ys
-        out[small] = acc
-    return out if np.ndim(y) else float(out[0])
+    y = np.asarray(y, dtype=float)
+    out = np.where(np.abs(y) < 0.3, _taylor_g(y) * y * y, np.expm1(y) - y)
+    return out if out.ndim else float(out)
 
 
 def first_integral_P(u, S: float, r: float):
@@ -90,28 +86,37 @@ def first_integral_P(u, S: float, r: float):
 
 def _slope(u, S: float, r: float):
     """Signed slope -sqrt(P(u)) with a defensive clamp at machine noise."""
-    P = np.maximum(first_integral_P(u, S, r), 0.0)
-    return -np.sqrt(P)
+    return -np.sqrt(np.maximum(first_integral_P(u, S, r), 0.0))
 
 
 def _slope_scalar(u: float, S: float, r: float) -> float:
-    """`_slope` at one height, on Python floats.
-
-    The same IEEE operations in the same order, so the result is bit for
-    bit that of `_slope` at a fraction of its cost; it is the right-hand
-    side of the quadrature ODE. ``u * u`` matches numpy's ``u ** 2`` (libm
-    ``pow`` need not), and ``np.expm1`` stays because ``math.expm1`` can
-    differ from it in the last bit.
+    """`_slope` at one height on Python floats, bit for bit, for `speed.c1_exact`'s
+    integrand. ``u * u`` matches numpy's ``u ** 2`` (libm ``pow`` need not),
+    and ``np.expm1`` stays because ``math.expm1`` can differ in the last bit.
     """
     y = (4.0 * S / r) * (u - u * u)
-    if abs(y) < 0.3:
-        acc = 0.0
-        for coef in _EXPM1_TAYLOR:
-            acc = (acc + coef) * y
-        e = (acc + 0.5) * y * y
-    else:
-        e = float(np.expm1(y)) - y
+    e = _taylor_g(y) * y * y if abs(y) < 0.3 else float(np.expm1(y)) - y
     return -math.sqrt(max((r * r / (8.0 * S)) * e, 0.0))
+
+
+def _dx_dtheta(theta: np.ndarray, S: float, r: float) -> np.ndarray:
+    """dx/dtheta = 2m/sqrt(P) at u = 1/(1 + e^{2 theta}), m = u (1 - u) = sech^2(theta)/4.
+
+    As sqrt(2 / (S g(y))), g(y) = (e^y - 1 - y)/y^2 >= 1/2, y = (4S/r) m, it
+    neither cancels nor underflows, and rises to 2/sqrt(S) in the tails; the
+    floor 0.3^2 below only keeps y = 0 out of the discarded branch.
+    """
+    e = np.exp(-2.0 * np.abs(theta))
+    y = (4.0 * S / r) * (e / ((1.0 + e) * (1.0 + e)))
+    g = np.where(y < 0.3, _taylor_g(y), (np.expm1(y) - y) / np.maximum(y * y, 0.09))
+    return np.sqrt(2.0 / (S * g))
+
+
+def _x_of_theta(lo: np.ndarray, hi: np.ndarray, S: float, r: float) -> np.ndarray:
+    """Integral of `_dx_dtheta` over [lo, hi], elementwise, by Gauss-Legendre."""
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * _GL_NODES
+    return half * (_dx_dtheta(nodes, S, r) @ _GL_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -199,10 +204,15 @@ def profile_from_quadrature(
 ) -> WaveProfile:
     """Build the standing front from its slope law u' = -sqrt(P(u)).
 
-    Integrates out of u(0) = 1/2 to the right and to the left
-    independently, so the symmetry u(-x) = 1 - u(x) is a genuine accuracy
-    check rather than a construction artifact. Within ``TAIL_CUTOFF`` of
-    a limit state the matched tails C exp(-+sqrt(S) x) take over.
+    Sums x(theta) over theta-panels of width ``_PANEL`` past the last node,
+    then inverts it at the nodes x >= 0 by Newton steps, each started by
+    linear interpolation in its panel and clipped to it, until every step
+    is within 1e-14 (1 + theta), a few dozen roundings of x(theta). With
+    e = exp(-2 theta) <= 1, u(x) = e/(1 + e) and u(-x) = 1/(1 + e), so
+    u(0) = 1/2 exactly and the symmetry defect is their rounding.
+
+    Raises:
+        ConvergenceError: a node still moves after ``_NEWTON_MAX`` steps.
     """
     x_max = default_half_width(S) if x_max is None else x_max
     check_positive(S=S, r=r, dx=dx, x_max=x_max)
@@ -210,39 +220,25 @@ def profile_from_quadrature(
     if half < 3:  # ode_residual's seven-point stencil
         raise ValueError(f"x_max={x_max} at dx={dx} gives fewer than 7 nodes")
     x = np.arange(-half, half + 1) * dx
-    u = np.concatenate((_quadrature_half(x[:half], -x_max, S, r),
-                        _quadrature_half(x[half:], x_max, S, r)))
+    xr = x[half:]
+    edges = np.zeros(1)  # x at theta = 0, _PANEL, 2 _PANEL, ...
+    while edges[-1] < xr[-1]:  # dx/dtheta <= 2/sqrt(S): a lower bound on panels
+        more = math.ceil(0.5 * math.sqrt(S) * (xr[-1] - edges[-1]) / _PANEL) + 1
+        lo = _PANEL * np.arange(edges.size - 1, edges.size - 1 + more)
+        edges = np.append(edges, edges[-1] + np.cumsum(_x_of_theta(lo, lo + _PANEL, S, r)))
+    k = np.minimum(np.searchsorted(edges, xr, side="right") - 1, edges.size - 2)
+    lo = _PANEL * k
+    theta = lo + _PANEL * (xr - edges[k]) / (edges[k + 1] - edges[k])
+    for _ in range(_NEWTON_MAX):
+        step = (edges[k] + _x_of_theta(lo, theta, S, r) - xr) / _dx_dtheta(theta, S, r)
+        theta = np.clip(theta - step, lo, lo + _PANEL)
+        if np.all(np.abs(step) <= 1e-14 * (1.0 + theta)):
+            break
+    else:
+        raise ConvergenceError(f"quadrature Newton moving after {_NEWTON_MAX} steps: S={S}, r={r}")
+    e = np.exp(-2.0 * theta)
+    u = np.concatenate((1.0 / (1.0 + e[:0:-1]), e / (1.0 + e)))
     return WaveProfile(x=x, u=u, du=_slope(u, S, r), S=S, r=r, method="quadrature")
-
-
-def _quadrature_half(x_half: np.ndarray, end: float, S: float, r: float) -> np.ndarray:
-    """Heights at x_half, all on the side of 0 where ``end`` lies, by
-    integrating the slope law from u(0) = 1/2 toward ``end``: right to the
-    limit 0, left to the limit 1, handing over to `_exp_tail` within
-    ``TAIL_CUTOFF`` of it."""
-    direction = 1.0 if end > 0 else -1.0
-    limit = 0.5 - 0.5 * direction
-    level = limit + direction * TAIL_CUTOFF
-
-    def rhs(_x, y):
-        return [_slope_scalar(float(y[0]), S, r)]
-
-    def handover(_x, y):
-        return direction * (y[0] - level)
-
-    handover.terminal = True
-    sol = solve_ivp(
-        rhs, (0.0, end), [0.5], events=handover, method="DOP853",
-        dense_output=True, rtol=_RTOL, atol=_ATOL, max_step=0.25 / np.sqrt(S),
-    )
-    x_stop = sol.t[-1]
-    inside = np.abs(x_half) <= abs(x_stop)
-    u = np.empty(x_half.size)
-    u[inside] = sol.sol(x_half[inside])[0]
-    if not np.all(inside):
-        u_edge = float(sol.sol(x_stop)[0])
-        u[~inside] = _exp_tail(x_half[~inside], x_stop, u_edge, S, limit)[0]
-    return u
 
 
 def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
@@ -286,12 +282,13 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
     tail_event.terminal = True
 
     # Leave room for the climb out of the saddle (~ log(1/delta)/sqrt(S))
-    # plus the grid's half-width.
+    # plus the grid's half-width. The tolerances sit well below the ~1e-7
+    # to which the two routes are expected to agree.
     span = x[-1] + (np.log(1.0 / SHOOTING_DELTA) + 5.0) / sqrt_S
     sol = solve_ivp(
         rhs, (0.0, span), [1.0 - SHOOTING_DELTA, -sqrt_S * SHOOTING_DELTA],
         events=[crossing, escape, tail_event], method="DOP853",
-        dense_output=True, rtol=_RTOL, atol=_ATOL, max_step=0.25 / sqrt_S,
+        dense_output=True, rtol=1e-13, atol=1e-16, max_step=0.25 / sqrt_S,
     )
     if sol.t_events[1].size > 0 or sol.t_events[0].size == 0:
         state = tuple(sol.y[:, -1]) if sol.y.size else (np.nan, np.nan)
@@ -367,7 +364,8 @@ def decay_rate(profile: WaveProfile, side: str = "right") -> float:
     mirrored rate +sqrt(S) on the left.
 
     Raises:
-        ClinewaveError: tail not resolved (height above 1e-3 at the edge).
+        ClinewaveError: tail not resolved (height above 1e-3 at the edge),
+            or underflowed (a height of 0, whose log is undefined).
     """
     if side == "right":
         mask = profile.x >= profile.x[-1] / 2.0
@@ -382,5 +380,7 @@ def decay_rate(profile: WaveProfile, side: str = "right") -> float:
         raise ClinewaveError(
             f"tail not resolved: edge height {edge:.3e} > 1e-3; extend the domain"
         )
+    if not np.all(vals > 0.0):
+        raise ClinewaveError(f"{side} tail underflowed in its fitted quarter; narrow the domain")
     slope = np.polyfit(profile.x[mask], np.log(vals), 1)[0]
     return float(slope)

@@ -88,6 +88,23 @@ class TestStandingCommand:
         assert manifest["resolved"]["S"] == 0.25
         assert len(manifest["run_id"]) == 12
 
+    @pytest.mark.parametrize("argv", [
+        ["--S", "0.1", "--r", "0.1", "--x-max", "300", "--dx", "0.05"],
+        ["--S", "0.85", "--r", "0.15", "--x-max", "800", "--dx", "0.5"]])
+    def test_underflowed_tail_exits_4_with_strict_json(self, tmp_path, argv):
+        # 1 - u rounds to 0 in the left tail's fitted quarter: no NaN decay rate
+        code, out = run_cli(["standing"] + argv, tmp_path)
+        assert code == 4
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        written = {path.name: json.loads(path.read_text(), parse_constant=reject)
+                   for path in out.rglob("*.json")}
+        assert written["error.json"]["error"] == "ClinewaveError"
+        assert "left tail underflowed" in written["error.json"]["message"]
+        assert "report.json" not in written
+
     def test_deterministic_bytes(self, tmp_path):
         _, out_a = run_cli(["standing", "--S", "0.25", "--r", "0.25"], tmp_path, "a")
         _, out_b = run_cli(["standing", "--S", "0.25", "--r", "0.25"], tmp_path, "b")

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from clinewave.errors import ClinewaveError, NoHeteroclinicError
+from clinewave import standing
+from clinewave.errors import ClinewaveError, ConvergenceError, NoHeteroclinicError
 from clinewave.standing import (
+    _exp_tail,
     _slope,
     _slope_scalar,
     decay_rate,
@@ -58,7 +61,7 @@ class TestFirstIntegral:
 
 
 class TestScalarSlope:
-    """The quadrature ODE's scalar right-hand side equals the vector slope law bit for bit."""
+    """The scalar slope law in `c1_exact`'s integrand equals the vector one bit for bit."""
 
     @pytest.mark.parametrize("S,r", [(0.1, 0.1), (0.6, 0.25), (0.85, 0.15),
                                      (0.02, 0.5), (0.3, 0.5), (0.1, 50.0)])
@@ -115,6 +118,75 @@ class TestQuadratureProfile:
             profile_from_quadrature(0.1, 0.0)
 
 
+def _reference_half(x_half, end, S, r, cutoff=1e-10):
+    """Heights at x_half (all on the side of 0 where ``end`` lies) by the
+    earlier route: u' = -sqrt(P(u)) integrated out of u(0) = 1/2 by DOP853
+    at rtol 1e-13, handing over to the matched exponential tail within
+    ``cutoff`` of the limit state."""
+    direction = 1.0 if end > 0 else -1.0
+    limit = 0.5 - 0.5 * direction
+    level = limit + direction * cutoff
+
+    def handover(_x, y):
+        return direction * (y[0] - level)
+
+    handover.terminal = True
+    sol = solve_ivp(
+        lambda _x, y: [_slope_scalar(float(y[0]), S, r)], (0.0, end), [0.5],
+        events=handover, method="DOP853", dense_output=True, rtol=1e-13,
+        atol=1e-16, max_step=0.25 / np.sqrt(S),
+    )
+    x_stop = sol.t[-1]
+    inside = np.abs(x_half) <= abs(x_stop)
+    u = np.empty(x_half.size)
+    u[inside] = sol.sol(x_half[inside])[0]
+    if not np.all(inside):
+        u[~inside] = _exp_tail(x_half[~inside], x_stop, float(sol.sol(x_stop)[0]), S, limit)[0]
+    return u, not np.all(inside)
+
+
+class TestQuadratureMatchesReference:
+    """The height-space quadrature reproduces the ODE integration of the slope law."""
+
+    @pytest.mark.parametrize("S,r,x_max,dx", [
+        (0.6, 0.25, None, 0.02), (0.85, 0.15, None, 0.02),
+        (0.1, 0.1, 60.0, 0.05), (0.1, 0.15, None, 0.05),
+        (1e-3, 0.5, 400.0, 0.5),
+        (2.0, 0.02, None, 0.02), (0.1, 50.0, None, 0.02),
+        (0.1, 0.1, 80.0, 0.1),  # the reference hands over to its exponential tail
+    ])
+    def test_heights_match_the_ode_integration(self, S, r, x_max, dx):
+        p = profile_from_quadrature(S, r, x_max=x_max, dx=dx)
+        half = p.x.size // 2
+        left, _ = _reference_half(p.x[:half], p.x[0], S, r)
+        right, tail = _reference_half(p.x[half:], p.x[-1], S, r)
+        assert np.max(np.abs(p.u - np.concatenate((left, right)))) <= 1e-11
+        if (S, r, x_max) == (0.1, 0.1, 80.0):
+            assert tail
+
+    def test_deep_tails_and_exact_center(self):
+        # theta reaches ~369 here, past where cosh(theta) and e^{2 theta} overflow;
+        # the suite's filterwarnings = error fails the test on any RuntimeWarning
+        p = profile_from_quadrature(0.85, 0.15, x_max=800.0, dx=0.5)
+        center = p.x.size // 2
+        assert p.x[center] == 0.0
+        assert p.u[center] == 0.5
+        assert np.all((p.u >= 0.0) & (p.u <= 1.0))
+        assert np.all(np.diff(p.u) <= 0.0)
+        assert p.u[0] == 1.0 and p.u[-1] < 1e-300
+
+    def test_newton_terminates_at_large_coupling(self, monkeypatch):
+        # S/r = 100: the steepest front of the suite still converges in 10 steps
+        monkeypatch.setattr(standing, "_NEWTON_MAX", 10)
+        p = profile_from_quadrature(2.0, 0.02)
+        assert np.all(np.diff(p.u) <= 0.0)
+
+    def test_newton_out_of_steps_raises(self, monkeypatch):
+        monkeypatch.setattr(standing, "_NEWTON_MAX", 1)
+        with pytest.raises(ConvergenceError):
+            profile_from_quadrature(0.1, 0.1)
+
+
 class TestShootingProfile:
     def test_orbit_reaches_the_midline(self, shot_01):
         center = shot_01.x.size // 2
@@ -155,6 +227,15 @@ class TestDecayRateEdges:
         prof = WaveProfile(x=x, u=u, du=np.gradient(u, 0.05), S=S, r=0.25,
                            method="quadrature")
         assert decay_rate(prof) == pytest.approx(-math.sqrt(S), rel=1e-3)
+
+    @pytest.mark.parametrize("S,r,x_max,dx", [(0.1, 0.1, 300.0, 0.05),
+                                              (0.85, 0.15, 800.0, 0.5)])
+    def test_underflowed_left_tail_raises(self, S, r, x_max, dx):
+        # 1 - u rounds to 0 over the outer quarter once x_max > ~74/sqrt(S)
+        prof = profile_from_quadrature(S, r, x_max=x_max, dx=dx)
+        with pytest.raises(ClinewaveError, match="left tail underflowed"):
+            decay_rate(prof, side="left")
+        assert decay_rate(prof) == pytest.approx(-math.sqrt(S), rel=1e-2)
 
     def test_insufficient_tail_raises(self):
         x = np.arange(-2.0, 2.0 + 0.1, 0.1)
