@@ -407,7 +407,7 @@ def run_speed(params: dict, outdir: Path, make_svg: bool) -> dict:
         if s is not None:
             row["speed_exact"] = s * exact
             row["speed_star"] = s * speed.c1_star(S, r)
-            row["single_cline"] = speed.single_cline_speed(s, S)[0]
+            row["single_cline"] = speed.single_cline_speed(s, S)
             row["zero_recombination"] = speed.zero_recombination_speed(s, S)
         rows.append(row)
     header = list(rows[0])

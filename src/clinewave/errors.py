@@ -52,7 +52,7 @@ class ProfileTooShortError(ClinewaveError):
 
 
 class QuadratureError(ClinewaveError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature came out non-finite or missed its tolerance."""
 
 
 class NewtonDivergenceError(ClinewaveError):

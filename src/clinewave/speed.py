@@ -9,7 +9,8 @@ two forms computed here:
         c1 = [int_0^1 (r/4S)(1 - e^{-y(u)}) du]
              / [int_0^1 sqrt(P(u)) e^{-y(u)} du],       y(u) = (4S/r)(u - u^2),
 
-    with P the squared-slope law of the standing front.
+    with P the squared-slope law of the standing front, summed in its
+    height coordinate theta on `standing`'s Gauss-Legendre theta-panels.
 
   * `c1_series`: the small-S/r expansion
     (1/sqrt(S)) (1 + (4/15)(S/r) + (2/45)(S/r)^2); `c1_star` keeps the
@@ -20,10 +21,10 @@ profile, is `stability.solvability_ratio`; the height-space quadrature
 follows from it by the change of variable u = u0(x).
 
 Limit cases with closed forms: a single cline travels at s/sqrt(S) with
-an explicit tanh profile; fully linked clines (r = 0) behave as one locus
-with doubled coefficients, giving 2s/sqrt(2S). They bracket c1,
-1/sqrt(S) < c1 < sqrt(2)/sqrt(S), only for S/r below about 1.261:
-c1 sqrt(S) depends on S/r alone and passes sqrt(2) there.
+the logistic profile `pde.logistic_front`; fully linked clines (r = 0)
+behave as one locus with doubled coefficients, giving 2s/sqrt(2S). They
+bracket c1, 1/sqrt(S) < c1 < sqrt(2)/sqrt(S), only for S/r below about
+1.261: c1 sqrt(S) depends on S/r alone and passes sqrt(2) there.
 
 `solve_traveling_bvp` computes the genuinely nonlinear traveling wave by
 Newton continuation on the discretized profile equation, with the phase
@@ -43,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
@@ -57,7 +57,7 @@ from .genetics import (
     reduced_reaction,
 )
 from .stability import linearization
-from .standing import WaveProfile, _slope_scalar, profile_from_quadrature
+from .standing import _PANEL, WaveProfile, _dx_dtheta, _panel_integrals, profile_from_quadrature
 
 # Newton stops once the residual and the phase defect fall below
 # NEWTON_TOL / dx^2. The residual's second difference carries rounding of
@@ -67,34 +67,45 @@ NEWTON_TOL = 2.5e-15
 NEWTON_MAX_ITER = 40      # Newton steps allowed per continuation stage
 CONTINUATION_STEPS = 4    # eps stages, halving down from eps
 BVP_GRID_DX = 0.05        # spacing of the standing profile the BVP starts from
-QUAD_TOL = 1e-10          # relative tolerance of the c1_exact quadratures
+QUAD_TOL = 1e-12          # largest move of c1_exact on half-width panels
+C1_THETA_MAX = 12.0       # c1_exact's sums stop here: the tails are ~e^{-48} of them
 TRANSIENT_FRACTION = 0.3  # leading share of a speed run left out of the fit
 
 
 def c1_exact(S: float, r: float) -> float:
-    """First-order speed coefficient by adaptive quadrature in height space.
+    """First-order speed coefficient by Gauss-Legendre sums in height space.
+
+    u = 1/(1 + e^{2 theta}) gives du = -2m dtheta and u' = -2m/(dx/dtheta), with
+    m = u (1 - u) = e/(1 + e)^2, e = e^{-2 theta} and y = (4S/r) m. Both are even, so
+    c1 = (r/8S) int_0^inf m (1 - e^{-y}) dtheta / int_0^inf m^2 e^{-y} / (dx/dtheta) dtheta,
+    summed to ``C1_THETA_MAX`` on `standing`'s panels and on half-width ones.
 
     Raises:
-        QuadratureError: the integrator's error estimate exceeds the
-            requested relative tolerance.
+        QuadratureError: a sum is not finite and positive (e^{S/r} overflows
+            past S/r ~ 709.8), or half-width panels move c1 by over ``QUAD_TOL``.
     """
     check_positive(S=S, r=r)
-    k = 4.0 * S / r
 
-    def numerator(u):
-        return -(r / (4.0 * S)) * math.expm1(-k * (u - u * u))
+    def integrands(theta):
+        e = np.exp(-2.0 * theta)
+        m = e / ((1.0 + e) * (1.0 + e))
+        y = (4.0 * S / r) * m
+        return np.stack((-m * np.expm1(-y), m * m * np.exp(-y) / _dx_dtheta(theta, S, r)))
 
-    def denominator(u):
-        return -_slope_scalar(u, S, r) * math.exp(-k * (u - u * u))
-
-    num, err_n = quad(numerator, 0.0, 1.0, epsabs=0.0, epsrel=QUAD_TOL, limit=200)
-    den, err_d = quad(denominator, 0.0, 1.0, epsabs=0.0, epsrel=QUAD_TOL, limit=200)
-    if err_n > 10.0 * QUAD_TOL * abs(num) or err_d > 10.0 * QUAD_TOL * abs(den):
-        raise QuadratureError(
-            f"speed quadrature did not converge to {QUAD_TOL}: "
-            f"errors {err_n / abs(num):.2e}, {err_d / abs(den):.2e}"
-        )
-    return num / den
+    sums = []
+    with np.errstate(all="ignore"):
+        for width in (_PANEL, 0.5 * _PANEL):
+            lo = width * np.arange(round(C1_THETA_MAX / width))
+            sums += [float(v) for v in _panel_integrals(integrands, lo, lo + width).sum(axis=1)]
+    num, den, num_half, den_half = sums
+    if not all(0.0 < v < math.inf for v in sums):
+        raise QuadratureError(f"c1 sums not finite and positive at S/r = {S / r:.6g}: {sums}"
+                              " (e^(S/r) overflows past S/r ~ 709.8)")
+    gap = abs((num_half / den_half) / (num / den) - 1.0)
+    if gap > QUAD_TOL:
+        raise QuadratureError(f"half-width panels move c1 by {gap:.2e} > {QUAD_TOL}"
+                              f" at S/r = {S / r:.6g}")
+    return (r / (8.0 * S)) * num / den
 
 
 def c1_series(S: float, r: float, order: int = 2) -> float:
@@ -116,23 +127,14 @@ def c1_star(S: float, r: float) -> float:
     return c1_series(S, r, order=1)
 
 
-def single_cline_speed(s: float, S: float):
-    """Speed s/sqrt(S) of one cline alone, plus its exact tanh profile.
-
-    Returns:
-        (speed, profile) where profile(x, t=0.0) evaluates the traveling
-        front 1/2 - 1/2 tanh(sqrt(S)(x - speed t)/2).
+def single_cline_speed(s: float, S: float) -> float:
+    """Speed s/sqrt(S) of one cline alone; its front is `pde.logistic_front`.
 
     Raises:
         ValueError: outside the bistable window 0 < s < S.
     """
     check_bistable(s, S)
-    speed = s / math.sqrt(S)
-
-    def profile(x, t=0.0):
-        return pde.logistic_front(np.asarray(x), S, center=speed * t)
-
-    return speed, profile
+    return s / math.sqrt(S)
 
 
 def zero_recombination_speed(s: float, S: float) -> float:

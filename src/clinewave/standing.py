@@ -14,7 +14,8 @@ Route one (`profile_from_quadrature`) is a plain quadrature of that law
 in the height coordinate theta, u = 1/(1 + e^{2 theta}): the abscissa
 x(theta) is the integral from 0 to theta of 2m/sqrt(P), m = u (1 - u),
 which is smooth, even, and tends to 2/sqrt(S) in both tails, so neither
-an ODE solver nor a tail patch is needed. Route two
+an ODE solver nor a tail patch is needed. `speed.c1_exact` sums the speed
+coefficient's two integrals on the same Gauss-Legendre theta-panels. Route two
 (`profile_from_shooting`) follows the phase-plane orbit leaving the
 saddle (1, 0) along its unstable manifold y = sqrt(S) (x - 1) until it
 meets u = 1/2, recenters, and mirrors. The two must coincide; their
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -48,8 +49,15 @@ SHOOTING_DELTA = 1e-8
 SHOOTING_TOL = 1e-6  # largest gap allowed between the shot and the slope-law heights
 
 # The quadrature: a 10-point Gauss-Legendre rule on theta-panels of this width,
-# and the Newton iterations allowed to invert x(theta) at the grid nodes.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# and the Newton iterations allowed to invert x(theta) at the grid nodes. The rule
+# is leggauss(10)'s to the bit, tabulated so that no eigensolve runs at import:
+# its five positive nodes, then their weights, mirrored.
+_GL_HALF = np.array([float.fromhex(h) for h in """
+    0x1.30e507891e27ap-3 0x1.bbcc009016adcp-2 0x1.5bdb9228de198p-1 0x1.bae995e9cb2f3p-1
+    0x1.f2a3e062af2d8p-1 0x1.2e9de7014d6eep-2 0x1.13baa7a559c01p-2 0x1.c0b059d00bc30p-3
+    0x1.32138c878efdep-3 0x1.1115f8b62dc1fp-4""".split()]).reshape(2, 5)
+_GL_NODES = np.concatenate((-_GL_HALF[0, ::-1], _GL_HALF[0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[1, ::-1], _GL_HALF[1]))
 _PANEL = 0.5
 _NEWTON_MAX = 50
 
@@ -66,13 +74,6 @@ def _taylor_g(y):
     return acc + 0.5
 
 
-def _expm1_minus(y):
-    """exp(y) - 1 - y without cancellation for small y."""
-    y = np.asarray(y, dtype=float)
-    out = np.where(np.abs(y) < 0.3, _taylor_g(y) * y * y, np.expm1(y) - y)
-    return out if out.ndim else float(out)
-
-
 def first_integral_P(u, S: float, r: float):
     """Squared slope of the standing front at height ``u``.
 
@@ -80,8 +81,10 @@ def first_integral_P(u, S: float, r: float):
     in the cancellation-free form (r^2/8S) (exp(y) - 1 - y); positive on
     (0, 1) and exactly zero at the endpoints.
     """
-    y = (4.0 * S / r) * (np.asarray(u, dtype=float) - np.asarray(u, dtype=float) ** 2)
-    return (r * r / (8.0 * S)) * _expm1_minus(y)
+    u = np.asarray(u, dtype=float)
+    y = (4.0 * S / r) * (u - u ** 2)
+    out = (r * r / (8.0 * S)) * np.where(np.abs(y) < 0.3, _taylor_g(y) * y * y, np.expm1(y) - y)
+    return out if out.ndim else float(out)
 
 
 def _slope(u, S: float, r: float):
@@ -89,22 +92,13 @@ def _slope(u, S: float, r: float):
     return -np.sqrt(np.maximum(first_integral_P(u, S, r), 0.0))
 
 
-def _slope_scalar(u: float, S: float, r: float) -> float:
-    """`_slope` at one height on Python floats, bit for bit, for `speed.c1_exact`'s
-    integrand. ``u * u`` matches numpy's ``u ** 2`` (libm ``pow`` need not),
-    and ``np.expm1`` stays because ``math.expm1`` can differ in the last bit.
-    """
-    y = (4.0 * S / r) * (u - u * u)
-    e = _taylor_g(y) * y * y if abs(y) < 0.3 else float(np.expm1(y)) - y
-    return -math.sqrt(max((r * r / (8.0 * S)) * e, 0.0))
-
-
 def _dx_dtheta(theta: np.ndarray, S: float, r: float) -> np.ndarray:
     """dx/dtheta = 2m/sqrt(P) at u = 1/(1 + e^{2 theta}), m = u (1 - u) = sech^2(theta)/4.
 
     As sqrt(2 / (S g(y))), g(y) = (e^y - 1 - y)/y^2 >= 1/2, y = (4S/r) m, it
     neither cancels nor underflows, and rises to 2/sqrt(S) in the tails; the
-    floor 0.3^2 below only keeps y = 0 out of the discarded branch.
+    floor 0.3^2 below only keeps y = 0 out of the discarded branch. Both the
+    abscissa x(theta) and `speed.c1_exact`'s denominator are its panel sums.
     """
     e = np.exp(-2.0 * np.abs(theta))
     y = (4.0 * S / r) * (e / ((1.0 + e) * (1.0 + e)))
@@ -112,11 +106,12 @@ def _dx_dtheta(theta: np.ndarray, S: float, r: float) -> np.ndarray:
     return np.sqrt(2.0 / (S * g))
 
 
-def _x_of_theta(lo: np.ndarray, hi: np.ndarray, S: float, r: float) -> np.ndarray:
-    """Integral of `_dx_dtheta` over [lo, hi], elementwise, by Gauss-Legendre."""
+def _panel_integrals(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integrals of ``f`` over [lo, hi], elementwise, by Gauss-Legendre; an ``f``
+    that stacks integrands on a leading axis gets a row of integrals for each."""
     half = 0.5 * (hi - lo)
     nodes = (lo + half)[:, None] + half[:, None] * _GL_NODES
-    return half * (_dx_dtheta(nodes, S, r) @ _GL_WEIGHTS)
+    return half * (f(nodes) @ _GL_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -221,16 +216,17 @@ def profile_from_quadrature(
         raise ValueError(f"x_max={x_max} at dx={dx} gives fewer than 7 nodes")
     x = np.arange(-half, half + 1) * dx
     xr = x[half:]
+    h = partial(_dx_dtheta, S=S, r=r)
     edges = np.zeros(1)  # x at theta = 0, _PANEL, 2 _PANEL, ...
     while edges[-1] < xr[-1]:  # dx/dtheta <= 2/sqrt(S): a lower bound on panels
         more = math.ceil(0.5 * math.sqrt(S) * (xr[-1] - edges[-1]) / _PANEL) + 1
         lo = _PANEL * np.arange(edges.size - 1, edges.size - 1 + more)
-        edges = np.append(edges, edges[-1] + np.cumsum(_x_of_theta(lo, lo + _PANEL, S, r)))
+        edges = np.append(edges, edges[-1] + np.cumsum(_panel_integrals(h, lo, lo + _PANEL)))
     k = np.minimum(np.searchsorted(edges, xr, side="right") - 1, edges.size - 2)
     lo = _PANEL * k
     theta = lo + _PANEL * (xr - edges[k]) / (edges[k + 1] - edges[k])
     for _ in range(_NEWTON_MAX):
-        step = (edges[k] + _x_of_theta(lo, theta, S, r) - xr) / _dx_dtheta(theta, S, r)
+        step = (edges[k] + _panel_integrals(h, lo, theta) - xr) / h(theta)
         theta = np.clip(theta - step, lo, lo + _PANEL)
         if np.all(np.abs(step) <= 1e-14 * (1.0 + theta)):
             break

@@ -132,11 +132,12 @@ def test_criterion_06_dynamic_speed(profile_spectral):
     rel = abs(measured - predicted) / predicted
 
     s = 0.01
-    true_speed, prof = speed.single_cline_speed(s, S)
+    true_speed = speed.single_cline_speed(s, S)
     half_c = 40.0 / math.sqrt(S) + 1.5 * true_speed * 1000.0
     grid_c = pde.Grid1D.symmetric(half_c, 0.1)
     cfg_c = pde.SimConfig(dt=0.2, t_end=1000.0, record_every=50)
-    traj_c = pde.simulate_reduced(prof(grid_c.x), S, s, math.inf, grid_c, cfg_c)
+    traj_c = pde.simulate_reduced(pde.logistic_front(grid_c.x, S), S, s, math.inf,
+                                  grid_c, cfg_c)
     measured_c = pde.instantaneous_speed(traj_c, "u_reduced", window=(20.0, 1000.0))
     rel_c = abs(measured_c - true_speed) / true_speed
 

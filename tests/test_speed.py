@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.integrate import quad
 from scipy.sparse.linalg import spsolve
 
 from clinewave import speed
 from clinewave.stability import linearization, solvability_ratio
-from clinewave.errors import NewtonDivergenceError, ProfileTooShortError
+from clinewave.errors import NewtonDivergenceError, ProfileTooShortError, QuadratureError
 from clinewave.speed import (
     _traveling_residual,
     SpeedReport,
@@ -23,7 +24,7 @@ from clinewave.speed import (
     zero_recombination_speed,
 )
 from clinewave.genetics import bistable_f_prime, default_half_width
-from clinewave.standing import profile_from_quadrature
+from clinewave.standing import first_integral_P, profile_from_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,55 @@ class TestC1Exact:
                 series(0.1, 0.0)
 
 
+def _quad_c1(S, r):
+    """c1 by adaptive quadrature over the height u, with a scalar slope law."""
+    k = 4.0 * S / r
+
+    def numerator(u):
+        return -(r / (4.0 * S)) * math.expm1(-k * (u - u * u))
+
+    def denominator(u):
+        return math.sqrt(first_integral_P(u, S, r)) * math.exp(-k * (u - u * u))
+
+    num = quad(numerator, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+    den = quad(denominator, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+    return num / den
+
+
+# S/r from 0.002 to 600, the fig2 and fig3 points and the large-r limit
+REFERENCE_POINTS = (
+    [(0.1, 0.1 / ratio) for ratio in np.geomspace(0.002, 600.0, 9)]
+    + [(2.0, 2.0 / ratio) for ratio in (0.01, 1.0, 100.0)]
+    + [(0.6, 0.25), (0.85, 0.15), (0.1, 50.0)]
+    + [(0.1, r) for r in (0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)]
+)
+
+
+class TestC1PanelSums:
+    """`c1_exact`'s theta-panel sums against adaptive quadrature over u."""
+
+    @pytest.mark.parametrize("S,r", REFERENCE_POINTS)
+    def test_matches_adaptive_quadrature(self, S, r):
+        c1 = c1_exact(S, r)
+        assert abs(c1 - _quad_c1(S, r)) <= 1e-13 * c1
+
+    def test_half_width_panels_agree(self, monkeypatch):
+        monkeypatch.setattr(speed, "QUAD_TOL", 1e-14)
+        for S, r in REFERENCE_POINTS:
+            c1_exact(S, r)
+
+    def test_coarse_panels_fail_the_convergence_check(self, monkeypatch):
+        monkeypatch.setattr(speed, "_PANEL", 6.0)
+        with pytest.raises(QuadratureError, match="half-width panels"):
+            c1_exact(0.1, 0.1)
+
+    @pytest.mark.parametrize("S,r", [(0.71, 0.001), (1.0, 0.001)])
+    def test_overflow_past_s_over_r_709_raises(self, S, r):
+        # e^{S/r} overflows: the sums came out 0.0 and NaN, with RuntimeWarnings
+        with pytest.raises(QuadratureError, match=f"S/r = {S / r:g}"):
+            c1_exact(S, r)
+
+
 class TestC1Series:
     def test_order_zero_is_single_cline_coefficient(self):
         assert c1_series(0.09, 0.7, 0) == pytest.approx(1.0 / 0.3, rel=1e-14)
@@ -123,14 +173,7 @@ class TestProfileFormula:
 
 class TestClosedFormSpeeds:
     def test_single_cline_value(self):
-        speed, _prof = single_cline_speed(0.01, 0.1)
-        assert speed == pytest.approx(0.01 / math.sqrt(0.1), rel=1e-14)
-
-    def test_single_cline_profile_solves_the_wave(self):
-        speed, prof = single_cline_speed(0.02, 0.2)
-        x = np.linspace(-30.0, 30.0, 2001)
-        # translate by t: profile(x, t) = profile(x - speed t, 0)
-        assert np.allclose(prof(x, t=3.0), prof(x - 3.0 * speed), atol=1e-14)
+        assert single_cline_speed(0.01, 0.1) == pytest.approx(0.01 / math.sqrt(0.1), rel=1e-14)
 
     def test_zero_recombination_value(self):
         assert zero_recombination_speed(0.01, 0.1) == pytest.approx(

@@ -9,9 +9,10 @@ from scipy.integrate import solve_ivp
 from clinewave import standing
 from clinewave.errors import ClinewaveError, ConvergenceError, NoHeteroclinicError
 from clinewave.standing import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     _exp_tail,
-    _slope,
-    _slope_scalar,
+    _taylor_g,
     decay_rate,
     first_integral_P,
     ode_residual,
@@ -60,23 +61,10 @@ class TestFirstIntegral:
             assert np.all(first_integral_P(u, S, r) > 0.0)
 
 
-class TestScalarSlope:
-    """The scalar slope law in `c1_exact`'s integrand equals the vector one bit for bit."""
-
-    @pytest.mark.parametrize("S,r", [(0.1, 0.1), (0.6, 0.25), (0.85, 0.15),
-                                     (0.02, 0.5), (0.3, 0.5), (0.1, 50.0)])
-    def test_bit_identical_to_vector_slope(self, S, r):
-        u = [np.linspace(0.0, 1.0, 20001), [0.0, 1.0, 1e-10, 1.0 - 1e-10, 1e-300]]
-        k = 4.0 * S / r
-        if k / 4.0 >= 0.3:
-            # heights where y = k (u - u^2) crosses the 0.3 Taylor/expm1 switch
-            root = 0.5 * (1.0 - math.sqrt(1.0 - 1.2 / k))
-            edge = np.array([root, 1.0 - root])
-            u += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
-        u = np.concatenate(u)
-        vector = _slope(u, S, r)
-        scalar = np.array([_slope_scalar(float(v), S, r) for v in u])
-        assert vector.tobytes() == scalar.tobytes()
+def test_gauss_legendre_table_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 class TestQuadratureProfile:
@@ -118,6 +106,13 @@ class TestQuadratureProfile:
             profile_from_quadrature(0.1, 0.0)
 
 
+def _scalar_slope(u, S, r):
+    """-sqrt(P(u)) on Python floats, bit for bit as the profile's vector slope."""
+    y = (4.0 * S / r) * (u - u * u)
+    e = _taylor_g(y) * y * y if abs(y) < 0.3 else float(np.expm1(y)) - y
+    return -math.sqrt(max((r * r / (8.0 * S)) * e, 0.0))
+
+
 def _reference_half(x_half, end, S, r, cutoff=1e-10):
     """Heights at x_half (all on the side of 0 where ``end`` lies) by the
     earlier route: u' = -sqrt(P(u)) integrated out of u(0) = 1/2 by DOP853
@@ -132,7 +127,7 @@ def _reference_half(x_half, end, S, r, cutoff=1e-10):
 
     handover.terminal = True
     sol = solve_ivp(
-        lambda _x, y: [_slope_scalar(float(y[0]), S, r)], (0.0, end), [0.5],
+        lambda _x, y: [_scalar_slope(float(y[0]), S, r)], (0.0, end), [0.5],
         events=handover, method="DOP853", dense_output=True, rtol=1e-13,
         atol=1e-16, max_step=0.25 / np.sqrt(S),
     )
