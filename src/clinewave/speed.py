@@ -27,9 +27,9 @@ bracket c1, 1/sqrt(S) < c1 < sqrt(2)/sqrt(S), only for S/r below about
 1.261: c1 sqrt(S) depends on S/r alone and passes sqrt(2) there.
 
 `solve_traveling_bvp` computes the genuinely nonlinear traveling wave by
-Newton continuation on the discretized profile equation, with the phase
-condition int (u - u0) u0' dx = 0 closing the system for the speed; it
-is the independent check that c(eps)/eps -> c1 as eps -> 0. Its Newton
+Newton from the standing front on the discretized profile equation, with
+the phase condition int (u - u0) u0' dx = 0 closing the system for the
+speed; it is the independent check that c(eps)/eps -> c1 as eps -> 0. Its
 Jacobian is `stability.linearization` (L's stencil with eps and c), whose
 `pde.Tridiagonal` bands go to `spsolve` as a sparse matrix.
 
@@ -64,8 +64,7 @@ from .standing import _PANEL, WaveProfile, _dx_dtheta, _panel_integrals, profile
 # about 4 eps_machine / dx^2 ~ 9e-16 / dx^2, so a fixed tolerance would sit
 # below that floor on fine grids; this one is 1e-12 at dx = 0.05.
 NEWTON_TOL = 2.5e-15
-NEWTON_MAX_ITER = 40      # Newton steps allowed per continuation stage
-CONTINUATION_STEPS = 4    # eps stages, halving down from eps
+NEWTON_MAX_ITER = 40      # Newton steps allowed per solve
 BVP_GRID_DX = 0.05        # spacing of the standing profile the BVP starts from
 QUAD_TOL = 1e-12          # largest move of c1_exact on half-width panels
 C1_THETA_MAX = 12.0       # c1_exact's sums stop here: the tails are ~e^{-48} of them
@@ -81,8 +80,8 @@ def c1_exact(S: float, r: float) -> float:
     summed to ``C1_THETA_MAX`` on `standing`'s panels and on half-width ones.
 
     Raises:
-        QuadratureError: a sum is not finite and positive (e^{S/r} overflows
-            past S/r ~ 709.8), or half-width panels move c1 by over ``QUAD_TOL``.
+        QuadratureError: a sum is not finite and positive, or half-width
+            panels move c1 by over ``QUAD_TOL``.
     """
     check_positive(S=S, r=r)
 
@@ -90,7 +89,12 @@ def c1_exact(S: float, r: float) -> float:
         e = np.exp(-2.0 * theta)
         m = e / ((1.0 + e) * (1.0 + e))
         y = (4.0 * S / r) * m
-        return np.stack((-m * np.expm1(-y), m * m * np.exp(-y) / _dx_dtheta(theta, S, r)))
+        # Past y = 0.3, e^{-y} / (dx/dtheta) = e^{-y/2} sqrt(S g e^{-y} / 2) with
+        # g e^{-y} = (1 - e^{-y} - y e^{-y}) / y^2, so e^y, which overflows, never forms.
+        ge = (-np.expm1(-y) - y * np.exp(-y)) / np.maximum(y * y, 0.09)
+        weight = np.where(y < 0.3, np.exp(-y) / _dx_dtheta(theta, S, r),
+                          np.exp(-0.5 * y) * np.sqrt(0.5 * S * ge))
+        return np.stack((-m * np.expm1(-y), m * m * weight))
 
     sums = []
     with np.errstate(all="ignore"):
@@ -99,8 +103,7 @@ def c1_exact(S: float, r: float) -> float:
             sums += [float(v) for v in _panel_integrals(integrands, lo, lo + width).sum(axis=1)]
     num, den, num_half, den_half = sums
     if not all(0.0 < v < math.inf for v in sums):
-        raise QuadratureError(f"c1 sums not finite and positive at S/r = {S / r:.6g}: {sums}"
-                              " (e^(S/r) overflows past S/r ~ 709.8)")
+        raise QuadratureError(f"c1 sums not finite and positive at S/r = {S / r:.6g}: {sums}")
     gap = abs((num_half / den_half) / (num / den) - 1.0)
     if gap > QUAD_TOL:
         raise QuadratureError(f"half-width panels move c1 by {gap:.2e} > {QUAD_TOL}"
@@ -163,20 +166,22 @@ def solve_traveling_bvp(
     eps: float,
     u0: WaveProfile | None = None,
 ) -> tuple[float, WaveProfile]:
-    """Traveling profile and speed by Newton continuation from the standing wave.
+    """Traveling profile and speed by Newton's method from the standing wave.
 
     The discretized profile equation on a pinned grid (u = 1 on the far
     left, 0 on the far right) is augmented with the phase condition
     int (u - u0) u0' dx = 0, which makes the speed c an unknown of the
-    square system. eps is ramped geometrically from 0 so each Newton
-    solve starts near its solution.
+    square system. Newton runs at the requested eps from (u0, c = 0) and
+    converges in two to five steps for eps <= 0.1 S, S <= 0.85, S/r <= 8.5.
+    At dx = 0.05, S >= 0.5 and S/r >= 10 (e.g. S = 0.5, r = 0.02), where the
+    standing front's residual is 6 to 600, it stalls.
 
     Returns:
         (c, profile) with the residual below ``NEWTON_TOL / dx^2``.
 
     Raises:
-        NewtonDivergenceError: a continuation stage failed to converge, or
-            a Newton step came out singular or non-finite (e.g. a profile
+        NewtonDivergenceError: Newton did not converge in ``NEWTON_MAX_ITER``
+            steps, or a step came out singular or non-finite (e.g. a profile
             with zero slope gives the phase condition no weight).
         ValueError: eps NaN, negative, or too large for the perturbative
             branch (> 0.1 S).
@@ -194,40 +199,34 @@ def solve_traveling_bvp(
     c = 0.0
     phase_weight = base_slope[1:-1] * dx
 
-    if eps == 0.0:
-        stages = [0.0]
-    else:
-        stages = [eps * (0.5 ** k) for k in range(CONTINUATION_STEPS - 1, -1, -1)]
-
-    for eps_k in stages:
-        for _ in range(NEWTON_MAX_ITER):
-            res = _traveling_residual(u, c, eps_k, S, r, dx)
-            phase = float(np.dot(u - base[1:-1], phase_weight))
-            norm = max(float(np.max(np.abs(res))), abs(phase))
-            if norm < tol:
-                break
-            full = np.concatenate(([1.0], u, [0.0]))
-            up = (full[2:] - full[:-2]) / (2.0 * dx)
-            J = linearization(u, up, S, r, dx, eps=eps_k, c=c)
-            # Keller's bordering: the Jacobian is the tridiagonal T bordered
-            # by the column dR/dc = u' and the phase row w. One solve
-            # T [y z] = [-res u'] gives dc = (w.y + phase) / (w.z), du = y - z dc.
-            T = sps.diags([J.lower, J.diag, J.upper], [-1, 0, 1], format="csc")
-            y, z = spsolve(T, np.column_stack((-res, up))).T
-            wz = float(np.dot(phase_weight, z))
-            dc = (float(np.dot(phase_weight, y)) + phase) / wz if wz != 0.0 else math.nan
-            du = y - z * dc
-            if not (math.isfinite(dc) and np.isfinite(du).all()):
-                raise NewtonDivergenceError(
-                    f"singular Newton step at eps={eps_k} (w.z = {wz:.3e}) "
-                    f"from residual {norm:.3e}", norm
-                )
-            u += du
-            c += dc
-        else:
+    for _ in range(NEWTON_MAX_ITER):
+        res = _traveling_residual(u, c, eps, S, r, dx)
+        phase = float(np.dot(u - base[1:-1], phase_weight))
+        norm = max(float(np.max(np.abs(res))), abs(phase))
+        if norm < tol:
+            break
+        full = np.concatenate(([1.0], u, [0.0]))
+        up = (full[2:] - full[:-2]) / (2.0 * dx)
+        J = linearization(u, up, S, r, dx, eps=eps, c=c)
+        # Keller's bordering: the Jacobian is the tridiagonal T bordered
+        # by the column dR/dc = u' and the phase row w. One solve
+        # T [y z] = [-res u'] gives dc = (w.y + phase) / (w.z), du = y - z dc.
+        T = sps.diags([J.lower, J.diag, J.upper], [-1, 0, 1], format="csc")
+        y, z = spsolve(T, np.column_stack((-res, up))).T
+        wz = float(np.dot(phase_weight, z))
+        dc = (float(np.dot(phase_weight, y)) + phase) / wz if wz != 0.0 else math.nan
+        du = y - z * dc
+        if not (math.isfinite(dc) and np.isfinite(du).all()):
             raise NewtonDivergenceError(
-                f"Newton stalled at eps={eps_k} with residual {norm:.3e}", norm
+                f"singular Newton step at eps={eps} (w.z = {wz:.3e}) "
+                f"from residual {norm:.3e}", norm
             )
+        u += du
+        c += dc
+    else:
+        raise NewtonDivergenceError(
+            f"Newton stalled at eps={eps} with residual {norm:.3e}", norm
+        )
 
     values = np.concatenate(([1.0], u, [0.0]))
     slopes = np.gradient(values, dx)

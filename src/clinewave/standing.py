@@ -261,7 +261,7 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
     y_guard = -10.0 * sqrt_S
 
     def rhs(_x, state):
-        u, y = state
+        u, y = state.tolist()  # Python floats run the same arithmetic faster than NumPy scalars
         return [y, -reduced_reaction(u, y, S, r)]
 
     def crossing(_x, state):

@@ -319,14 +319,13 @@ class TestSpeedCommand:
         assert first["c1_exact"] == pytest.approx(4.157462, rel=1e-5)
 
     @pytest.mark.parametrize("extra", [[], ["--s", "0.01"]])
-    def test_overflowing_coefficient_exits_4_without_a_table(self, tmp_path, extra):
-        # e^{S/r} overflows at S/r = 1000: the table used to get c1_exact = nan
+    def test_coefficient_past_exp_overflow_is_tabulated(self, tmp_path, extra):
+        # e^{S/r} overflows at S/r = 1000; c1_exact used to exit 4 there
         code, out = run_cli(["speed", "--S", "1", "--r", "0.001"] + extra, tmp_path)
-        assert code == 4
-        err = json.loads((out / "error.json").read_text())
-        assert (err["error"], err["exit_code"]) == ("QuadratureError", 4)
-        assert "S/r = 1000" in err["message"]
-        assert not (out / "speed_table.csv").exists()
+        assert code == 0
+        lines = (out / "speed_table.csv").read_text().splitlines()
+        row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+        assert row["c1_exact"] == pytest.approx(1188.93118, rel=1e-8)
 
     def test_r_grid_stops_at_its_stop(self):
         assert _parse_r_grid("0.1:0.5:0.15") == [0.1, 0.25, 0.4]

@@ -24,12 +24,25 @@ from clinewave.speed import (
     zero_recombination_speed,
 )
 from clinewave.genetics import bistable_f_prime, default_half_width
-from clinewave.standing import first_integral_P, profile_from_quadrature
+from clinewave.standing import profile_from_quadrature
 
 
 @pytest.fixture(scope="module")
 def profile_01():
     return profile_from_quadrature(0.1, 0.1)
+
+
+@pytest.fixture
+def spsolve_calls(monkeypatch):
+    """One entry per `spsolve` call that `speed` makes."""
+    calls = []
+
+    def counting_spsolve(*args, **kwargs):
+        calls.append(1)
+        return spsolve(*args, **kwargs)
+
+    monkeypatch.setattr(speed, "spsolve", counting_spsolve)
+    return calls
 
 
 class TestC1Exact:
@@ -84,18 +97,29 @@ class TestC1Exact:
 
 
 def _quad_c1(S, r):
-    """c1 by adaptive quadrature over the height u, with a scalar slope law."""
+    """c1 by adaptive quadrature over the height u, with the slope law in log space.
+
+    sqrt(P) e^{-y} = sqrt(r^2/8S) exp(log(e^y - 1 - y)/2 - y), and past y = 1
+    log(e^y - 1 - y) = y + log1p(-(1 + y) e^{-y}), so e^y never forms.
+    """
     k = 4.0 * S / r
 
     def numerator(u):
-        return -(r / (4.0 * S)) * math.expm1(-k * (u - u * u))
+        return -math.expm1(-k * (u - u * u))
 
     def denominator(u):
-        return math.sqrt(first_integral_P(u, S, r)) * math.exp(-k * (u - u * u))
+        y = k * (u - u * u)
+        if y < 1.0:
+            log_g = math.log(math.expm1(y) - y)
+        else:
+            log_g = y + math.log1p(-(1.0 + y) * math.exp(-y))
+        return math.exp(0.5 * log_g - y)
 
-    num = quad(numerator, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)[0]
-    den = quad(denominator, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)[0]
-    return num / den
+    # both integrands are even about u = 1/2; the denominator's mass sits where y ~ 1
+    points = [min(0.25, j / k) for j in (1.0, 10.0, 100.0)]
+    num, den = (quad(f, 0.0, 0.5, points=points, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+                for f in (numerator, denominator))
+    return (r / (4.0 * S)) * num / (math.sqrt(r * r / (8.0 * S)) * den)
 
 
 # S/r from 0.002 to 600, the fig2 and fig3 points and the large-r limit
@@ -125,11 +149,11 @@ class TestC1PanelSums:
         with pytest.raises(QuadratureError, match="half-width panels"):
             c1_exact(0.1, 0.1)
 
-    @pytest.mark.parametrize("S,r", [(0.71, 0.001), (1.0, 0.001)])
-    def test_overflow_past_s_over_r_709_raises(self, S, r):
-        # e^{S/r} overflows: the sums came out 0.0 and NaN, with RuntimeWarnings
-        with pytest.raises(QuadratureError, match=f"S/r = {S / r:g}"):
-            c1_exact(S, r)
+    @pytest.mark.parametrize("S,r", [(0.71, 0.001), (1.0, 0.001), (10.0, 0.001)])
+    def test_finite_past_s_over_r_709(self, S, r):
+        # e^{S/r} overflows here, so the sums must never form e^y
+        c1 = c1_exact(S, r)
+        assert abs(c1 - _quad_c1(S, r)) <= 1e-12 * c1
 
 
 class TestC1Series:
@@ -256,26 +280,24 @@ class TestTravelingBVP:
 
     def test_newton_divergence_reports_residual(self, profile_01, monkeypatch):
         monkeypatch.setattr(speed, "NEWTON_MAX_ITER", 1)
-        monkeypatch.setattr(speed, "CONTINUATION_STEPS", 1)
         with pytest.raises(NewtonDivergenceError) as err:
             solve_traveling_bvp(0.1, 0.1, 1e-3, u0=profile_01)
         assert err.value.last_residual > 0.0
 
-    def test_zero_phase_weight_fails_at_the_first_step(self, profile_01, monkeypatch):
+    def test_stalls_past_its_known_range(self):
+        # at dx = 0.05 and S/r = 25 the standing front's residual is about 600
+        with pytest.raises(NewtonDivergenceError) as err:
+            solve_traveling_bvp(0.5, 0.02, 5e-4)
+        assert math.isfinite(err.value.last_residual)
+
+    def test_zero_phase_weight_fails_at_the_first_step(self, profile_01, spsolve_calls):
         # A profile with zero slope gives the phase condition no weight, so
         # the bordered system is singular; the solver must say so at once
         # with a finite residual, not iterate on NaN.
         flat = dataclasses.replace(profile_01, du=np.zeros_like(profile_01.du))
-        solves = []
-
-        def counting_spsolve(*args, **kwargs):
-            solves.append(1)
-            return spsolve(*args, **kwargs)
-
-        monkeypatch.setattr(speed, "spsolve", counting_spsolve)
         with pytest.raises(NewtonDivergenceError) as err:
             solve_traveling_bvp(0.1, 0.1, 1e-3, u0=flat)
-        assert len(solves) == 1
+        assert len(spsolve_calls) == 1
         assert math.isfinite(err.value.last_residual) and err.value.last_residual > 0.0
 
 
@@ -298,16 +320,18 @@ class TestBVPGridRefinement:
         assert abs(extrapolated - cx) / cx < 1e-3
 
 
-def _reference_bvp(S, r, eps, u0):
-    """Newton continuation with the whole bordered Jacobian assembled as a
-    sparse (m+1) x (m+1) matrix and handed to one direct solve (the
-    solver's default tolerance, iteration cap and four stages)."""
+def _reference_bvp(S, r, eps, u0, stages=1):
+    """Newton with the whole bordered Jacobian assembled as a sparse
+    (m+1) x (m+1) matrix and handed to one direct solve, at the solver's
+    tolerance and iteration cap; ``stages`` > 1 ramps eps up to its value
+    through that many halving stages, each started from the last one's
+    solution: a second path to the same solution."""
     x, base, dx = u0.x, u0.u, u0.dx
     m = x.size - 2
     u = base[1:-1].copy()
     c = 0.0
     phase_weight = u0.du[1:-1] * dx
-    for eps_k in [eps * (0.5 ** k) for k in (3, 2, 1, 0)]:
+    for eps_k in [eps * (0.5 ** k) for k in range(stages - 1, -1, -1)]:
         for _ in range(40):
             res = _traveling_residual(u, c, eps_k, S, r, dx)
             phase = float(np.dot(u - base[1:-1], phase_weight))
@@ -346,6 +370,27 @@ class TestBorderedSolveMatchesReference:
         c_ref, u_ref = _reference_bvp(0.1, r, eps, u0)
         assert abs(c - c_ref) <= 1e-13
         assert np.max(np.abs(prof.u - u_ref)) <= 1e-12
+
+
+class TestOneNewtonRunMatchesContinuation:
+    """One Newton run at the target eps, started from the standing front,
+    lands where a four-stage eps continuation does. Each route stops at a
+    residual of 1e-12, which fixes c only to about 1e-11 relative."""
+
+    @pytest.mark.parametrize("S,r", [(0.5, 0.15), (0.5, 0.5), (0.85, 0.1), (0.85, 0.3)])
+    @pytest.mark.parametrize("eps_over_S", [1e-3, 1e-2, 0.1])
+    def test_same_speed_and_profile(self, S, r, eps_over_S):
+        u0 = profile_from_quadrature(S, r, dx=0.05)
+        c, prof = solve_traveling_bvp(S, r, eps_over_S * S, u0=u0)
+        c_ref, u_ref = _reference_bvp(S, r, eps_over_S * S, u0, stages=4)
+        assert abs(c - c_ref) <= 1e-10 * abs(c_ref)
+        assert np.max(np.abs(prof.u - u_ref)) <= 1e-11
+
+    @pytest.mark.parametrize("r", [0.15, 0.3, 0.45])
+    def test_two_to_three_linear_solves(self, r, spsolve_calls):
+        # a four-stage continuation takes two per stage, eight in all
+        solve_traveling_bvp(0.1, r, 1e-3)
+        assert len(spsolve_calls) <= 3
 
 
 class TestLinearizationIsTheResidualJacobian:
