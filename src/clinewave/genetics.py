@@ -126,25 +126,26 @@ def _step_arrays(u, v, w, z, fp: FitnessParams):
     return num_u / wbar, num_v / wbar, num_w / wbar, num_z / wbar
 
 
-def pqd_reaction(p, q, D, fp: FitnessParams):
-    """Weak-selection rates of change (dp, dq, dD) per generation.
+def pqd_reaction(state, S, s, r: float):
+    """Weak-selection rates (allele rows, dD) per generation of a stacked state.
 
-    The generator of the first-order map: with selA = SA (2p - 1) + sA and
-    selB = SB (2q - 1) + sB,
+    state is (p, q, D), with S = (SA, SB) and s = (sA, sB) as columns, or
+    (u, D) for p = q = u at sA = sB, SA = SB, with one-row columns. With
+    selA = SA (2p - 1) + sA and selB = SB (2q - 1) + sB,
 
         dp = selA p (1 - p) + selB D
         dq = selB q (1 - q) + selA D
         dD = -[r + (2p - 1) selA + (2q - 1) selB] D
 
-    componentwise on arrays. With D = 0 the two loci decouple.
+    One row takes selB as selA, so (u, D) gets the bits of (p, D) in the
+    three-row form. With D = 0 the two loci decouple.
     """
-    hA = 2.0 * p - 1.0
-    hB = 2.0 * q - 1.0
-    selA = fp.SA * hA + fp.sA
-    selB = fp.SB * hB + fp.sB
-    return (selA * p * (1.0 - p) + selB * D,
-            selB * q * (1.0 - q) + selA * D,
-            (-fp.r - hA * selA - hB * selB) * D)
+    alleles, D = state[:-1], state[-1]
+    h = 2.0 * alleles - 1.0
+    sel = S * h + s
+    hs = h * sel
+    return (sel * alleles * (1.0 - alleles) + sel[::-1] * D,
+            ((-r - hs[0]) - hs[-1]) * D)
 
 
 def gametes_from_pqd(p, q, D):

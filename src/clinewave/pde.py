@@ -10,9 +10,11 @@ step among them (see `_run_strang`):
         (p, q, D)_t = (s2/2) (p, q, D)_xx + genetics.pqd_reaction(p, q, D)
                       + (0, 0, s2 p_x q_x)
 
-    with s2 the dispersal variance. The p_x q_x source is evaluated by
-    central differences at every Runge-Kutta stage of the reaction
-    substep; freezing it per substep costs an order of accuracy.
+    with s2 the dispersal variance, on the allele rows and D; equal loci
+    with q = p run as one allele row u = p = q (see `simulate_pqd`). The
+    p_x q_x source is evaluated by central differences at every
+    Runge-Kutta stage of the reaction substep; freezing it per substep
+    costs an order of accuracy.
 
   * `simulate_gametes` integrates the four gamete frequencies with
     reaction R(y) = exact one-generation map minus identity, applied
@@ -250,12 +252,12 @@ def _rk4(rhs, y, dt):
 
 
 def _gradient(u: np.ndarray, dx: float) -> np.ndarray:
-    """Central differences, one-sided at the edges: np.gradient(u, dx), bit for bit."""
+    """Central differences, one-sided at the edges: np.gradient(u, dx, axis=-1), bit for bit."""
     out = np.empty_like(u)
-    np.subtract(u[2:], u[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * dx
-    out[0] = (u[1] - u[0]) / dx
-    out[-1] = (u[-1] - u[-2]) / dx
+    np.subtract(u[..., 2:], u[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2.0 * dx
+    out[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    out[..., -1] = (u[..., -1] - u[..., -2]) / dx
     return out
 
 
@@ -279,7 +281,8 @@ def _range_guard(t: float, fields: dict[str, np.ndarray]) -> None:
             raise FieldInvariantError(message, t, dict(fields))
 
 
-def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None) -> Trajectory:
+def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
+                rows=slice(None)) -> Trajectory:
     """The one run driver: Strang splitting with merged half-reactions.
 
     Each step is half reaction, diffusion, half reaction, but between two
@@ -300,21 +303,22 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None) -> Trajector
     range guard has passed it, under the loop's errstate (overflow and
     invalid ignored).
 
-    init (one array per tag, or a bare array for one component) is copied
-    into the (components, nodes) state and checked before the first step.
+    init (one array per state row, or a bare array for one row) is copied
+    into the (rows, nodes) state and checked before the first step. Tag i
+    records state row rows[i]; by default row i.
     rhs(state) -> d(state)/dt, built once per run by the simulator, returns
     a fresh array on every call, since the RK4 stages are kept side by
     side. summary names the model and its parameters; the config is added.
     """
     state = np.array(init, dtype=float, ndmin=2)
-    _check_boundary_init(dict(zip(tags, state)))
-    _range_guard(0.0, dict(zip(tags, state)))
+    _check_boundary_init(dict(zip(tags, state[rows])))
+    _range_guard(0.0, dict(zip(tags, state[rows])))
     n_steps = int(round(cfg.t_end / cfg.dt))
     record_steps = list(range(0, n_steps + 1, cfg.record_every))
     if record_steps[-1] != n_steps:
         record_steps.append(n_steps)
     store = np.empty((len(tags), len(record_steps), grid.n))
-    store[:, 0] = state
+    store[:, 0] = state[rows]
     slot = 1
     # Crank-Nicolson, (I - a T) u+ = (I + a T) u with a = nu dt / (2 dx^2) and
     # T the second differences; a no-flux edge row mirrors its inner
@@ -332,14 +336,14 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None) -> Trajector
                 raise FieldInvariantError(
                     f"state became non-finite at t={step * cfg.dt} "
                     "(reaction overshoot; reduce dt or smooth the initial data)",
-                    step * cfg.dt, dict(zip(tags, state)),
+                    step * cfg.dt, dict(zip(tags, state[rows])),
                 )
             state = implicit.solve(state + a * lap.apply(state))
             if step % cfg.record_every == 0 or step == n_steps:
                 state = _rk4(rhs, state, half)
                 lead = half
-                _range_guard(step * cfg.dt, dict(zip(tags, state)))
-                store[:, slot] = state
+                _range_guard(step * cfg.dt, dict(zip(tags, state[rows])))
+                store[:, slot] = state[rows]
                 slot += 1
                 if stop is not None and stop(store[:, slot - 1]):
                     break
@@ -362,23 +366,30 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None) -> Trajector
 
 
 def simulate_pqd(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Trajectory:
-    """Integrate the (p, q, D) system.
+    """Integrate the (p, q, D) system. Equal loci (sA = sB, SA = SB) started
+    with q equal to p bit for bit keep p = q: they run the rows (u, D) and
+    record u as p and q, the bits of the three-row run (`genetics.pqd_reaction`).
 
     Args:
         init: tuple of three arrays (p, q, D) on the grid, fronts near
             (1, 1, 0) on the left and (0, 0, 0) on the right.
     """
+    p, q, _ = start = np.array(init, dtype=float)
+    one_row = fp.sA == fp.sB and fp.SA == fp.SB and p.tobytes() == q.tobytes()
+    alleles = 1 if one_row else 2
+    S, s = np.array([[fp.SA, fp.SB], [fp.sA, fp.sB]])[:, :alleles, None]  # per-row columns
     dx = grid.dx
 
     def rhs(state):
-        p, q, D = state
         out = np.empty_like(state)
-        out[0], out[1], out[2] = genetics.pqd_reaction(p, q, D, fp)
-        out[2] += fp.sigma2 * _gradient(p, dx) * _gradient(q, dx)
+        out[:-1], out[-1] = genetics.pqd_reaction(state, S, s, fp.r)
+        slope = _gradient(state[:-1], dx)
+        out[-1] += fp.sigma2 * slope[0] * slope[-1]
         return out
 
-    return _run_strang(init, ["p", "q", "D"], grid, cfg, fp.sigma2 / 2.0, rhs,
-                       {"model": "pqd", "params": asdict(fp)})
+    return _run_strang(start[[0, 2]] if one_row else start, ["p", "q", "D"], grid, cfg,
+                       fp.sigma2 / 2.0, rhs, {"model": "pqd", "params": asdict(fp)},
+                       rows=[0, 0, 1] if one_row else slice(None))
 
 
 def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Trajectory:
@@ -409,7 +420,7 @@ def simulate_reduced(init, S: float, eps: float, r: float,
     dx = grid.dx
 
     def rhs(state):
-        return reduced_reaction(state, np.array([_gradient(u, dx) for u in state]), S, r, eps)
+        return reduced_reaction(state, _gradient(state, dx), S, r, eps)
 
     rows = 1 if np.ndim(init) == 1 else len(init)
     tags = ["u_reduced"] if rows == 1 else [f"u_reduced{i}" for i in range(rows)]

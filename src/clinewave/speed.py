@@ -65,9 +65,11 @@ from .standing import _PANEL, WaveProfile, _dx_dtheta, _panel_integrals, profile
 # below that floor on fine grids; this one is 1e-12 at dx = 0.05.
 NEWTON_TOL = 2.5e-15
 NEWTON_MAX_ITER = 40      # Newton steps allowed per solve
+NEWTON_MAX_RISES = 4      # steps in a row allowed to end above the smallest residual
 BVP_GRID_DX = 0.05        # spacing of the standing profile the BVP starts from
 QUAD_TOL = 1e-12          # largest move of c1_exact on half-width panels
-C1_THETA_MAX = 12.0       # c1_exact's sums stop here: the tails are ~e^{-48} of them
+C1_THETA_MAX = 12.0       # c1_exact's sums reach at least here: the tails are ~e^{-48} of them
+C1_THETA_TAIL = 9.0       # and this far past the mass at (1/2) ln(4S/r): tails ~e^{-36}
 TRANSIENT_FRACTION = 0.3  # leading share of a speed run left out of the fit
 
 
@@ -97,9 +99,10 @@ def c1_exact(S: float, r: float) -> float:
         return np.stack((-m * np.expm1(-y), m * m * weight))
 
     sums = []
+    theta_max = max(C1_THETA_MAX, 0.5 * (math.log(4.0 * S) - math.log(r)) + C1_THETA_TAIL)
     with np.errstate(all="ignore"):
         for width in (_PANEL, 0.5 * _PANEL):
-            lo = width * np.arange(round(C1_THETA_MAX / width))
+            lo = width * np.arange(round(theta_max / width))
             sums += [float(v) for v in _panel_integrals(integrands, lo, lo + width).sum(axis=1)]
     num, den, num_half, den_half = sums
     if not all(0.0 < v < math.inf for v in sums):
@@ -181,8 +184,9 @@ def solve_traveling_bvp(
 
     Raises:
         NewtonDivergenceError: Newton did not converge in ``NEWTON_MAX_ITER``
-            steps, or a step came out singular or non-finite (e.g. a profile
-            with zero slope gives the phase condition no weight).
+            steps or stayed above its smallest residual ``NEWTON_MAX_RISES``
+            steps in a row, or a step came out singular or non-finite (e.g.
+            a profile with zero slope gives the phase condition no weight).
         ValueError: eps NaN, negative, or too large for the perturbative
             branch (> 0.1 S).
     """
@@ -198,6 +202,7 @@ def solve_traveling_bvp(
     u = base[1:-1].copy()
     c = 0.0
     phase_weight = base_slope[1:-1] * dx
+    best, rises = math.inf, 0
 
     for _ in range(NEWTON_MAX_ITER):
         res = _traveling_residual(u, c, eps, S, r, dx)
@@ -205,6 +210,9 @@ def solve_traveling_bvp(
         norm = max(float(np.max(np.abs(res))), abs(phase))
         if norm < tol:
             break
+        best, rises = (norm, 0) if norm < best else (best, rises + 1)
+        if rises == NEWTON_MAX_RISES:
+            raise NewtonDivergenceError(f"Newton diverged at eps={eps}: residual {norm:.3e}", norm)
         full = np.concatenate(([1.0], u, [0.0]))
         up = (full[2:] - full[:-2]) / (2.0 * dx)
         J = linearization(u, up, S, r, dx, eps=eps, c=c)

@@ -217,6 +217,18 @@ class TestConfigHandling:
         assert err["snapshot"]["u_reduced"] == {
             "min": None, "max": None, "nonfinite": nodes, "worst_node": 0, "worst_value": None}
 
+    def test_error_json_of_a_one_row_pqd_run_keeps_p_q_and_D(self, tmp_path):
+        # the default pqd run starts equal loci stacked, so it integrates
+        # p = q as one row; its failure still summarises all three fields
+        code, out = run_cli(["simulate", "--model", "pqd", "--dt", "40", "--t-end", "400"],
+                            tmp_path)
+        assert code == 4
+        err = json.loads((out / "error.json").read_text())
+        assert err["t"] == 120.0
+        assert sorted(err["snapshot"]) == ["D", "p", "q"]
+        assert err["snapshot"]["p"]["nonfinite"] > 0
+        assert err["snapshot"]["q"] == err["snapshot"]["p"]
+
     @pytest.mark.parametrize("argv, names", [
         (["simulate", "--dx", "0"], "dx"), (["standing", "--dx", "0"], "dx"),
         (["compare", "--dx", "0"], "dx"), (["compare", "--dt", "0"], "dt"),

@@ -23,6 +23,13 @@ from clinewave.genetics import (
 FP = FitnessParams(sA=0.01, sB=0.02, SA=0.1, SB=0.15, r=0.2, sigma2=2.0)
 
 
+def pqd_rates(p, q, D, fp):
+    """`pqd_reaction` at one point of the three-row (p, q, D) state."""
+    (dp, dq), dD = pqd_reaction(np.array([[p], [q], [D]], dtype=float),
+                                np.array([[fp.SA], [fp.SB]]), np.array([[fp.sA], [fp.sB]]), fp.r)
+    return float(dp[0]), float(dq[0]), float(dD[0])
+
+
 def locus_fitness(alleles, upper, s, S):
     count = sum(1 for a in alleles if a == upper)
     return {2: 1.0 + 2.0 * s, 1: 1.0 + s - S, 0: 1.0}[count]
@@ -80,7 +87,7 @@ def weak_selection_error(state, alpha):
                  SB=FP.SB * alpha, r=FP.r * alpha)
     u, v, w, z = _step_arrays(*gametes_from_pqd(*state), fp)
     exact = (u + v, u + w, u * z - v * w)
-    approx = [x + alpha * dx for x, dx in zip(state, pqd_reaction(*state, FP))]
+    approx = [x + alpha * dx for x, dx in zip(state, pqd_rates(*state, FP))]
     return max(abs(a - b) for a, b in zip(exact, approx))
 
 
@@ -162,13 +169,13 @@ class TestExactRecursion:
 class TestFirstOrderRecursion:
     def test_central_fixed_point(self):
         fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.2)
-        assert pqd_reaction(0.5, 0.5, 0.0, fp) == (0.0, 0.0, 0.0)
+        assert pqd_rates(0.5, 0.5, 0.0, fp) == (0.0, 0.0, 0.0)
 
     def test_zero_disequilibrium_decouples(self):
-        dp, _, dD = pqd_reaction(0.3, 0.8, 0.0, FP)
+        dp, _, dD = pqd_rates(0.3, 0.8, 0.0, FP)
         assert dD == 0.0
         # the p rate must not depend on q when D = 0
-        assert dp == pqd_reaction(0.3, 0.2, 0.0, FP)[0]
+        assert dp == pqd_rates(0.3, 0.2, 0.0, FP)[0]
 
     @pytest.mark.parametrize("state", [(0.3, 0.7, 0.05), (0.6, 0.4, -0.08)])
     def test_matches_scaled_exact_step_to_second_order(self, state):

@@ -1,5 +1,6 @@
 """Unit tests for the spatial integrators, front tracking, and diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -358,11 +359,14 @@ class TestStrangCoreMatchesReference:
         grid = Grid1D.symmetric(130.0, 0.2)
         dt = 0.2
         cfg = SimConfig(dt=dt, t_end=12 * dt, record_every=record_every)
-        p, q, D = stacked_pqd_init(grid, 0.1, 2.0, offset_p=-3.0, offset_q=3.0)
-        if model == "pqd":
+        # "pqd-stacked": equal loci and equal offsets, which run as one row
+        offsets = (2.0, 2.0) if model == "pqd-stacked" else (-3.0, 3.0)
+        p, q, D = stacked_pqd_init(grid, 0.1, 2.0, *offsets)
+        if model.startswith("pqd"):
+            fp = SYMMETRIC_FP if model == "pqd-stacked" else self.FP
             init, tags = (p, q, D), ("p", "q", "D")
-            traj = simulate_pqd(init, self.FP, grid, cfg)
-            make_reaction = _pqd_reaction(self.FP, grid.dx)
+            traj = simulate_pqd(init, fp, grid, cfg)
+            make_reaction = _pqd_reaction(fp, grid.dx)
         elif model == "gametes":
             init = (p * q + D, p * (1 - q) - D, (1 - p) * q - D, (1 - p) * (1 - q) + D)
             tags = ("u", "v", "w", "z")
@@ -381,12 +385,12 @@ class TestStrangCoreMatchesReference:
             fronts = [pde._front_of(tag, record, grid.x) for record in expected[:, i]]
             assert np.array_equal(traj.front_positions[tag], fronts), tag
 
-    @pytest.mark.parametrize("model", ["pqd", "gametes", "reduced"])
+    @pytest.mark.parametrize("model", ["pqd", "pqd-stacked", "gametes", "reduced"])
     def test_bit_identical(self, model):
         # every step recorded: nothing to merge, so the classic loop
         self._compare(model, record_every=1, merged=False)
 
-    @pytest.mark.parametrize("model", ["pqd", "gametes", "reduced"])
+    @pytest.mark.parametrize("model", ["pqd", "pqd-stacked", "gametes", "reduced"])
     def test_bit_identical_merged_order(self, model):
         self._compare(model, record_every=4, merged=True)
 
@@ -407,6 +411,52 @@ class TestStrangCoreMatchesReference:
                            SimConfig(dt=0.2, t_end=8 * 0.2, record_every=4))
         for tag, arr in full.fields.items():
             assert np.array_equal(restart.fields[tag], arr[1:]), tag
+
+
+class TestOneAlleleRow:
+    """`simulate_pqd` runs p = q as one allele row exactly when the loci are
+    equal and q is p bit for bit; anything short of that runs three rows."""
+
+    GRID = Grid1D.symmetric(130.0, 0.2)
+    CFG = SimConfig(dt=0.2, t_end=12 * 0.2, record_every=4)
+
+    def _state_rows(self, monkeypatch, init, fp):
+        rows = []
+        run_strang = pde._run_strang
+
+        def spy(init, *args, **kwargs):
+            rows.append(len(init))
+            return run_strang(init, *args, **kwargs)
+
+        monkeypatch.setattr(pde, "_run_strang", spy)
+        return rows, simulate_pqd(init, fp, self.GRID, self.CFG)
+
+    def test_stacked_equal_loci_run_one_row(self, monkeypatch):
+        rows, traj = self._state_rows(monkeypatch, stacked_pqd_init(self.GRID, 0.1, 2.0),
+                                      SYMMETRIC_FP)
+        assert rows == [2]
+        assert list(traj.fields) == ["p", "q", "D"]
+        assert np.array_equal(traj.fields["q"], traj.fields["p"])
+        assert np.array_equal(traj.front_positions["q"], traj.front_positions["p"])
+        # q is recorded into its own array
+        assert not np.shares_memory(traj.fields["q"], traj.fields["p"])
+
+    @pytest.mark.parametrize("change", ["q one ulp up", "signed zero", "sA != sB", "SA != SB"])
+    def test_anything_short_of_exact_runs_three_rows(self, monkeypatch, change):
+        p, q, D = stacked_pqd_init(self.GRID, 0.1, 2.0)
+        q, fp = q.copy(), SYMMETRIC_FP
+        if change == "q one ulp up":
+            mid = int(np.argmin(np.abs(q - 0.5)))
+            q[mid] = np.nextafter(q[mid], 1.0)
+        elif change == "signed zero":  # equal under ==, not the same bits
+            p = p.copy()
+            p[-1], q[-1] = 0.0, -0.0
+        elif change == "sA != sB":
+            fp = dataclasses.replace(SYMMETRIC_FP, sB=1e-3)
+        else:
+            fp = dataclasses.replace(SYMMETRIC_FP, SB=0.11)
+        rows, _ = self._state_rows(monkeypatch, (p, q, D), fp)
+        assert rows == [3]
 
 
 class TestStopRule:
