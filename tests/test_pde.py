@@ -413,6 +413,55 @@ class TestStrangCoreMatchesReference:
             assert np.array_equal(restart.fields[tag], arr[1:]), tag
 
 
+def _cn_bands(n, a):
+    """The Crank-Nicolson matrix I - a T on no-flux edges: (lower, diag, upper)."""
+    off = np.full(n - 1, -a)
+    lower, upper = off.copy(), off.copy()
+    lower[-1] = upper[0] = -2.0 * a
+    return lower, np.full(n, 1.0 + 2.0 * a), upper
+
+
+class TestFactoredSolve:
+    """`Tridiagonal.solve` from one `gttrf` per matrix gives scipy's
+    solve_banded bits, and a run factors its CN matrix once."""
+
+    # the benchmark's CN matrices (compare-fig3, fig1, relax) and a 3-node one
+    @pytest.mark.parametrize("n, a", [(657, 2.5), (1401, 3.125), (2401, 50.0), (3, 1.0)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_solve_banded(self, n, a, k):
+        lower, diag, upper = _cn_bands(n, a)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+        rhs = np.random.default_rng(n + k).random((k, n))
+        out = pde.Tridiagonal(lower, diag, upper).solve(rhs)
+        assert out.shape == rhs.shape and out.flags.c_contiguous
+        assert np.array_equal(out, solve_banded((1, 1), ab, rhs.T).T)
+
+    def test_singular_matrix_raises(self):
+        singular = pde.Tridiagonal(np.ones(2), np.zeros(3), np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            singular.solve(np.ones((1, 3)))
+
+    def test_one_factorization_per_run_and_one_solve_per_step(self, monkeypatch):
+        counts = {"_run_strang": 0, "dgttrf": 0, "solve_banded": 0}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        for name in counts:
+            monkeypatch.setattr(pde, name, counting(name, getattr(pde, name)))
+        grid = Grid1D.symmetric(60.0, 0.5)
+        cfg = SimConfig(dt=0.5, t_end=6 * 0.5, record_every=4)
+        p, q, D = stacked_pqd_init(grid, 0.1, 2.0, offset_p=-2.0, offset_q=2.0)
+        simulate_pqd((p, q, D), SYMMETRIC_FP, grid, cfg)
+        simulate_gametes(genetics.gametes_from_pqd(p, q, D), SYMMETRIC_FP, grid, cfg)
+        simulate_reduced(np.array([p, q]), 0.1, 0.005, 0.1, grid, cfg)
+        assert counts == {"_run_strang": 3, "dgttrf": 3, "solve_banded": 3 * 6}
+
+
 class TestOneAlleleRow:
     """`simulate_pqd` runs p = q as one allele row exactly when the loci are
     equal and q is p bit for bit; anything short of that runs three rows."""
@@ -440,6 +489,24 @@ class TestOneAlleleRow:
         assert np.array_equal(traj.front_positions["q"], traj.front_positions["p"])
         # q is recorded into its own array
         assert not np.shares_memory(traj.fields["q"], traj.fields["p"])
+
+    @pytest.mark.parametrize("one_row", [True, False])
+    def test_fronts_are_tracked_once_per_state_row(self, monkeypatch, one_row):
+        calls = []
+        track = pde.front_position_values
+
+        def spy(values, x):
+            calls.append(1)
+            return track(values, x)
+
+        monkeypatch.setattr(pde, "front_position_values", spy)
+        fp = SYMMETRIC_FP if one_row else dataclasses.replace(SYMMETRIC_FP, sB=1e-3)
+        traj = simulate_pqd(stacked_pqd_init(self.GRID, 0.1, 2.0), fp, self.GRID, self.CFG)
+        # D is tracked by argmax |D|; p and q by their crossing, once for u = p = q
+        assert len(calls) == (1 if one_row else 2) * traj.times.size
+        if one_row:
+            assert np.array_equal(traj.front_positions["q"], traj.front_positions["p"])
+            assert traj.front_positions["q"] is not traj.front_positions["p"]
 
     @pytest.mark.parametrize("change", ["q one ulp up", "signed zero", "sA != sB", "SA != SB"])
     def test_anything_short_of_exact_runs_three_rows(self, monkeypatch, change):
