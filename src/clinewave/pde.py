@@ -37,10 +37,13 @@ tracks the fronts. A run ends at t_end, or at the first record its stop
 rule accepts. It checks finiteness before every diffusion and the
 field ranges at every record, since only recorded states are complete
 Strang states. Diffusion acts on the whole (components, nodes)
-state at once: one Crank-Nicolson step on no-flux boundaries, whose matrix
-is factored once per run by LAPACK's `gttrf`, so that each step is one
-`gttrs` solve with a column per state row; `Tridiagonal` is the one band
-type, shared with the stability operators and the BVP Newton Jacobian.
+state at once: one Crank-Nicolson step on no-flux boundaries. With
+A = I - aT the implicit matrix, the explicit side is I + aT = 2I - A, so
+a step is u+ = 2y - u with A y = u and needs no explicit pass. Halving
+A's two edge rows makes it symmetric positive definite; it is factored
+once per run as L D L^T by LAPACK's `pttrf`, and each step is one `pttrs`
+solve with a column per state row. `Tridiagonal` is the one band type of
+the stability operators and the BVP Newton Jacobian.
 Runs are deterministic given their config; independent runs share no state.
 
 Every reaction comes from `genetics`; this module imports nothing from
@@ -55,7 +58,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import genetics
 from .errors import (
@@ -197,7 +200,7 @@ def logistic_front(x: np.ndarray, S: float, center: float = 0.0) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Tridiagonal:
     """Tridiagonal A by its bands lower[i] = A[i+1, i], diag[i] = A[i, i], upper[i] = A[i, i+1],
-    on the last axis. Factored once by `gttrf`; a `solve` is one `gttrs`, a column per row."""
+    on the last axis: the stability operators and the BVP Newton Jacobian."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -212,21 +215,12 @@ class Tridiagonal:
     def apply_transpose(self, u: np.ndarray) -> np.ndarray:
         return Tridiagonal(self.upper, self.diag, self.lower).apply(u)
 
-    @cached_property
-    def _factors(self) -> tuple:
-        *factors, info = dgttrf(self.lower, self.diag, self.upper)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular tridiagonal matrix (gttrf info={info})")
-        return tuple(factors)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded(self._factors, rhs)
-
 
 def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """`dgttrs` on rhs.T, the F-ordered view of a C-ordered (rows, nodes) rhs. Named for
-    the scipy solver it replaced: the benchmark's CN span wraps `pde.solve_banded`."""
-    return dgttrs(*factors, rhs.T)[0].T
+    """`dpttrs` in place on rhs.T, the F-ordered view of a C-ordered (rows, nodes) rhs, by
+    the `dpttrf` factors (d, e). Named for the scipy solver the CN step once called: the
+    benchmark's CN span wraps `pde.solve_banded`."""
+    return dpttrs(*factors, rhs.T, overwrite_b=1)[0].T
 
 
 def _check_boundary_init(fields: dict[str, np.ndarray]) -> None:
@@ -323,13 +317,16 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
     store = np.empty((len(tags), len(record_steps), grid.n))
     store[:, 0] = state[rows]
     slot = 1
-    # Crank-Nicolson, (I - a T) u+ = (I + a T) u with a = nu dt / (2 dx^2) and
-    # T the second differences; a no-flux edge row mirrors its inner
+    # Crank-Nicolson, A u+ = (I + a T) u with A = I - a T, a = nu dt / (2 dx^2)
+    # and T the second differences; a no-flux edge row mirrors its inner
     # neighbor into a ghost node, which doubles that neighbor's coefficient.
-    inner = np.ones(grid.n - 2)
-    lap = Tridiagonal(np.append(inner, 2.0), np.full(grid.n, -2.0), np.append(2.0, inner))
+    # I + a T = 2I - A, so u+ = 2y - u with A y = u. Both sides of A's edge
+    # rows are halved (weights `edges`), which leaves A symmetric positive
+    # definite: diagonal 1 + 2a (1/2 + a at the edges), off-diagonal -a.
     a = nu * cfg.dt / (2.0 * grid.dx**2)
-    implicit = Tridiagonal(-a * lap.lower, 1.0 - a * lap.diag, -a * lap.upper)
+    edges = np.ones(grid.n)
+    edges[[0, -1]] = 0.5
+    factors = dpttrf(edges * (1.0 + 2.0 * a), np.full(grid.n - 1, -a))[:2]
     half = 0.5 * cfg.dt
     lead = half  # reaction time before the next diffusion
     with np.errstate(over="ignore", invalid="ignore"):
@@ -341,7 +338,10 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
                     "(reaction overshoot; reduce dt or smooth the initial data)",
                     step * cfg.dt, dict(zip(tags, state[rows])),
                 )
-            state = implicit.solve(state + a * lap.apply(state))
+            y = solve_banded(factors, state * edges)
+            y *= 2.0
+            y -= state
+            state = y
             if step % cfg.record_every == 0 or step == n_steps:
                 state = _rk4(rhs, state, half)
                 lead = half

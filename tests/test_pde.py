@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from clinewave import genetics, pde
 from clinewave.errors import (
@@ -231,52 +232,53 @@ class TestSimulateReduced:
                  / np.max(np.abs(ends[0.2] - ends[0.1])))
         assert ratio == pytest.approx(5.0, abs=1.0)
 
-    @pytest.mark.parametrize("dt,steps", [(0.2, 50), (0.5, 20)])
+    # a = dt / (2 dx^2) = 2.5, 6.25 and 50
+    @pytest.mark.parametrize("dt,steps", [(0.2, 50), (0.5, 20), (4.0, 20)])
     def test_crank_nicolson_decays_a_no_flux_mode_exactly(self, dt, steps):
         # S = eps = 0 and r = inf make the reaction exactly zero, so the run
         # is pure Crank-Nicolson. cos(k pi j / (n - 1)) with k even is an
         # eigenvector of the no-flux stencil with both edges at 1, eigenvalue
         # lam = -4 sin^2(k pi / (2 (n - 1))); each step multiplies it by
-        # g = (1 + a lam) / (1 - a lam), a = dt / (2 dx^2).
+        # g = (1 + a lam) / (1 - a lam), a = dt / (2 dx^2). The highest mode,
+        # k = n - 1, is (-1)^j with g near -1 (-0.990 at a = 50), where the
+        # step's 2y - u cancels most.
         grid = Grid1D.symmetric(20.0, 0.2)
-        k, n = 4, grid.n
-        mode = np.cos(k * np.pi * np.arange(n) / (n - 1))
-        lam = -4.0 * math.sin(k * math.pi / (2 * (n - 1))) ** 2
-        a = dt / (2.0 * grid.dx**2)
-        g = (1.0 + a * lam) / (1.0 - a * lam)
+        n, a = grid.n, dt / (2.0 * grid.dx**2)
         cfg = SimConfig(dt=dt, t_end=steps * dt, record_every=5)
-        traj = simulate_reduced(0.5 + 0.5 * mode, 0.0, 0.0, math.inf, grid, cfg)
         done = np.arange(0, steps + 1, 5)
-        expected = 0.5 + 0.5 * g ** done[:, np.newaxis] * mode
-        assert np.max(np.abs(traj.fields["u_reduced"] - expected)) < 1e-12
+        for k in (4, n - 1):
+            mode = np.cos(k * np.pi * np.arange(n) / (n - 1))
+            lam = -4.0 * math.sin(k * math.pi / (2 * (n - 1))) ** 2
+            g = (1.0 + a * lam) / (1.0 - a * lam)
+            traj = simulate_reduced(0.5 + 0.5 * mode, 0.0, 0.0, math.inf, grid, cfg)
+            expected = 0.5 + 0.5 * g ** done[:, np.newaxis] * mode
+            assert np.max(np.abs(traj.fields["u_reduced"] - expected)) < 1e-12, k
 
 
 def _reference_strang(init, grid, cfg, nu, make_reaction, merged=False):
     """The Strang loop written the plain way, as the oracle for the core.
 
-    Per-component validated solve_banded, np.gradient inside the
-    reactions, and the reaction closure rebuilt at each substep entry.
+    Per-component Crank-Nicolson steps 2y - u with A y = u (A = I - aT,
+    both sides of its edge rows halved, factored by dpttrf), np.gradient
+    inside the reactions, and the reaction closure rebuilt at each substep
+    entry. The classical (I - aT) x = (I + aT) u solve differs from this
+    step by rounding; `TestFactoredSolve` bounds that difference.
     Classic order: half reaction, diffusion, half reaction at every step.
     Merged order: the two half-reactions between consecutive steps become
     one reaction over dt unless a record or the last step falls between.
     Returns the recorded states and their times, step * dt in Python floats.
     """
     n, a = grid.n, nu * cfg.dt / (2.0 * grid.dx**2)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -a
-    ab[1] = 1.0 + 2.0 * a
-    ab[2, :-1] = -a
-    ab[0, 1] = ab[2, -2] = -2.0 * a
-
-    def explicit(u, coef):
-        out = u.copy()
-        out[1:-1] += coef * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-        out[0] += coef * (2.0 * u[1] - 2.0 * u[0])
-        out[-1] += coef * (2.0 * u[-2] - 2.0 * u[-1])
-        return out
+    diag = np.full(n, 1.0 + 2.0 * a)
+    diag[0] = diag[-1] = 0.5 + a
+    d, e, _ = dpttrf(diag, np.full(n - 1, -a))
 
     def diffuse(u):
-        return solve_banded((1, 1), ab, explicit(u, a))
+        rhs = u.copy()
+        rhs[0] *= 0.5
+        rhs[-1] *= 0.5
+        y = dpttrs(d, e, rhs[:, np.newaxis])[0][:, 0]
+        return 2.0 * y - u
 
     def rk4(rhs, y, dt):
         k1 = rhs(y)
@@ -413,37 +415,58 @@ class TestStrangCoreMatchesReference:
             assert np.array_equal(restart.fields[tag], arr[1:]), tag
 
 
-def _cn_bands(n, a):
-    """The Crank-Nicolson matrix I - a T on no-flux edges: (lower, diag, upper)."""
-    off = np.full(n - 1, -a)
-    lower, upper = off.copy(), off.copy()
-    lower[-1] = upper[0] = -2.0 * a
-    return lower, np.full(n, 1.0 + 2.0 * a), upper
+def _classical_cn_step(u, a):
+    """(I - aT) x = (I + aT) u on no-flux edges by scipy's solve_banded, row by row."""
+    n = u.shape[-1]
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = -a
+    ab[1] = 1.0 + 2.0 * a
+    ab[0, 1] = ab[2, -2] = -2.0 * a
+    explicit = u.copy()
+    explicit[:, 1:-1] += a * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2])
+    explicit[:, 0] += a * (2.0 * u[:, 1] - 2.0 * u[:, 0])
+    explicit[:, -1] += a * (2.0 * u[:, -2] - 2.0 * u[:, -1])
+    return np.array([solve_banded((1, 1), ab, row) for row in explicit])
+
+
+def _driver_cn_step(monkeypatch, u, a):
+    """One step of the run driver on any (rows, nodes) data: a pure-diffusion
+    run (zero reaction) of one step on unit spacing with nu = 2a, its
+    initial-data and range guards switched off."""
+    monkeypatch.setattr(pde, "_check_boundary_init", lambda fields: None)
+    monkeypatch.setattr(pde, "_range_guard", lambda t, fields: None)
+    n = u.shape[-1]
+    tags = [f"u{i}" for i in range(len(u))]
+    traj = pde._run_strang(u, tags, Grid1D(0.0, n - 1.0, n), SimConfig(dt=1.0, t_end=1.0),
+                           2.0 * a, np.zeros_like, {})
+    return np.array([traj.fields[tag][1] for tag in tags])
 
 
 class TestFactoredSolve:
-    """`Tridiagonal.solve` from one `gttrf` per matrix gives scipy's
-    solve_banded bits, and a run factors its CN matrix once."""
+    """A run factors its symmetric CN matrix once by `dpttrf`; each step,
+    2 A^-1 u - u by one `dpttrs`, is the classical CN solve up to rounding,
+    and each state row gets the bits it would get alone."""
 
-    # the benchmark's CN matrices (compare-fig3, fig1, relax) and a 3-node one
-    @pytest.mark.parametrize("n, a", [(657, 2.5), (1401, 3.125), (2401, 50.0), (3, 1.0)])
+    # the CN matrices of the benchmark's workloads and a 3-node one
+    @pytest.mark.parametrize("n, a", [(657, 2.5), (1401, 3.125), (1401, 6.25),
+                                      (2401, 50.0), (3, 1.0)])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_matches_solve_banded(self, n, a, k):
-        lower, diag, upper = _cn_bands(n, a)
-        ab = np.zeros((3, n))
-        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
-        rhs = np.random.default_rng(n + k).random((k, n))
-        out = pde.Tridiagonal(lower, diag, upper).solve(rhs)
-        assert out.shape == rhs.shape and out.flags.c_contiguous
-        assert np.array_equal(out, solve_banded((1, 1), ab, rhs.T).T)
+    def test_matches_solve_banded(self, monkeypatch, n, a, k):
+        u = np.random.default_rng(n + k).random((k, n))
+        assert np.max(np.abs(_driver_cn_step(monkeypatch, u, a)
+                             - _classical_cn_step(u, a))) <= 1e-14
 
-    def test_singular_matrix_raises(self):
-        singular = pde.Tridiagonal(np.ones(2), np.zeros(3), np.ones(2))
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            singular.solve(np.ones((1, 3)))
+    @pytest.mark.parametrize("n, a", [(657, 2.5), (2401, 50.0), (3, 1.0)])
+    def test_each_row_steps_as_it_would_alone(self, monkeypatch, n, a):
+        # the p = q one-row run and a (k, n) reduced run rely on this
+        u = np.random.default_rng(n).random((4, n))
+        together = _driver_cn_step(monkeypatch, u, a)
+        for i, row in enumerate(u):
+            alone = _driver_cn_step(monkeypatch, row[np.newaxis], a)[0]
+            assert np.array_equal(together[i], alone), i
 
     def test_one_factorization_per_run_and_one_solve_per_step(self, monkeypatch):
-        counts = {"_run_strang": 0, "dgttrf": 0, "solve_banded": 0}
+        counts = {"_run_strang": 0, "dpttrf": 0, "solve_banded": 0}
 
         def counting(name, fn):
             def spy(*args, **kwargs):
@@ -459,7 +482,7 @@ class TestFactoredSolve:
         simulate_pqd((p, q, D), SYMMETRIC_FP, grid, cfg)
         simulate_gametes(genetics.gametes_from_pqd(p, q, D), SYMMETRIC_FP, grid, cfg)
         simulate_reduced(np.array([p, q]), 0.1, 0.005, 0.1, grid, cfg)
-        assert counts == {"_run_strang": 3, "dgttrf": 3, "solve_banded": 3 * 6}
+        assert counts == {"_run_strang": 3, "dpttrf": 3, "solve_banded": 3 * 6}
 
 
 class TestOneAlleleRow:
