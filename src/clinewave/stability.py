@@ -49,7 +49,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, ProfileTooShortError
-from .pde import Grid1D, SimConfig, Tridiagonal, front_position_values, simulate_reduced
+from .pde import SimConfig, Tridiagonal, front_position_values, simulate_reduced
 from .genetics import bistable_f, bistable_f_prime, logistic_g
 from .standing import WaveProfile, exp_tail_extension
 
@@ -306,7 +306,7 @@ def relaxation_shift(
     h = np.asarray(h, dtype=float)
     if h.shape != u0.x.shape or not np.isfinite(h).all():
         raise ValueError("perturbation must be finite and sampled on the profile grid")
-    grid = Grid1D(float(u0.x[0]), float(u0.x[-1]), u0.x.size)
+    grid = u0.grid
     span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
     fit = {"dist": math.inf}  # shift and sup distance at the last record
 

@@ -37,6 +37,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ClinewaveError, ConvergenceError, NoHeteroclinicError
 from .genetics import check_positive, default_half_width, reduced_reaction
+from .pde import Grid1D
 
 # Handover height for the phase-plane shot. Transverse errors near the
 # receiving saddle grow like exp(+sqrt(S) x), so the shot must not chase
@@ -136,8 +137,12 @@ class WaveProfile:
     method: str
 
     @property
+    def grid(self) -> Grid1D:  # the simulators' grid on these nodes: its x is this x
+        return Grid1D(float(self.x[0]), float(self.x[-1]), self.x.size)
+
+    @property
     def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+        return self.grid.dx
 
     @property
     def condition_ok(self) -> bool:
@@ -214,7 +219,7 @@ def profile_from_quadrature(
     half = int(round(x_max / dx))
     if half < 3:  # ode_residual's seven-point stencil
         raise ValueError(f"x_max={x_max} at dx={dx} gives fewer than 7 nodes")
-    x = np.arange(-half, half + 1) * dx
+    x = Grid1D.symmetric(x_max, dx).x  # the layout of every simulator grid
     xr = x[half:]
     h = partial(_dx_dtheta, S=S, r=r)
     edges = np.zeros(1)  # x at theta = 0, _PANEL, 2 _PANEL, ...

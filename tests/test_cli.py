@@ -14,11 +14,13 @@ from clinewave.pde import Grid1D
 from clinewave.genetics import default_half_width
 
 
-# reaction overshoot from a hostile dt on the reduced model: every node goes
-# non-finite on the default domain, only some on the wider 40/sqrt(S) one
+# reaction overshoot from a hostile dt on the reduced model: at dt = 5 every
+# node goes non-finite on the default domain; at dt = 10 only some do on the
+# wider 40/sqrt(S) one (at dt = 5 diffusion spreads the overshoot to all)
 BLOWUP_EVERYWHERE = ["simulate", "--model", "reduced", "--init", "logistic",
                      "--S", "0.1", "--r", "0.001", "--dt", "5.0", "--t-end", "50"]
-BLOWUP = BLOWUP_EVERYWHERE + ["--half-width", repr(40.0 / math.sqrt(0.1))]
+BLOWUP = BLOWUP_EVERYWHERE[:-4] + ["--dt", "10.0", "--t-end", "50",
+                                   "--half-width", repr(40.0 / math.sqrt(0.1))]
 LOGISTIC = ["simulate", "--model", "reduced", "--init", "logistic"]
 
 
@@ -198,7 +200,7 @@ class TestConfigHandling:
         assert main(BLOWUP + ["--out", str(out)]) == 4
         assert (out / "error.json").stat().st_size < 4096
         err = json.loads((out / "error.json").read_text())
-        assert err["t"] == 10.0
+        assert err["t"] == 30.0
         field = err["snapshot"]["u_reduced"]
         assert set(field) == {"min", "max", "nonfinite", "worst_node", "worst_value"}
         assert field["nonfinite"] > 0
@@ -224,7 +226,7 @@ class TestConfigHandling:
                             tmp_path)
         assert code == 4
         err = json.loads((out / "error.json").read_text())
-        assert err["t"] == 120.0
+        assert err["t"] == 240.0
         assert sorted(err["snapshot"]) == ["D", "p", "q"]
         assert err["snapshot"]["p"]["nonfinite"] > 0
         assert err["snapshot"]["q"] == err["snapshot"]["p"]

@@ -278,8 +278,9 @@ class TestRelaxationLegs:
                        for t_end in (160.0, 400.0))
         assert short == long
 
-    # the 325th reaction call is the first RK4 stage of step 81: the opening
-    # half, one substep per step to 80 and the closing half at its record
+    # the 163rd reaction call is the first midpoint stage of step 81: two calls
+    # each for the opening half, one substep per step to 80 and the closing
+    # half at its record
     @pytest.mark.parametrize("row", [0, 1], ids=["control", "perturbed"])
     def test_later_leg_failure_carries_absolute_time(self, u0, monkeypatch, row):
         calls = []
@@ -287,7 +288,7 @@ class TestRelaxationLegs:
         def row_blows_up(u, du, *args):
             calls.append(1)
             out = reduced_reaction(u, du, *args)
-            if len(calls) == 325:
+            if len(calls) == 163:
                 out[row] = math.inf
             return out
 
@@ -295,8 +296,8 @@ class TestRelaxationLegs:
         cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
         with pytest.raises(FieldInvariantError) as info:
             relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
-        # the failing step's four stages, then the finiteness check
-        assert len(calls) == 328
+        # the failing step's two stages, then the finiteness check
+        assert len(calls) == 164
         assert info.value.t == 20.25
         assert "at t=20.25 " in str(info.value)
         assert not np.isfinite(info.value.snapshot[f"u_reduced{row}"]).all()

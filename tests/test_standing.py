@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from clinewave import standing
 from clinewave.errors import ClinewaveError, ConvergenceError, NoHeteroclinicError
+from clinewave.pde import Grid1D
 from clinewave.standing import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -158,6 +159,15 @@ class TestQuadratureMatchesReference:
         assert np.max(np.abs(p.u - np.concatenate((left, right)))) <= 1e-11
         if (S, r, x_max) == (0.1, 0.1, 80.0):
             assert tail
+
+    @pytest.mark.parametrize("x_max, dx", [(60.0, 0.05), (None, 0.02), (800.0, 0.5)])
+    def test_nodes_are_the_simulator_grid(self, x_max, dx):
+        # one layout: the profile's nodes and spacing are those of the grid a
+        # simulator builds for the same half-width and dx, bit for bit
+        p = profile_from_quadrature(0.1, 0.1, x_max=x_max, dx=dx)
+        grid = Grid1D.symmetric(p.x[-1], dx)
+        assert np.array_equal(p.x, grid.x) and np.array_equal(p.grid.x, p.x)
+        assert p.grid == grid and p.dx == grid.dx == dx
 
     def test_deep_tails_and_exact_center(self):
         # theta reaches ~369 here, past where cosh(theta) and e^{2 theta} overflow;
