@@ -20,7 +20,8 @@ the underlying sources do not pin down are listed under ``assumed``), a
 deterministic ``run_id``, and data CSVs with 17-significant-digit floats
 and no timestamps. ``--svg`` adds dependency-free line plots.
 
-Exit codes: 0 success, 2 configuration error, 3 invariant violation,
+Exit codes: 0 success, 2 configuration error (an output directory
+that cannot be made or written is one), 3 invariant violation,
 4 numerical failure. A failure writes ``error.json`` with the diagnostic
 payload into the run's own directory (keyed by argv if the run fails
 before its parameters resolve). ``sweep`` runs each point through
@@ -301,6 +302,8 @@ def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
         SA, SB = (S if params[key] is None else params[key] for key in ("SA", "SB"))
         fp = FitnessParams(sA=params["sA"], sB=params["sB"], SA=SA, SB=SB,
                            r=params["r"], sigma2=params["sigma2"])
+        if not math.isfinite(params["offset_p"] + params["offset_q"]):  # inf - inf is nan
+            raise ValueError(f"need finite offsets, got {params['offset_p']}, {params['offset_q']}")
     half = params["half_width"]
     if half is None:
         scale = math.sqrt(params["sigma2"] / 2.0) if model != "reduced" else 1.0
@@ -313,7 +316,7 @@ def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
         if params["init"] == "standing":
             from . import standing
 
-            init = standing.profile_from_quadrature(S, params["r"]).interp(grid.x)
+            init = standing.profile_from_quadrature(S, params["r"], x_max=half, dx=params["dx"]).u
         else:
             init = pde.logistic_front(grid.x, S)
         return grid, pde.simulate_reduced(init, S, params["eps"], params["r"], grid, cfg)
@@ -618,7 +621,7 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
 
 
 def _classify(exc: Exception) -> int:
-    if isinstance(exc, ConfigError):
+    if isinstance(exc, (ConfigError, OSError)):  # OSError: an unwritable --out
         return EXIT_CONFIG
     if isinstance(exc, FieldInvariantError):
         # violations at t = 0 are bad setup, later ones are numerical

@@ -40,8 +40,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
+    if isinstance(obj, (np.floating, float)):  # strict JSON has no NaN or inf
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, dict):
@@ -55,7 +55,7 @@ def write_json(path, payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

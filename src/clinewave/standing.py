@@ -33,7 +33,6 @@ from functools import cached_property, partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import ClinewaveError, ConvergenceError, NoHeteroclinicError
 from .genetics import check_positive, default_half_width, reduced_reaction
@@ -86,11 +85,6 @@ def first_integral_P(u, S: float, r: float):
     y = (4.0 * S / r) * (u - u ** 2)
     out = (r * r / (8.0 * S)) * np.where(np.abs(y) < 0.3, _taylor_g(y) * y * y, np.expm1(y) - y)
     return out if out.ndim else float(out)
-
-
-def _slope(u, S: float, r: float):
-    """Signed slope -sqrt(P(u)) with a defensive clamp at machine noise."""
-    return -np.sqrt(np.maximum(first_integral_P(u, S, r), 0.0))
 
 
 def _dx_dtheta(theta: np.ndarray, S: float, r: float) -> np.ndarray:
@@ -153,10 +147,6 @@ class WaveProfile:
         """Adjoint weight exp((4S/r)(u^2 - u)) along the profile."""
         return np.exp((4.0 * self.S / self.r) * (self.u * self.u - self.u))
 
-    def interp(self, x_new: np.ndarray) -> np.ndarray:
-        """Cubic-spline evaluation with exponential extension beyond the grid."""
-        return exp_tail_extension(self.x, self.u, self.S)(x_new)
-
     def to_csv(self, path) -> None:
         from .reporting import write_csv
 
@@ -174,29 +164,6 @@ def _exp_tail(x: np.ndarray, x_edge: float, u_edge: float, S: float, limit: floa
     decay = np.exp(-(rate * np.abs(x - x_edge)))
     excess = u_edge - limit
     return limit + excess * decay, -rate * abs(excess) * decay
-
-
-def exp_tail_extension(x: np.ndarray, u: np.ndarray, S: float):
-    """Evaluator of a front sampled at (x, u), extended past the grid.
-
-    Inside [x[0], x[-1]] it is a cubic spline, built once here; beyond the
-    grid it is the `_exp_tail` of the edge node.
-    """
-    spline = CubicSpline(x, u)
-    x_lo, x_hi = x[0], x[-1]
-
-    def evaluate(x_new: np.ndarray) -> np.ndarray:
-        x_new = np.asarray(x_new, dtype=float)
-        out = spline(np.clip(x_new, x_lo, x_hi))
-        right = x_new > x_hi
-        if np.any(right):
-            out[right] = _exp_tail(x_new[right], x_hi, u[-1], S, 0.0)[0]
-        left = x_new < x_lo
-        if np.any(left):
-            out[left] = _exp_tail(x_new[left], x_lo, u[0], S, 1.0)[0]
-        return out
-
-    return evaluate
 
 
 def profile_from_quadrature(
@@ -218,7 +185,7 @@ def profile_from_quadrature(
     check_positive(S=S, r=r, dx=dx, x_max=x_max)
     half = int(round(x_max / dx))
     if half < 3:  # ode_residual's seven-point stencil
-        raise ValueError(f"x_max={x_max} at dx={dx} gives fewer than 7 nodes")
+        raise ValueError(f"half-width x_max={x_max} at dx={dx} gives fewer than 7 nodes")
     x = Grid1D.symmetric(x_max, dx).x  # the layout of every simulator grid
     xr = x[half:]
     h = partial(_dx_dtheta, S=S, r=r)
@@ -239,7 +206,8 @@ def profile_from_quadrature(
         raise ConvergenceError(f"quadrature Newton moving after {_NEWTON_MAX} steps: S={S}, r={r}")
     e = np.exp(-2.0 * theta)
     u = np.concatenate((1.0 / (1.0 + e[:0:-1]), e / (1.0 + e)))
-    return WaveProfile(x=x, u=u, du=_slope(u, S, r), S=S, r=r, method="quadrature")
+    du = -np.sqrt(first_integral_P(u, S, r))  # P >= 0 on u in [0, 1]: no clamp needed
+    return WaveProfile(x=x, u=u, du=du, S=S, r=r, method="quadrature")
 
 
 def profile_from_shooting(reference: WaveProfile) -> WaveProfile:

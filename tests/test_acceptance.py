@@ -118,14 +118,14 @@ def test_criterion_05_bvp_first_order_law(profile_spectral):
           f"({rel:.2e} < 1e-3), phase condition {worst_phase:.2e} (<1e-10)")
 
 
-def test_criterion_06_dynamic_speed(profile_spectral):
+def test_criterion_06_dynamic_speed():
     S, r = 0.1, 0.1
     eps = 0.01 * S
     cx = speed.c1_exact(S, r)
     predicted = eps * cx
     half = 40.0 / math.sqrt(S) + 1.5 * predicted * 2000.0
     grid = pde.Grid1D.symmetric(half, 0.1)
-    init = profile_spectral.interp(grid.x)
+    init = standing.profile_from_quadrature(S, r, x_max=half, dx=0.1).u  # on grid's nodes
     cfg = pde.SimConfig(dt=0.2, t_end=2000.0, record_every=50)
     traj = pde.simulate_reduced(init, S, eps, r, grid, cfg)
     measured = pde.instantaneous_speed(traj, "u_reduced", window=(500.0, 2000.0))

@@ -12,6 +12,7 @@ from clinewave.cli import _error_payload, _parse_r_grid, _resolve, build_parser,
 from clinewave.errors import NewtonDivergenceError, NoHeteroclinicError
 from clinewave.pde import Grid1D
 from clinewave.genetics import default_half_width
+from clinewave.standing import profile_from_quadrature
 
 
 # reaction overshoot from a hostile dt on the reduced model: at dt = 5 every
@@ -22,6 +23,10 @@ BLOWUP_EVERYWHERE = ["simulate", "--model", "reduced", "--init", "logistic",
 BLOWUP = BLOWUP_EVERYWHERE[:-4] + ["--dt", "10.0", "--t-end", "50",
                                    "--half-width", repr(40.0 / math.sqrt(0.1))]
 LOGISTIC = ["simulate", "--model", "reduced", "--init", "logistic"]
+
+
+def _reject(constant):
+    raise ValueError(f"not strict JSON: {constant}")
 
 
 def run_cli(args, tmp_path, name="run"):
@@ -97,11 +102,7 @@ class TestStandingCommand:
         # 1 - u rounds to 0 in the left tail's fitted quarter: no NaN decay rate
         code, out = run_cli(["standing"] + argv, tmp_path)
         assert code == 4
-
-        def reject(constant):
-            raise ValueError(f"not strict JSON: {constant}")
-
-        written = {path.name: json.loads(path.read_text(), parse_constant=reject)
+        written = {path.name: json.loads(path.read_text(), parse_constant=_reject)
                    for path in out.rglob("*.json")}
         assert written["error.json"]["error"] == "ClinewaveError"
         assert "left tail underflowed" in written["error.json"]["message"]
@@ -257,6 +258,10 @@ class TestConfigHandling:
         (["standing", "--dx", "100"], "dx"), (["stability", "--dx", "100"], "dx"),
         (["standing", "--x-max", "0.01"], "dx"),
         (["standing", "--dx", "30", "--x-max", "60"], "dx"),
+        # the reduced run's start is the quadrature on its own grid, which
+        # needs seven nodes (a five-node run used to start from a spline)
+        (["simulate", "--model", "reduced", "--dx", "30", "--half-width", "60"],
+         "half-width x_max=60.0 at dx=30.0"),
         (["stability", "--k", "0"], "k must"), (["stability", "--k", "-3"], "k must"),
         # S <= 0, r = 0 and s = 0 used to die in a ZeroDivisionError (exit 1,
         # no error.json), or print numpy's sqrt warning first
@@ -285,19 +290,25 @@ class TestConfigHandling:
         (["simulate", "--sigma2", "-1"], "sigma2=-1.0"),
         (["simulate", "--sigma2", "inf"], "sigma2=inf"),
         (["simulate", "--SA", "inf"], "SA=inf"),
+        # an infinite offset ran a cline sitting at infinity (exit 0, with
+        # Infinity in manifest.json), a NaN one failed at t = 0 on the field
+        (["simulate", "--offset-p", "inf", "--half-width", "50"], "finite offsets"),
+        (["simulate", "--offset-q", "nan", "--half-width", "50"], "finite offsets"),
     ], ids=["simulate-dx", "standing-dx", "compare-dx", "compare-dt",
             "standing-r-nan", "stability-r-nan", "simulate-reduced-r-inf",
             "speed-r-nan", "speed-r-inf", "simulate-t-end-inf", "simulate-half-width-inf",
             "simulate-half-width-under-half-dx",
             "standing-x-max-inf", "compare-t-end-inf", "simulate-dt-inf",
             "simulate-t-end-off-step", "standing-dx-coarse", "stability-dx-coarse",
-            "standing-x-max-short", "standing-five-nodes", "stability-k-0",
+            "standing-x-max-short", "standing-five-nodes", "simulate-reduced-five-nodes",
+            "stability-k-0",
             "stability-k-negative", "simulate-S-0", "simulate-gametes-S-0",
             "simulate-S-negative", "compare-S-0", "compare-r-0", "compare-s-0",
             "logistic-S-0", "logistic-r-0", "logistic-r-negative", "logistic-r-inf",
             "logistic-eps-nan", "simulate-S-0-half-width", "compare-s-above-S",
             "compare-sigma2-inf", "compare-dx-inf", "simulate-sigma2-0",
-            "simulate-sigma2-negative", "simulate-sigma2-inf", "simulate-SA-inf"])
+            "simulate-sigma2-negative", "simulate-sigma2-inf", "simulate-SA-inf",
+            "simulate-offset-inf", "simulate-offset-nan"])
     def test_bad_numeric_flag_exits_3_with_error_json(self, tmp_path, argv, names):
         out = tmp_path / "bad"
         assert main(argv + ["--out", str(out)]) == 3
@@ -403,6 +414,17 @@ class TestSimulateCommand:
         fronts = (out / "fronts.csv").read_text().splitlines()
         assert fronts[0] == "t,front_u_reduced"
 
+    def test_reduced_start_is_the_quadrature_on_the_run_grid(self, tmp_path):
+        # the spline through the default profile it replaced was 1.5e-12 off
+        code, out = run_cli(["simulate", "--model", "reduced", "--half-width", "50.3",
+                             "--dx", "0.25", "--t-end", "2"], tmp_path)
+        assert code == 0
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        start = rows[rows[:, 0] == 0.0]
+        prof = profile_from_quadrature(0.1, 0.1, x_max=50.3, dx=0.25)
+        assert np.array_equal(start[:, 1], prof.x)
+        assert np.array_equal(start[:, 2], prof.u)
+
     def test_gamete_model_runs(self, tmp_path):
         code, out = run_cli(
             ["simulate", "--model", "gametes", "--S", "0.1", "--r", "0.1",
@@ -468,6 +490,14 @@ class TestFig1Preset:
                           + self.SHORT, tmp_path)
         assert code == 2
 
+    def test_lost_fronts_write_null_not_nan(self, tmp_path):
+        # the fronts run off the domain, so the final separation is NaN
+        code, out = run_cli(["simulate", "--preset", "fig1", "--sA", "0.05", "--sB", "0.05",
+                             "--half-width", "60", "--t-end", "400"], tmp_path)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject)
+        assert manifest["summary"]["final_separation"] is None
+
 
 class TestCompareCommand:
     def test_single_point_comparison(self, tmp_path):
@@ -512,6 +542,14 @@ class TestOutputRoot:
         assert len(runs) == 1
         assert (runs[0] / "error.json").exists()
 
+    @pytest.mark.parametrize("argv", [LOGISTIC + ["--t-end", "1"], ["standing"]],
+                             ids=["simulate", "standing"])
+    def test_unwritable_out_exits_2(self, tmp_path, argv, capsys):
+        # used to escape as a NotADirectoryError traceback, exit 1
+        (tmp_path / "file").write_text("")
+        assert main(argv + ["--out", str(tmp_path / "file" / "sub")]) == 2
+        assert "error (NotADirectoryError)" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_parallel_product_of_runs(self, tmp_path):
@@ -536,6 +574,18 @@ class TestSweepCommand:
         assert (out / "r=0.25" / "report.json").exists()
         top = json.loads((out / "manifest.json").read_text())
         assert top["exit_codes"] == {"r=-1": 3, "r=0.25": 0}
+
+    def test_point_whose_directory_is_a_file_does_not_stop_the_others(self, tmp_path):
+        # used to abort the sweep: r=0.2 never ran and no sweep manifest
+        out = tmp_path / "sweepy"
+        out.mkdir()
+        (out / "r=0.1").write_text("")
+        code = main(["sweep", "simulate", "--vary", "r=0.1,0.2", "--threads", "1",
+                     "--out", str(out), "--"] + LOGISTIC[1:] + ["--t-end", "1"])
+        assert code == 2
+        assert (out / "r=0.2" / "manifest.json").exists()
+        top = json.loads((out / "manifest.json").read_text())
+        assert top["exit_codes"] == {"r=0.1": 2, "r=0.2": 0}
 
     def test_point_with_a_bad_flag_value_writes_its_error_json(self, tmp_path):
         out = tmp_path / "sweepy"

@@ -1,8 +1,10 @@
-"""Unit tests for the deterministic CSV writer."""
+"""Unit tests for the deterministic CSV and JSON writers."""
+
+import json
 
 import numpy as np
 
-from clinewave.reporting import write_csv
+from clinewave.reporting import run_id, write_csv, write_json
 
 EDGE_VALUES = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
                1.0 / 3.0, 2.0**60, 2**60, 7, np.int64(-3), np.float64(0.1)]
@@ -37,3 +39,13 @@ def test_rows_across_blocks(tmp_path):
     write_csv(tmp_path / "long.csv", ["a", "b"], arr)
     assert (tmp_path / "long.csv").read_text() == "a,b\n" + "".join(
         f"{fmt_float(a)},{fmt_float(b)}\n" for a, b in arr)
+
+
+def test_json_is_strict_with_non_finite_values_as_null(tmp_path):
+    payload = {"nan": float("nan"), "inf": np.float64(np.inf), "ok": np.float32(0.5),
+               "rows": np.array([1.0, -np.inf]), "nested": [(np.nan, 2)]}
+    write_json(tmp_path / "out.json", payload)
+    assert json.loads((tmp_path / "out.json").read_text()) == {
+        "nan": None, "inf": None, "ok": 0.5, "rows": [1.0, None], "nested": [[None, 2]]}
+    # finite configs keep their ids
+    assert run_id({"S": 0.1, "half_width": None}) == "22f05d698560"

@@ -1,10 +1,12 @@
 """Unit tests for the linearized-operator spectra and relaxation dynamics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from clinewave import pde, stability
@@ -28,7 +30,7 @@ from clinewave.stability import (
     spectrum,
 )
 from clinewave.speed import c1_exact
-from clinewave.standing import exp_tail_extension, profile_from_quadrature
+from clinewave.standing import profile_from_quadrature
 
 S, R = 0.1, 0.1
 
@@ -118,6 +120,19 @@ class TestSpectrum:
         assert cluster.size == 38
         # dense: neighbor gaps in the cluster font are tiny compared to S
         assert np.max(np.abs(np.diff(cluster[:10]))) < 0.2 * S
+
+    @pytest.mark.parametrize("assemble", [assemble_L, assemble_M], ids=["L", "M"])
+    @pytest.mark.parametrize("move", [lambda u: u * (1.0 + 1e-14), lambda u: u + 1e-14,
+                                      lambda u: u - 1e-14], ids=["scale", "up", "down"])
+    def test_rounding_level_profile_change_keeps_every_sign(self, u0, assemble, move):
+        # LAPACK's own signs flipped L's mode_1 or mode_5 under the scale and
+        # up moves; vectors move by ~1e-13 and the sign rule holds
+        _, vecs = spectrum(assemble(u0), k=6)
+        _, moved = spectrum(assemble(dataclasses.replace(u0, u=move(u0.u))), k=6)
+        assert np.max(np.abs(moved - vecs)) < 1e-9
+        for v in (vecs, moved):
+            lead = np.argmax(np.abs(v) >= 0.5 * np.abs(v).max(axis=0), axis=0)
+            assert np.all(v[lead, np.arange(6)] > 0.0)
 
     def test_M_eigenvector_maps_to_L_eigenvector_through_weight(self, op_L, op_M, u0):
         vals_M, vecs_M = spectrum(op_M, k=1)
@@ -224,7 +239,7 @@ def oracle_relaxation_shift(u0, h, eps_amp, cfg):
     for i in range(1, perturbed.times.size):
         settled = control.fields["u_reduced"][i]
         state = perturbed.fields["u_reduced"][i]
-        control_at = exp_tail_extension(grid.x, settled, u0.S)
+        control_at = CubicSpline(grid.x, settled)
         guess = front_position_values(state, grid.x) - front_position_values(settled, grid.x)
         shift = float(minimize_scalar(
             lambda d: float(np.sum((state - control_at(grid.x - d)) ** 2)),
