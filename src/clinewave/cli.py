@@ -26,7 +26,8 @@ that cannot be made or written is one), 3 invariant violation,
 payload into the run's own directory (keyed by argv if the run fails
 before its parameters resolve). ``sweep`` runs each point through
 ``main``: a failing point leaves its own ``error.json``, the others still
-run, the sweep manifest records each point's exit code, and the sweep
+run, the sweep manifest records each point's exit code and, under
+``errors``, each failed point's error class and message, and the sweep
 returns the worst.
 
 The default output root is ``./clinewave-runs``, overridable by the
@@ -612,11 +613,14 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(args.threads, len(argvs))) as pool:
-            codes = list(pool.map(main, argvs))
+            results = list(pool.map(_run, argvs))
     else:
-        codes = [main(argv) for argv in argvs]
+        results = [_run(argv) for argv in argvs]
+    codes = [code for code, _ in results]
+    errors = {label: {"error": payload["error"], "message": payload["message"]}
+              for label, (_, payload) in zip(labels, results) if payload is not None}
     _manifest(root, "sweep", resolved, [], [], runs=labels,
-              exit_codes=dict(zip(labels, codes)))
+              exit_codes=dict(zip(labels, codes)), errors=errors)
     return root, max(codes, default=EXIT_OK)
 
 
@@ -668,7 +672,12 @@ def _error_payload(exc: Exception, code: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    return _run(list(sys.argv[1:] if argv is None else argv))[0]
+
+
+def _run(argv: list[str]) -> tuple[int, dict | None]:
+    """``main`` for one command line: its exit code and, if it failed, the
+    ``error.json`` payload. Module-level, so a sweep's process pool can map it."""
     # base flags for swept runs follow a literal -- separator
     sweep_base: list[str] = []
     if argv and argv[0] == "sweep" and "--" in argv:
@@ -691,13 +700,13 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse has printed the reason
             if not exc.code:  # --help, --version
-                return EXIT_OK
+                return EXIT_OK, None
             raise ConfigError(f"invalid command line: {' '.join(argv)}") from exc
         command = args.command
         if command == "sweep":
             outdir, code = run_sweep(args, sweep_base)
             print(outdir)
-            return code
+            return code, None
         if args.config:
             user_argv = list(argv)
             user_argv.remove(command)  # the subcommand token only
@@ -711,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
         outdir = _out_dir(args.out, f"{command}-{preset}" if preset else command, params)
         dispatch(command, params, defaulted, outdir, args.svg)
         print(outdir)
-        return EXIT_OK
+        return EXIT_OK, None
     except Exception as exc:  # noqa: BLE001 - single CLI boundary
         code = _classify(exc)
         payload = _error_payload(exc, code)
@@ -723,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
         except Exception:  # noqa: BLE001 - best-effort diagnostics
             pass
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return code
+        return code, payload
 
 
 if __name__ == "__main__":

@@ -38,11 +38,6 @@ from .errors import ClinewaveError, ConvergenceError, NoHeteroclinicError
 from .genetics import check_positive, default_half_width, reduced_reaction
 from .pde import Grid1D
 
-# Handover height for the phase-plane shot. Transverse errors near the
-# receiving saddle grow like exp(+sqrt(S) x), so the shot must not chase
-# the tail too deep; the matched exponential is accurate to O(height^2).
-SHOOT_TAIL_CUTOFF = 1e-6
-
 # Offset along the unstable manifold used to start the phase-plane shot.
 SHOOTING_DELTA = 1e-8
 
@@ -158,7 +153,8 @@ def _exp_tail(x: np.ndarray, x_edge: float, u_edge: float, S: float, limit: floa
 
     The front relaxes to its limit state at the linear tail rate sqrt(S):
     height limit + (u_edge - limit) e^{-sqrt(S) |x - x_edge|}, with limit 0
-    right of the node and 1 left of it. Returns (heights, slopes) at x.
+    right of the node and 1 left of it. Returns (heights, slopes) at x. The
+    phase-plane shot fills the nodes left of its start with it (limit 1).
     """
     rate = math.sqrt(S)
     decay = np.exp(-(rate * np.abs(x - x_edge)))
@@ -215,10 +211,14 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
 
     The phase-plane system (u, y) with u' = y, y' = -S f(u) - (2S/r)(2u-1) y^2
     is started a distance ``SHOOTING_DELTA`` from (1, 0) on the manifold
-    y = sqrt(S)(u - 1) and followed until u crosses 1/2; the crossing is
-    recentred to x = 0 and the left half filled in by the symmetry
-    u(-x) = 1 - u(x). In the regime S >= 4r the orbit is attempted all the
-    same and the profile is flagged via ``condition_ok``.
+    y = sqrt(S)(u - 1) and followed until u meets 1/2, where it stops. The
+    climb, recentred so that the crossing sits at x = 0, is the left half:
+    transverse errors decay along the unstable manifold, so it is the
+    accurate half. Nodes left of the shot's start lie on the manifold's
+    linear tail 1 - u = delta e^{sqrt(S) x}. The right half is the point
+    mirror u(x) = 1 - u(-x), with even slopes. In the regime S >= 4r the
+    orbit is attempted all the same and the profile is flagged via
+    ``condition_ok``.
 
     The shot is built at the (S, r) and on the grid of ``reference``, a
     quadrature profile, and checked against its heights.
@@ -240,23 +240,20 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
     def crossing(_x, state):
         return state[0] - 0.5
 
+    crossing.terminal = True
+
     def escape(_x, state):
         return state[1] - y_guard
 
     escape.terminal = True
 
-    def tail_event(_x, state):
-        return state[0] - SHOOT_TAIL_CUTOFF
-
-    tail_event.terminal = True
-
-    # Leave room for the climb out of the saddle (~ log(1/delta)/sqrt(S))
-    # plus the grid's half-width. The tolerances sit well below the ~1e-7
-    # to which the two routes are expected to agree.
-    span = x[-1] + (np.log(1.0 / SHOOTING_DELTA) + 5.0) / sqrt_S
+    # Leave room for the climb out of the saddle (~ log(1/delta)/sqrt(S)).
+    # The tolerances sit well below the ~1e-7 to which the two routes are
+    # expected to agree.
+    span = (np.log(1.0 / SHOOTING_DELTA) + 5.0) / sqrt_S
     sol = solve_ivp(
         rhs, (0.0, span), [1.0 - SHOOTING_DELTA, -sqrt_S * SHOOTING_DELTA],
-        events=[crossing, escape, tail_event], method="DOP853",
+        events=[crossing, escape], method="DOP853",
         dense_output=True, rtol=1e-13, atol=1e-16, max_step=0.25 / sqrt_S,
     )
     if sol.t_events[1].size > 0 or sol.t_events[0].size == 0:
@@ -266,25 +263,18 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
         )
     x_cross = float(sol.t_events[0][0])
 
-    n = x.size
-    center = n // 2
-    u = np.empty(n)
-    du = np.empty(n)
+    center = x.size // 2
+    u = np.empty(x.size)
+    du = np.empty(x.size)
+    t = x[:center + 1] + x_cross  # the left half and the centre, in the shot's abscissa
+    climb = t >= 0.0
+    u[:center + 1][climb], du[:center + 1][climb] = sol.sol(t[climb])
+    u[:center + 1][~climb], du[:center + 1][~climb] = _exp_tail(
+        t[~climb], 0.0, 1.0 - SHOOTING_DELTA, S, 1.0)
 
-    x_end = sol.t[-1]
-    right = x[center:] + x_cross
-    inside = right <= x_end
-    vals = sol.sol(right[inside])
-    u[center:][inside] = vals[0]
-    du[center:][inside] = vals[1]
-    if not np.all(inside):
-        u_edge = float(sol.sol(x_end)[0])
-        u[center:][~inside], du[center:][~inside] = _exp_tail(
-            right[~inside], x_end, u_edge, S, 0.0)
-
-    # Left half by the front's point symmetry; slopes are even in x.
-    u[:center] = 1.0 - u[center + 1:][::-1]
-    du[:center] = du[center + 1:][::-1]
+    # Right half by the front's point symmetry; slopes are even in x.
+    u[center + 1:] = 1.0 - u[:center][::-1]
+    du[center + 1:] = du[:center][::-1]
     u[center] = 0.5
 
     profile = WaveProfile(x=x, u=u, du=du, S=S, r=r, method="shooting")

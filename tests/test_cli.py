@@ -564,6 +564,7 @@ class TestSweepCommand:
             assert manifest["resolved"]["dx"] == 0.05
         top = json.loads((out / "manifest.json").read_text())
         assert sorted(top["runs"]) == ["S=0.1_r=0.25", "S=0.25_r=0.25"]
+        assert top["errors"] == {}
 
     def test_failing_point_does_not_stop_the_others(self, tmp_path):
         out = tmp_path / "sweepy"
@@ -574,6 +575,10 @@ class TestSweepCommand:
         assert (out / "r=0.25" / "report.json").exists()
         top = json.loads((out / "manifest.json").read_text())
         assert top["exit_codes"] == {"r=-1": 3, "r=0.25": 0}
+        # the pool carries each point's error back to the sweep manifest
+        assert list(top["errors"]) == ["r=-1"]
+        assert top["errors"]["r=-1"]["error"] == "ValueError"
+        assert "r=-1" in top["errors"]["r=-1"]["message"]
 
     def test_point_whose_directory_is_a_file_does_not_stop_the_others(self, tmp_path):
         # used to abort the sweep: r=0.2 never ran and no sweep manifest
@@ -586,6 +591,11 @@ class TestSweepCommand:
         assert (out / "r=0.2" / "manifest.json").exists()
         top = json.loads((out / "manifest.json").read_text())
         assert top["exit_codes"] == {"r=0.1": 2, "r=0.2": 0}
+        # no error.json can be written under a file: the sweep manifest says why
+        assert not (out / "r=0.1").is_dir()
+        assert top["errors"] == {"r=0.1": {
+            "error": "FileExistsError",
+            "message": f"[Errno 17] File exists: '{out / 'r=0.1'}'"}}
 
     def test_point_with_a_bad_flag_value_writes_its_error_json(self, tmp_path):
         out = tmp_path / "sweepy"

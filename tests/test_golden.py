@@ -10,6 +10,10 @@ token exactly. The test prints which path ran (see it with ``pytest -rA``).
 A change that moves output bits re-records the file and states what moved:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+The record prints, for each file whose sha256 changed, the largest absolute
+and relative change over its recorded values against the old record, and
+the count of files that stayed byte-identical.
 """
 
 import contextlib
@@ -117,12 +121,69 @@ def test_outputs_match_the_golden_record(tmp_path):
     assert not moved, f"outputs differ from {GOLDEN.name}: {moved}; if intended: {RECORD}"
 
 
+def _number_pairs(new, old):
+    """(new, old) number pairs at the same places of two value trees; None
+    where their shapes or a non-number token differ."""
+    if isinstance(new, dict) and isinstance(old, dict) and new.keys() == old.keys():
+        parts = [_number_pairs(new[key], old[key]) for key in new]
+    elif isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        parts = [_number_pairs(a, b) for a, b in zip(new, old)]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (new, old)):
+        return [(new, old)]
+    else:
+        return [] if new == old else None
+    return None if None in parts else [pair for part in parts for pair in part]
+
+
+def moves(old: dict, new: dict) -> list[str]:
+    """One line per file whose sha256 moved from the ``old`` record's files to
+    ``new``'s, with its largest absolute and relative value change, then the
+    count of byte-identical files."""
+    lines, same = [], 0
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new or name not in old:
+            lines.append(f"{name}: {'no longer written' if name in old else 'new file'}")
+            continue
+        if new[name]["sha256"] == old[name]["sha256"]:
+            same += 1
+            continue
+        pairs = _number_pairs(new[name]["values"], old[name]["values"])
+        if pairs is None:
+            lines.append(f"{name}: shape or text changed")
+            continue
+        changes = [(abs(a - b), abs(a - b) / abs(b) if b else math.inf)
+                   for a, b in pairs if a != b and not (math.isnan(a) and math.isnan(b))]
+        top = max((d for d, _ in changes), default=0.0)
+        rel = max((r for _, r in changes), default=0.0)
+        lines.append(f"{name}: max |change| {top:.3g}, max relative {rel:.3g} "
+                     f"over {len(changes)} of {len(pairs)} recorded values")
+    return lines + [f"{same} of {len(new)} files byte-identical"]
+
+
+def test_record_reports_what_moved():
+    def rec(sha, vals):
+        return {"sha256": sha, "values": vals}
+
+    old = {"a.csv": rec("1", {"header": ["x"], "rows": [[0, 1.0], [5, 2.0]]}),
+           "b.json": rec("2", {"k": 1}), "c.json": rec("3", {"k": "t"}),
+           "gone.json": rec("4", {})}
+    new = {"a.csv": rec("9", {"header": ["x"], "rows": [[0, 1.0], [5, 2.5]]}),
+           "b.json": rec("2", {"k": 1}), "c.json": rec("8", {"k": "u"}),
+           "added.json": rec("5", {})}
+    assert moves(old, new) == [
+        "a.csv: max |change| 0.5, max relative 0.25 over 1 of 4 recorded values",
+        "added.json: new file", "c.json: shape or text changed",
+        "gone.json: no longer written", "1 of 4 files byte-identical"]
+
+
 def record() -> None:
+    old = json.loads(GOLDEN.read_text())["files"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         files = {name: {"sha256": sha256(path), "values": values(path)}
                  for name, path in run_commands(Path(tmp)).items()}
     GOLDEN.write_text(json.dumps({"record": RECORD, "versions": versions(),
                                   "commands": COMMANDS, "files": files}, indent=1) + "\n")
+    print("\n".join(moves(old, files)))
 
 
 if __name__ == "__main__":

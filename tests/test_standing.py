@@ -222,6 +222,54 @@ class TestShootingProfile:
         assert len(err.value.escape_state) == 2
 
 
+@pytest.fixture
+def shots(monkeypatch):
+    """The solutions `profile_from_shooting` gets from `solve_ivp`, in call order."""
+    sols = []
+
+    def capture(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(standing, "solve_ivp", capture)
+    return sols
+
+
+class TestHalfOrbitShot:
+    """The shot climbs from the saddle to u = 1/2 and mirrors the climb."""
+
+    @pytest.mark.parametrize("S,r", [(0.6, 0.25), (0.85, 0.15)])  # fig2's two regimes
+    def test_climb_ends_at_the_midline_and_matches_the_quadrature(self, shots, S, r):
+        quad = profile_from_quadrature(S, r)
+        shot = profile_from_shooting(quad)
+        (sol,) = shots
+        assert sol.status == 1 and sol.t[-1] == sol.t_events[0][0]  # stopped by the crossing
+        assert sol.y[0, -1] == pytest.approx(0.5, abs=1e-12)
+        assert np.max(np.abs(shot.u - quad.u)) < 1e-11
+
+    def test_nodes_left_of_the_start_follow_the_linear_manifold(self, shots):
+        S = 0.1
+        shot = profile_from_shooting(profile_from_quadrature(S, 0.1, x_max=80.0, dx=0.05))
+        t = shot.x + shots[0].t_events[0][0]  # the shot's own abscissa
+        tail = t < 0.0
+        assert 100 < np.count_nonzero(tail) < shot.x.size // 2
+        # 1 - u = delta e^{sqrt(S) t} and du = -sqrt(S) (1 - u), to the
+        # rounding of u near 1 and of 1 - delta
+        gap = standing.SHOOTING_DELTA * np.exp(math.sqrt(S) * t[tail])
+        assert np.max(np.abs(shot.u[tail] - (1.0 - gap))) <= 2.0**-52
+        assert np.allclose(shot.du[tail], -math.sqrt(S) * gap, rtol=1e-7, atol=0.0)
+        # the mirror carries the tail to the right edge
+        assert np.array_equal(shot.u[::-1][tail], 1.0 - shot.u[tail])
+        assert np.array_equal(shot.du[::-1], shot.du)
+
+    def test_domain_shorter_than_the_climb(self, shots):
+        p = profile_from_shooting(profile_from_quadrature(0.1, 0.1, x_max=30.0, dx=0.05))
+        assert p.x[0] + shots[0].t_events[0][0] > 0.0  # every node is on the climb
+        assert np.all(np.diff(p.u) < 0.0)
+        assert symmetry_defect(p) < 1e-8
+        assert slope_law_defect(p) < 1e-8
+
+
 class TestDecayRateEdges:
     def test_exact_exponential_input(self):
         S = 0.2
@@ -236,7 +284,7 @@ class TestDecayRateEdges:
     @pytest.mark.parametrize("S,r,x_max,dx", [(0.1, 0.1, 300.0, 0.05),
                                               (0.85, 0.15, 800.0, 0.5)])
     def test_underflowed_left_tail_raises(self, S, r, x_max, dx):
-        # 1 - u rounds to 0 over the outer quarter once x_max > ~74/sqrt(S)
+        # 1 - u rounds to 0 over the outer quarter once x_max > ~36/sqrt(S)
         prof = profile_from_quadrature(S, r, x_max=x_max, dx=dx)
         with pytest.raises(ClinewaveError, match="left tail underflowed"):
             decay_rate(prof, side="left")
