@@ -18,7 +18,8 @@ plus linkage disequilibrium (p, q, D) with
 
 `_step_arrays` advances the gamete frequencies by one full generation
 (random fusion, selection, recombination, gamete release); its change per
-generation is the reaction the four-gamete spatial solver integrates.
+generation is the reaction the four-gamete spatial solver integrates, one
+product with the (4, 16) `fitness_tensor` that a run builds once.
 `pqd_reaction` is the weak-selection limit of that map: with all
 selection coefficients and the recombination probability scaled by a
 common small factor ``alpha``, one generation moves (p, q, D) by
@@ -40,6 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Linkage disequilibrium is bounded by 1/4 in absolute value on the simplex.
 D_MAX = 0.25
@@ -87,43 +90,31 @@ class FitnessParams:
             raise ValueError(f"recombination must lie in [0, 1/2], got {self.r}")
 
 
-def _fitness_weights(fp: FitnessParams) -> tuple[float, float, float, float]:
-    """Per-locus genotype fitnesses (homozygote AA-like, heterozygote) for both loci."""
-    wAA = 1.0 + 2.0 * fp.sA
-    wAa = 1.0 + fp.sA - fp.SA
-    wBB = 1.0 + 2.0 * fp.sB
-    wBb = 1.0 + fp.sB - fp.SB
-    return wAA, wAa, wBB, wBb
+def fitness_tensor(fp: FitnessParams) -> np.ndarray:
+    """The gamete recursion's numerators as one (4, 16) quadratic form T.
 
-
-def _recursion_numerators(u, v, w, z, fp: FitnessParams):
-    """Unnormalized next-generation gamete frequencies.
-
-    Each gamete's numerator is its frequency times the summed fitness of
-    the genotypes it forms (a four-term bracket over its partner), plus or
-    minus the recombination flux (r het)(v w - u z) out of the double
-    heterozygote, het being its fitness. The flux cancels in the sum, so
-    the four numerators add up to the mean fitness identically, which is
-    the conservation property the recursion relies on.
+    Gamete 2a + b carries alleles a (A = 0) and b (B = 0), so the genotype
+    fitnesses are W = kron(W_A, W_B) of the per-locus tables. Row i of T
+    holds W's row i on the pairs (i, k), plus the recombination flux
+    (r het)(v w - u z), het = W[0, 3], signed + for u and z, - for v and w,
+    on pairs of the other half's rows, so it cancels in each column sum.
     """
-    wAA, wAa, wBB, wBb = _fitness_weights(fp)
-    het = wAa * wBb  # double-heterozygote fitness, the only genotype that recombines
-    flux = (fp.r * het) * (v * w - u * z)
-    return (u * (wAA * wBB * u + wAA * wBb * v + wAa * wBB * w + het * z) + flux,
-            v * (wAA * wBb * u + wAA * v + het * w + wAa * z) - flux,
-            w * (wAa * wBB * u + het * v + wBB * w + wBb * z) - flux,
-            z * (het * u + wAa * v + wBb * w + z) + flux)
+    wAa, wBb = 1.0 + fp.sA - fp.SA, 1.0 + fp.sB - fp.SB  # heterozygotes
+    W = np.kron([[1.0 + 2.0 * fp.sA, wAa], [wAa, 1.0]], [[1.0 + 2.0 * fp.sB, wBb], [wBb, 1.0]])
+    T = np.zeros((4, 4, 4))
+    T[range(4), range(4)] = W
+    flux = fp.r * W[0, 3] * np.array([1.0, -1.0, -1.0, 1.0])
+    T[:2, 2, 1], T[:2, 3, 0] = flux[:2], -flux[:2]
+    T[2:, 1, 2], T[2:, 0, 3] = flux[2:], -flux[2:]
+    return T.reshape(4, 16)
 
 
-def _step_arrays(u, v, w, z, fp: FitnessParams):
-    """Vectorized one-generation map on raw arrays.
-
-    Divides by the sum of the numerators, which is the mean fitness
-    identically, so the outputs sum to one up to rounding.
-    """
-    num_u, num_v, num_w, num_z = _recursion_numerators(u, v, w, z, fp)
-    wbar = num_u + num_v + num_w + num_z
-    return num_u / wbar, num_v / wbar, num_w / wbar, num_z / wbar
+def _step_arrays(state, T):
+    """One generation of the (4, ...) gamete state (u, v, w, z): the
+    numerators T (y_j y_k) over their sum, the mean fitness identically."""
+    num = T @ (state[:, None] * state).reshape(16, *state.shape[1:])
+    num /= num.sum(axis=0)
+    return num
 
 
 def pqd_reaction(state, S, s, r: float):

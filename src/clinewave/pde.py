@@ -396,10 +396,15 @@ def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> T
     """Integrate the four-gamete reaction-diffusion system.
 
     The reaction is the per-generation net change of the exact recursion,
-    R(y) = step(y) - y, whose components sum to zero pointwise.
+    R(y) = step(y) - y, whose components sum to zero pointwise; the step
+    is one product with `genetics.fitness_tensor`, built once per run.
     """
+    T = genetics.fitness_tensor(fp)
+
     def rhs(state):
-        return np.array(genetics._step_arrays(*state, fp)) - state
+        out = genetics._step_arrays(state, T)
+        out -= state
+        return out
 
     return _run_strang(init, ["u", "v", "w", "z"], grid, cfg, fp.sigma2 / 2.0, rhs,
                        {"model": "gametes", "params": asdict(fp)})

@@ -1,8 +1,8 @@
 """Unit tests for the exact gamete recursion and its weak-selection limit.
 
 States are numpy rows (u, v, w, z), and the maps under test are the array
-functions the spatial simulators run: `_step_arrays` (four-gamete model)
-and `pqd_reaction` ((p, q, D) model).
+functions the spatial simulators run: `_step_arrays` with its
+`fitness_tensor` (four-gamete model) and `pqd_reaction` ((p, q, D) model).
 """
 
 from dataclasses import replace
@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from clinewave.genetics import (
     FitnessParams,
-    _recursion_numerators,
     _step_arrays,
+    fitness_tensor,
     gametes_from_pqd,
     pqd_reaction,
 )
@@ -28,6 +28,34 @@ def pqd_rates(p, q, D, fp):
     (dp, dq), dD = pqd_reaction(np.array([[p], [q], [D]], dtype=float),
                                 np.array([[fp.SA], [fp.SB]]), np.array([[fp.sA], [fp.sB]]), fp.r)
     return float(dp[0]), float(dq[0]), float(dD[0])
+
+
+def step(g, fp):
+    """`_step_arrays` on gamete rows g = (u, v, w, z), each a scalar or an array."""
+    return _step_arrays(np.array(g, dtype=float), fitness_tensor(fp))
+
+
+def tensor_numerators(g, fp):
+    """The numerators `_step_arrays` divides by their sum: T (y_j y_k)."""
+    y = np.array(g, dtype=float)
+    return fitness_tensor(fp) @ (y[:, None] * y).reshape(16, *y.shape[1:])
+
+
+def bracket_numerators(u, v, w, z, fp: FitnessParams):
+    """Oracle: the recursion's numerators as four hand-expanded brackets.
+
+    Each gamete's numerator is its frequency times the summed fitness of
+    the genotypes it forms, plus or minus the recombination flux
+    (r het)(v w - u z) out of the double heterozygote, het being its fitness.
+    """
+    wAA, wAa = 1.0 + 2.0 * fp.sA, 1.0 + fp.sA - fp.SA
+    wBB, wBb = 1.0 + 2.0 * fp.sB, 1.0 + fp.sB - fp.SB
+    het = wAa * wBb
+    flux = (fp.r * het) * (v * w - u * z)
+    return (u * (wAA * wBB * u + wAA * wBb * v + wAa * wBB * w + het * z) + flux,
+            v * (wAA * wBb * u + wAA * v + het * w + wAa * z) - flux,
+            w * (wAa * wBB * u + het * v + wBB * w + wBb * z) - flux,
+            z * (het * u + wAa * v + wBb * w + z) + flux)
 
 
 def locus_fitness(alleles, upper, s, S):
@@ -85,7 +113,7 @@ def weak_selection_error(state, alpha):
     first-order step, the state plus ``alpha`` times `pqd_reaction`."""
     fp = replace(FP, sA=FP.sA * alpha, sB=FP.sB * alpha, SA=FP.SA * alpha,
                  SB=FP.SB * alpha, r=FP.r * alpha)
-    u, v, w, z = _step_arrays(*gametes_from_pqd(*state), fp)
+    u, v, w, z = step(gametes_from_pqd(*state), fp)
     exact = (u + v, u + w, u * z - v * w)
     approx = [x + alpha * dx for x, dx in zip(state, pqd_rates(*state, FP))]
     return max(abs(a - b) for a, b in zip(exact, approx))
@@ -96,11 +124,11 @@ class TestMeanFitness:
     # that `_step_arrays` divides by
     def test_monomorphic_ab_gamete(self):
         fp = FitnessParams(sA=0.1, sB=0.1, SA=0.2, SB=0.2, r=0.1)
-        assert sum(_recursion_numerators(1.0, 0.0, 0.0, 0.0, fp)) == pytest.approx(
+        assert sum(tensor_numerators([1.0, 0.0, 0.0, 0.0], fp)) == pytest.approx(
             1.44, abs=1e-15)
 
     def test_baseline_genotype(self):
-        assert sum(_recursion_numerators(0.0, 0.0, 0.0, 1.0, FP)) == pytest.approx(
+        assert sum(tensor_numerators([0.0, 0.0, 0.0, 1.0], FP)) == pytest.approx(
             1.0, abs=1e-15)
 
     def test_uniform_state_against_enumeration_oracle(self):
@@ -109,38 +137,63 @@ class TestMeanFitness:
         expected = oracle_mean_fitness(g, fp)
         # independent loci at these frequencies: (1 - SA/2)(1 - SB/2)
         assert expected == pytest.approx(0.95 * 0.95, abs=1e-15)
-        assert sum(_recursion_numerators(*g, fp)) == pytest.approx(expected, rel=1e-14)
+        assert sum(tensor_numerators(g, fp)) == pytest.approx(expected, rel=1e-14)
 
     def test_random_states_against_enumeration_oracle(self):
         states = random_gametes(np.random.default_rng(7), 50)
-        wbar = sum(_recursion_numerators(*states.T, FP))
+        wbar = sum(tensor_numerators(states.T, FP))
         for g, got in zip(states, wbar):
             assert got == pytest.approx(oracle_mean_fitness(g, FP), rel=1e-13)
 
 
 class TestExactRecursion:
     def test_monomorphic_fixed_point(self):
-        u, _, _, _ = _step_arrays(1.0, 0.0, 0.0, 0.0, FP)
+        u, _, _, _ = step([1.0, 0.0, 0.0, 0.0], FP)
         assert u == pytest.approx(1.0, abs=1e-15)
 
     def test_numerators_against_enumeration_oracle(self):
         states = random_gametes(np.random.default_rng(13), 100)
-        nums = np.column_stack(_recursion_numerators(*states.T, FP))
+        nums = tensor_numerators(states.T, FP).T
         for g, row in zip(states, nums):
             for got, expected in zip(row, oracle_numerators(g, FP)):
                 assert got == pytest.approx(expected, rel=1e-13)
 
     def test_numerators_sum_to_mean_fitness(self):
         states = random_gametes(np.random.default_rng(11), 100)
-        wbar = sum(_recursion_numerators(*states.T, FP))
+        wbar = sum(tensor_numerators(states.T, FP))
         for g, got in zip(states, wbar):
             assert got == pytest.approx(oracle_mean_fitness(g, FP), rel=1e-14)
+
+    def test_tensor_matches_the_four_brackets(self):
+        states = random_gametes(np.random.default_rng(17), 100).T
+        brackets = np.array(bracket_numerators(*states, FP))
+        assert np.abs(tensor_numerators(states, FP) - brackets).max() <= 1e-15
+        assert np.abs(step(states, FP) - brackets / brackets.sum(axis=0)).max() <= 1e-15
+
+    def test_flux_entries_cancel_in_each_column_sum(self):
+        # off the (i, i, .) blocks T holds only the recombination flux, which
+        # moves frequency between gametes and so adds nothing to the mean
+        T = fitness_tensor(FP).reshape(4, 4, 4)
+        flux = T.copy()
+        flux[range(4), range(4)] = 0.0
+        het = (1.0 + FP.sA - FP.SA) * (1.0 + FP.sB - FP.SB)
+        assert np.count_nonzero(flux) == 8
+        assert set(np.abs(flux[flux != 0.0])) == {FP.r * het}
+        assert np.all(flux.sum(axis=0) == 0.0)
+
+    def test_reversal_permutes_the_tensor_without_directional_selection(self):
+        # reversing (u, v, w, z) relabels A<->a and B<->b, which maps gamete
+        # i to 3 - i and the pair (j, k) to (3 - j, 3 - k)
+        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.15, r=0.2)
+        for params, symmetric in ((fp, True), (FP, False)):
+            T = fitness_tensor(params).reshape(4, 4, 4)
+            assert np.array_equal(T[::-1, ::-1, ::-1], T) == symmetric
 
     def test_no_selection_linkage_equilibrium_is_preserved(self):
         # With D = 0 and selection off, recombination has nothing to undo.
         fp = FitnessParams(sA=0.0, sB=0.0, SA=1e-30, SB=1e-30, r=0.3)
         for (p, q) in [(0.3, 0.7), (0.5, 0.5), (0.9, 0.2)]:
-            u, v, w, z = _step_arrays(*gametes_from_pqd(p, q, 0.0), fp)
+            u, v, w, z = step(gametes_from_pqd(p, q, 0.0), fp)
             assert u * z - v * w == pytest.approx(0.0, abs=1e-15)
 
     def test_relabeling_symmetry(self):
@@ -148,8 +201,8 @@ class TestExactRecursion:
         # directional selection the step commutes with the relabeling.
         fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.15, r=0.2)
         g = np.array([0.4, 0.3, 0.2, 0.1])
-        out = _step_arrays(*g, fp)
-        out_swapped = _step_arrays(*g[::-1], fp)
+        out = step(g, fp)
+        out_swapped = step(g[::-1], fp)
         for got, expected in zip(out_swapped, out[::-1]):
             assert got == pytest.approx(expected, rel=1e-14)
 
@@ -160,7 +213,7 @@ class TestExactRecursion:
     @settings(max_examples=200, deadline=None)
     def test_simplex_maps_into_itself(self, raw, seed):
         g = np.array(raw) / sum(raw)
-        vec = np.array(_step_arrays(*g, FP))
+        vec = step(g, FP)
         assert np.all(vec >= 0.0)
         assert np.all(vec <= 1.0)
         assert vec.sum() == pytest.approx(1.0, abs=1e-14)

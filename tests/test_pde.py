@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,27 @@ from clinewave.pde import (
 from clinewave.standing import profile_from_quadrature
 
 SYMMETRIC_FP = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.1, sigma2=2.0)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# A short gamete run on 20,001 nodes, large enough for OpenBLAS to split
+# the fitness-tensor product over threads; prints the sha256 of its fields
+# and fronts.
+_GAMETE_DIGEST = """
+import hashlib
+from clinewave import genetics, pde
+
+fp = genetics.FitnessParams(sA=0.01, sB=0.005, SA=0.1, SB=0.12, r=0.1, sigma2=2.0)
+grid = pde.Grid1D.symmetric(100.0, 0.01)
+p, q, D = pde.stacked_pqd_init(grid, 0.1, 2.0, offset_p=-2.5, offset_q=4.0)
+traj = pde.simulate_gametes(genetics.gametes_from_pqd(p, q, D), fp, grid,
+                            pde.SimConfig(dt=0.5, t_end=2.0, record_every=2))
+digest = hashlib.sha256()
+for tag in "uvwz":
+    digest.update(traj.fields[tag].tobytes())
+    digest.update(traj.front_positions[tag].tobytes())
+print(grid.n, digest.hexdigest())
+"""
 
 
 class TestGridAndConfig:
@@ -142,6 +167,20 @@ class TestSimulateGametes:
         assert traj.fields["w"][0].max() > 0.6
         assert w_final < 0.2
         assert v_final == pytest.approx(w_final, rel=0.05)
+
+    def test_fields_are_byte_identical_across_blas_threads(self):
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", _GAMETE_DIGEST], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            n, digest = proc.stdout.split()
+            assert int(n) >= 20_001
+            digests.add(digest)
+        assert len(digests) == 1
 
     def test_matches_pqd_route_for_weak_effects(self):
         # Oracle: the (p, q, D) integration of the same initial state with
@@ -326,11 +365,11 @@ def _pqd_reaction(fp, dx):
 
 
 def _gamete_reaction(fp):
+    T = genetics.fitness_tensor(fp)
+
     def make_reaction(_current):
         def rhs(state):
-            u, v, w, z = state
-            nu_, nv_, nw_, nz_ = genetics._step_arrays(u, v, w, z, fp)
-            return np.array([nu_ - u, nv_ - v, nw_ - w, nz_ - z])
+            return genetics._step_arrays(state, T) - state
 
         return rhs
 

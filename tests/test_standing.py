@@ -82,6 +82,14 @@ class TestQuadratureProfile:
     def test_ode_residual(self, profile_01):
         assert np.max(np.abs(ode_residual(profile_01))) < 1e-8
 
+    def test_ode_residual_is_the_stencil_truncation_on_a_steep_front(self):
+        # fig2's condition-fails point: the sup defect is the seven-point
+        # stencil's O(dx^6) truncation (2^6 = 64 per halving), not a profile
+        # defect
+        sups = [np.max(np.abs(ode_residual(profile_from_quadrature(0.85, 0.15, dx=dx))))
+                for dx in (0.04, 0.02, 0.01)]
+        assert sups[0] >= 40.0 * sups[1] and sups[1] >= 40.0 * sups[2]
+
     def test_tail_rate(self):
         p = profile_from_quadrature(0.25, 0.25)
         assert decay_rate(p) == pytest.approx(-0.5, rel=0.01)
