@@ -629,7 +629,7 @@ def _classify(exc: Exception) -> int:
         return EXIT_CONFIG
     if isinstance(exc, FieldInvariantError):
         # violations at t = 0 are bad setup, later ones are numerical
-        return EXIT_INVARIANT if exc.t == 0.0 else EXIT_NUMERICAL
+        return EXIT_INVARIANT if exc.diagnostics["t"] == 0.0 else EXIT_NUMERICAL
     if isinstance(exc, ValueError):
         return EXIT_INVARIANT
     if isinstance(exc, ClinewaveError):
@@ -639,21 +639,19 @@ def _classify(exc: Exception) -> int:
 
 def _error_payload(exc: Exception, code: int) -> dict:
     """What ``error.json`` records: the error, its exit code, and the
-    diagnostics the exception carries. Scalars and tuples are copied as
-    they are; a ``FieldInvariantError`` snapshot is summarised per field
-    (finite min and max, count of non-finite nodes, and the worst node:
-    the first non-finite one, else the one with the least margin to the
-    admissible range) instead of being written out whole. Non-finite
-    values are written as null, so the file stays strict JSON.
+    diagnostics the exception carries, the keywords of its raise. They
+    are copied as they are, except a ``snapshot`` of fields, which is
+    summarised per field (finite min and max, count of non-finite nodes,
+    and the worst node: the first non-finite one, else the one with the
+    least margin to the admissible range) instead of being written out
+    whole. Non-finite values are written as null, so the file stays
+    strict JSON.
     """
-    payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    for attr in ("last_residual", "escape_state", "crossings"):
-        if hasattr(exc, attr):
-            payload[attr] = getattr(exc, attr)
-    if isinstance(exc, FieldInvariantError):
-        payload["t"] = exc.t
+    payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code,
+               **getattr(exc, "diagnostics", {})}
+    if "snapshot" in payload:
         summary = {}
-        for tag, values in exc.snapshot.items():
+        for tag, values in payload["snapshot"].items():
             values = np.asarray(values, dtype=float)
             bad = ~np.isfinite(values)
             lo, hi = pde.field_bounds(tag)

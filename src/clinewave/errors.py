@@ -1,70 +1,54 @@
 """Exception hierarchy shared across the toolkit.
 
 Every failure mode that a caller may want to catch programmatically gets
-its own class; diagnostic payloads (offending state, counts, residuals)
-ride on the exception instance so batch drivers can log them.
+its own class. Diagnostics (offending state, counts, residuals) are the
+keywords the raise site passes, kept as ``exc.diagnostics`` for batch
+drivers and ``error.json``; each class names its keys. The errors pickle
+with their class, message and diagnostics, so one raised in a process
+pool's worker reaches the caller intact.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class ClinewaveError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``diagnostics`` holds the raise's keywords."""
+
+    def __init__(self, message: str, **diagnostics):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 class FieldInvariantError(ClinewaveError):
-    """A simulated field left its admissible range beyond tolerance.
-
-    Carries a diagnostic snapshot: the time and the offending fields at
-    the moment the violation was detected.
-    """
-
-    def __init__(self, message: str, t: float, snapshot: dict[str, Any]):
-        super().__init__(message)
-        self.t = t
-        self.snapshot = snapshot
+    """A field left its admissible range: at time ``t``, with the fields' ``snapshot``."""
 
 
 class FrontTrackingError(ClinewaveError):
-    """Level-crossing front position is undefined for the given field."""
-
-    def __init__(self, message: str, crossings: int):
-        super().__init__(message)
-        self.crossings = crossings
+    """Level-crossing front position is undefined: ``crossings`` counts the crossings."""
 
 
 class InsufficientSamplesError(ClinewaveError):
-    """Too few recorded front positions inside the requested time window."""
+    """Too few recorded front positions (``samples``) inside the requested window."""
 
 
 class NoHeteroclinicError(ClinewaveError):
-    """Phase-plane shot escaped before reaching the symmetry axis."""
-
-    def __init__(self, message: str, escape_state: tuple[float, float]):
-        super().__init__(message)
-        self.escape_state = escape_state
+    """Phase-plane shot escaped, at ``escape_state``, before reaching the symmetry axis."""
 
 
 class ProfileTooShortError(ClinewaveError):
-    """Profile tails carry too much integral weight for a reliable quadrature."""
+    """Profile tails carry too much integral weight (``tail_weight``) for the quadrature."""
 
 
 class QuadratureError(ClinewaveError):
-    """A quadrature came out non-finite or missed its tolerance."""
+    """A quadrature's ``sums`` came out non-finite, or its panel ``gap`` missed tolerance."""
 
 
 class NewtonDivergenceError(ClinewaveError):
-    """Newton iteration for the traveling-wave system did not converge."""
-
-    def __init__(self, message: str, last_residual: float):
-        super().__init__(message)
-        self.last_residual = last_residual
+    """Newton iteration for the traveling-wave system did not converge (``last_residual``)."""
 
 
 class ConvergenceError(ClinewaveError):
-    """An iterative procedure ran out of its horizon before converging."""
+    """An iterative procedure ran out of its horizon (``last_distance``, where measured)."""
 
 
 class ConfigError(ClinewaveError):

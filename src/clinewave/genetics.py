@@ -78,7 +78,7 @@ class FitnessParams:
     SA: float
     SB: float
     r: float
-    sigma2: float = 1.0
+    sigma2: float
 
     def __post_init__(self):
         check_positive(SA=self.SA, SB=self.SB, sigma2=self.sigma2)

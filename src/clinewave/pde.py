@@ -231,7 +231,7 @@ def _check_boundary_init(fields: dict[str, np.ndarray]) -> None:
             if min(abs(edge), abs(edge - 1.0)) > BOUNDARY_INIT_TOL:
                 raise FieldInvariantError(
                     f"initial {tag} boundary value {edge} is not within "
-                    f"{BOUNDARY_INIT_TOL} of a limit state", 0.0, {tag: arr},
+                    f"{BOUNDARY_INIT_TOL} of a limit state", t=0.0, snapshot={tag: arr},
                 )
 
 
@@ -268,7 +268,7 @@ def _range_guard(t: float, fields: dict[str, np.ndarray]) -> None:
                 message = f"|D| exceeded 1/4 + {RANGE_TOL} at t={t}"
             else:
                 message = f"{tag} left [0,1] by more than {RANGE_TOL} at t={t}"
-            raise FieldInvariantError(message, t, dict(fields))
+            raise FieldInvariantError(message, t=t, snapshot=dict(fields))
 
 
 def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
@@ -331,7 +331,7 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
                 raise FieldInvariantError(
                     f"state became non-finite at t={step * cfg.dt} "
                     "(reaction overshoot; reduce dt or smooth the initial data)",
-                    step * cfg.dt, dict(zip(tags, state[rows])),
+                    t=step * cfg.dt, snapshot=dict(zip(tags, state[rows])),
                 )
             y = solve_banded(factors, state * edges)
             y *= 2.0
@@ -455,10 +455,10 @@ def front_position_values(values: np.ndarray, x: np.ndarray) -> float:
     changes = np.where(signs[:-1] * signs[1:] < 0.0)[0]
     crossings = len(changes) + len(zero_nodes)
     if crossings == 0:
-        raise FrontTrackingError("profile does not cross the level", 0)
+        raise FrontTrackingError("profile does not cross the level", crossings=0)
     if crossings > 1:
         raise FrontTrackingError(
-            f"profile crosses the level {crossings} times", crossings
+            f"profile crosses the level {crossings} times", crossings=crossings
         )
     if len(zero_nodes) == 1:
         return float(x[zero_nodes[0]])
@@ -482,14 +482,15 @@ def instantaneous_speed(traj: Trajectory, tag: str,
     if window is None:
         window = (float(t[0]), float(t[-1]))
     mask = (t >= window[0]) & (t <= window[1]) & np.isfinite(pos)
-    if int(mask.sum()) < 3:
+    samples = int(mask.sum())
+    if samples < 3:
         raise InsufficientSamplesError(
-            f"need >= 3 front samples in window {window}, got {int(mask.sum())}"
+            f"need >= 3 front samples in window {window}, got {samples}", samples=samples
         )
     return float(np.polyfit(t[mask], pos[mask], 1)[0])
 
 
-def stacked_pqd_init(grid: Grid1D, S_like: float, sigma2: float = 2.0,
+def stacked_pqd_init(grid: Grid1D, S_like: float, sigma2: float,
                      offset_p: float = 0.0, offset_q: float = 0.0):
     """Front-like initial data for the full system, with D = 0.
 

@@ -106,11 +106,12 @@ def c1_exact(S: float, r: float) -> float:
             sums += [float(v) for v in _panel_integrals(integrands, lo, lo + width).sum(axis=1)]
     num, den, num_half, den_half = sums
     if not all(0.0 < v < math.inf for v in sums):
-        raise QuadratureError(f"c1 sums not finite and positive at S/r = {S / r:.6g}: {sums}")
+        raise QuadratureError(f"c1 sums not finite and positive at S/r = {S / r:.6g}: {sums}",
+                              sums=sums)
     gap = abs((num_half / den_half) / (num / den) - 1.0)
     if gap > QUAD_TOL:
         raise QuadratureError(f"half-width panels move c1 by {gap:.2e} > {QUAD_TOL}"
-                              f" at S/r = {S / r:.6g}")
+                              f" at S/r = {S / r:.6g}", gap=gap)
     return (r / (8.0 * S)) * num / den
 
 
@@ -212,7 +213,8 @@ def solve_traveling_bvp(
             break
         best, rises = (norm, 0) if norm < best else (best, rises + 1)
         if rises == NEWTON_MAX_RISES:
-            raise NewtonDivergenceError(f"Newton diverged at eps={eps}: residual {norm:.3e}", norm)
+            raise NewtonDivergenceError(f"Newton diverged at eps={eps}: residual {norm:.3e}",
+                                        last_residual=norm)
         full = np.concatenate(([1.0], u, [0.0]))
         up = (full[2:] - full[:-2]) / (2.0 * dx)
         J = linearization(u, up, S, r, dx, eps=eps, c=c)
@@ -227,13 +229,13 @@ def solve_traveling_bvp(
         if not (math.isfinite(dc) and np.isfinite(du).all()):
             raise NewtonDivergenceError(
                 f"singular Newton step at eps={eps} (w.z = {wz:.3e}) "
-                f"from residual {norm:.3e}", norm
+                f"from residual {norm:.3e}", last_residual=norm
             )
         u += du
         c += dc
     else:
         raise NewtonDivergenceError(
-            f"Newton stalled at eps={eps} with residual {norm:.3e}", norm
+            f"Newton stalled at eps={eps} with residual {norm:.3e}", last_residual=norm
         )
 
     values = np.concatenate(([1.0], u, [0.0]))

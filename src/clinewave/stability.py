@@ -219,9 +219,10 @@ def solvability_ratio(u0: WaveProfile) -> float:
     num_tail = 0.5 * (h_r * h_r + h_l * h_l)
     den_tail = math.sqrt(u0.S) * num_tail
     if num_tail > TAIL_WEIGHT_LIMIT * abs(num) or den_tail > TAIL_WEIGHT_LIMIT * abs(den):
+        weight = max(num_tail / abs(num), den_tail / abs(den))
         raise ProfileTooShortError(
-            f"tail weight {max(num_tail / abs(num), den_tail / abs(den)):.2e} "
-            f"exceeds {TAIL_WEIGHT_LIMIT}; extend the profile domain"
+            f"tail weight {weight:.2e} exceeds {TAIL_WEIGHT_LIMIT}; extend the profile domain",
+            tail_weight=weight,
         )
     return (num - num_tail) / (den - den_tail)
 
@@ -335,7 +336,7 @@ def relaxation_shift(
     if not fit["dist"] < SETTLE_TOL:
         raise ConvergenceError(
             f"perturbation did not settle below {SETTLE_TOL} by t={cfg.t_end} "
-            f"(last distance {fit['dist']:.3e})"
+            f"(last distance {fit['dist']:.3e})", last_distance=fit["dist"],
         )
     shift, dist = fit["shift"], fit["dist"]
 

@@ -259,7 +259,7 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
     if sol.t_events[1].size > 0 or sol.t_events[0].size == 0:
         state = tuple(sol.y[:, -1]) if sol.y.size else (np.nan, np.nan)
         raise NoHeteroclinicError(
-            f"orbit escaped before reaching u = 1/2 for S={S}, r={r}", state
+            f"orbit escaped before reaching u = 1/2 for S={S}, r={r}", escape_state=state
         )
     x_cross = float(sol.t_events[0][0])
 
@@ -282,7 +282,7 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
     if gap > SHOOTING_TOL:
         raise ClinewaveError(
             f"shooting profile deviates from the slope-law profile by {gap:.3e} "
-            f"> tol={SHOOTING_TOL:.3e}"
+            f"> tol={SHOOTING_TOL:.3e}", gap=gap
         )
     return profile
 
@@ -340,7 +340,8 @@ def decay_rate(profile: WaveProfile, side: str = "right") -> float:
     edge = vals[-1] if side == "right" else vals[0]
     if edge > 1e-3:
         raise ClinewaveError(
-            f"tail not resolved: edge height {edge:.3e} > 1e-3; extend the domain"
+            f"tail not resolved: edge height {edge:.3e} > 1e-3; extend the domain",
+            edge_height=edge,
         )
     if not np.all(vals > 0.0):
         raise ClinewaveError(f"{side} tail underflowed in its fitted quarter; narrow the domain")

@@ -9,7 +9,7 @@ import pytest
 
 from clinewave import cli
 from clinewave.cli import _error_payload, _parse_r_grid, _resolve, build_parser, main
-from clinewave.errors import NewtonDivergenceError, NoHeteroclinicError
+from clinewave.errors import ClinewaveError, NewtonDivergenceError, NoHeteroclinicError
 from clinewave.pde import Grid1D
 from clinewave.genetics import default_half_width
 from clinewave.standing import profile_from_quadrature
@@ -322,13 +322,27 @@ class TestConfigHandling:
         assert main(["stability", "--x-max", "12", "--out", str(out)]) == 4
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["exit_code"]) == ("ProfileTooShortError", 4)
+        assert err["tail_weight"] > 1e-8  # the limit the message names
 
     def test_error_payload_copies_scalar_diagnostics(self):
-        payload = _error_payload(NewtonDivergenceError("stalled", 3.5e-9), 4)
+        payload = _error_payload(NewtonDivergenceError("stalled", last_residual=3.5e-9), 4)
         assert payload == {"error": "NewtonDivergenceError", "message": "stalled",
                            "exit_code": 4, "last_residual": 3.5e-9}
-        payload = _error_payload(NoHeteroclinicError("escaped", (0.7, -3.2)), 4)
+        payload = _error_payload(NoHeteroclinicError("escaped", escape_state=(0.7, -3.2)), 4)
         assert payload["escape_state"] == (0.7, -3.2)
+
+    def test_error_payload_copies_any_keyword_of_any_subclass(self):
+        # the raise site alone decides what is a diagnostic: neither the
+        # error class nor the driver names it
+        class StallError(ClinewaveError):
+            pass
+
+        with pytest.raises(StallError) as info:
+            raise StallError("stalled", residual_ratio=0.97, stage=(2, "ramp"))
+        code = cli._classify(info.value)
+        assert _error_payload(info.value, code) == {
+            "error": "StallError", "message": "stalled", "exit_code": 4,
+            "residual_ratio": 0.97, "stage": (2, "ramp")}
 
 
 class TestSpeedCommand:

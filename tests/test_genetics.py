@@ -123,7 +123,7 @@ class TestMeanFitness:
     # the mean fitness is the sum of the recursion numerators, the w-bar
     # that `_step_arrays` divides by
     def test_monomorphic_ab_gamete(self):
-        fp = FitnessParams(sA=0.1, sB=0.1, SA=0.2, SB=0.2, r=0.1)
+        fp = FitnessParams(sA=0.1, sB=0.1, SA=0.2, SB=0.2, r=0.1, sigma2=2.0)
         assert sum(tensor_numerators([1.0, 0.0, 0.0, 0.0], fp)) == pytest.approx(
             1.44, abs=1e-15)
 
@@ -132,7 +132,7 @@ class TestMeanFitness:
             1.0, abs=1e-15)
 
     def test_uniform_state_against_enumeration_oracle(self):
-        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.2)
+        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.2, sigma2=2.0)
         g = np.full(4, 0.25)
         expected = oracle_mean_fitness(g, fp)
         # independent loci at these frequencies: (1 - SA/2)(1 - SB/2)
@@ -184,14 +184,14 @@ class TestExactRecursion:
     def test_reversal_permutes_the_tensor_without_directional_selection(self):
         # reversing (u, v, w, z) relabels A<->a and B<->b, which maps gamete
         # i to 3 - i and the pair (j, k) to (3 - j, 3 - k)
-        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.15, r=0.2)
+        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.15, r=0.2, sigma2=2.0)
         for params, symmetric in ((fp, True), (FP, False)):
             T = fitness_tensor(params).reshape(4, 4, 4)
             assert np.array_equal(T[::-1, ::-1, ::-1], T) == symmetric
 
     def test_no_selection_linkage_equilibrium_is_preserved(self):
         # With D = 0 and selection off, recombination has nothing to undo.
-        fp = FitnessParams(sA=0.0, sB=0.0, SA=1e-30, SB=1e-30, r=0.3)
+        fp = FitnessParams(sA=0.0, sB=0.0, SA=1e-30, SB=1e-30, r=0.3, sigma2=2.0)
         for (p, q) in [(0.3, 0.7), (0.5, 0.5), (0.9, 0.2)]:
             u, v, w, z = step(gametes_from_pqd(p, q, 0.0), fp)
             assert u * z - v * w == pytest.approx(0.0, abs=1e-15)
@@ -199,7 +199,7 @@ class TestExactRecursion:
     def test_relabeling_symmetry(self):
         # Reversing (u, v, w, z) relabels A<->a and B<->b; without
         # directional selection the step commutes with the relabeling.
-        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.15, r=0.2)
+        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.15, r=0.2, sigma2=2.0)
         g = np.array([0.4, 0.3, 0.2, 0.1])
         out = step(g, fp)
         out_swapped = step(g[::-1], fp)
@@ -221,7 +221,7 @@ class TestExactRecursion:
 
 class TestFirstOrderRecursion:
     def test_central_fixed_point(self):
-        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.2)
+        fp = FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.2, sigma2=2.0)
         assert pqd_rates(0.5, 0.5, 0.0, fp) == (0.0, 0.0, 0.0)
 
     def test_zero_disequilibrium_decouples(self):
@@ -282,8 +282,8 @@ class TestChangeOfVariables:
 
 def test_fitness_params_validation():
     with pytest.raises(ValueError):
-        FitnessParams(sA=0.2, sB=0.0, SA=0.1, SB=0.1, r=0.1)
+        FitnessParams(sA=0.2, sB=0.0, SA=0.1, SB=0.1, r=0.1, sigma2=2.0)
     with pytest.raises(ValueError):
-        FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.7)
+        FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.7, sigma2=2.0)
     with pytest.raises(ValueError):
         FitnessParams(sA=0.0, sB=0.0, SA=0.1, SB=0.1, r=0.1, sigma2=-1.0)

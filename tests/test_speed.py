@@ -285,7 +285,7 @@ class TestTravelingBVP:
         monkeypatch.setattr(speed, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NewtonDivergenceError) as err:
             solve_traveling_bvp(0.1, 0.1, 1e-3, u0=profile_01)
-        assert err.value.last_residual > 0.0
+        assert err.value.diagnostics["last_residual"] > 0.0
 
     def test_stalls_past_its_known_range(self, spsolve_calls):
         # at dx = 0.05 and S/r = 25 the standing front's residual is about 600;
@@ -294,7 +294,7 @@ class TestTravelingBVP:
         with pytest.raises(NewtonDivergenceError, match="diverged") as err:
             solve_traveling_bvp(0.5, 0.02, 5e-4)
         assert len(spsolve_calls) == 3 + speed.NEWTON_MAX_RISES
-        assert 157.0 < err.value.last_residual < 1e5
+        assert 157.0 < err.value.diagnostics["last_residual"] < 1e5
 
     def test_zero_phase_weight_fails_at_the_first_step(self, profile_01, spsolve_calls):
         # A profile with zero slope gives the phase condition no weight, so
@@ -304,7 +304,8 @@ class TestTravelingBVP:
         with pytest.raises(NewtonDivergenceError) as err:
             solve_traveling_bvp(0.1, 0.1, 1e-3, u0=flat)
         assert len(spsolve_calls) == 1
-        assert math.isfinite(err.value.last_residual) and err.value.last_residual > 0.0
+        residual = err.value.diagnostics["last_residual"]
+        assert math.isfinite(residual) and residual > 0.0
 
 
 class TestBVPGridRefinement:

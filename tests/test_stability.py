@@ -313,7 +313,8 @@ class TestRelaxationLegs:
             relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
         # the failing step's two stages, then the finiteness check
         assert len(calls) == 164
-        assert info.value.t == 20.25
+        assert info.value.diagnostics["t"] == 20.25
         assert "at t=20.25 " in str(info.value)
-        assert not np.isfinite(info.value.snapshot[f"u_reduced{row}"]).all()
-        assert np.isfinite(info.value.snapshot[f"u_reduced{1 - row}"]).all()
+        snapshot = info.value.diagnostics["snapshot"]
+        assert not np.isfinite(snapshot[f"u_reduced{row}"]).all()
+        assert np.isfinite(snapshot[f"u_reduced{1 - row}"]).all()

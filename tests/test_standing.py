@@ -227,7 +227,7 @@ class TestShootingProfile:
         # Extreme coupling drives the orbit below the guard before u = 1/2.
         with pytest.raises(NoHeteroclinicError) as err:
             profile_from_shooting(profile_from_quadrature(2.0, 0.02))
-        assert len(err.value.escape_state) == 2
+        assert len(err.value.diagnostics["escape_state"]) == 2
 
 
 @pytest.fixture
