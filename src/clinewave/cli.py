@@ -21,7 +21,8 @@ deterministic ``run_id``, and data CSVs with 17-significant-digit floats
 and no timestamps. ``--svg`` adds dependency-free line plots.
 
 Exit codes: 0 success, 2 configuration error (an output directory
-that cannot be made or written is one), 3 invariant violation,
+that cannot be made or written is one), 3 invariant violation (a run
+beyond a `pde` size limit, or too large to count or allocate, is one),
 4 numerical failure. A failure writes ``error.json`` with the diagnostic
 payload into the run's own directory (keyed by argv if the run fails
 before its parameters resolve). ``sweep`` runs each point through
@@ -630,7 +631,7 @@ def _classify(exc: Exception) -> int:
     if isinstance(exc, FieldInvariantError):
         # violations at t = 0 are bad setup, later ones are numerical
         return EXIT_INVARIANT if exc.diagnostics["t"] == 0.0 else EXIT_NUMERICAL
-    if isinstance(exc, ValueError):
+    if isinstance(exc, (ValueError, OverflowError, MemoryError)):  # bad or oversized parameters
         return EXIT_INVARIANT
     if isinstance(exc, ClinewaveError):
         return EXIT_NUMERICAL

@@ -51,5 +51,10 @@ class ConvergenceError(ClinewaveError):
     """An iterative procedure ran out of its horizon (``last_distance``, where measured)."""
 
 
+class RunSizeError(ClinewaveError, ValueError):
+    """A run's ``size`` (steps, nodes or recorded values) exceeds its ``limit``; refused
+    before it allocates or steps. A ValueError, as any parameter outside its domain."""
+
+
 class ConfigError(ClinewaveError):
     """Run configuration could not be parsed or contains unknown keys."""

@@ -170,11 +170,16 @@ def logistic_g(u):
 
 
 def reduced_reaction(u, du, S: float, r: float, eps: float = 0.0):
-    """Reaction of the reduced equation at heights u with slopes du:
-    S f(u) + eps g(u) + (2/r)(S(2u - 1) + eps) du^2.
+    """Reaction of the reduced equation at heights u with slopes du,
+
+        S f(u) + eps g(u) + (2/r)(S(2u - 1) + eps) du^2
+          = (S(2u - 1) + eps) (u (1 - u) + (2/r) du^2),
+
+    evaluated as that product: the stacked locus's selection times its
+    heterozygosity plus the QLE disequilibrium D = (2/r) du^2. It is the
+    one-row `pqd_reaction` allele rate at that D.
 
     The one statement of the reduced model: the simulator, the BVP, the
     phase-plane shot and the standing-front residual all call it.
     """
-    return (S * bistable_f(u) + eps * logistic_g(u)
-            + (2.0 / r) * (S * (2.0 * u - 1.0) + eps) * du * du)
+    return (S * (2.0 * u - 1.0) + eps) * (u * (1.0 - u) + (2.0 / r) * du * du)

@@ -12,8 +12,8 @@ three-stage rule, though merging half-reactions costs it 1.2-1.7x in error.
 
     with s2 the dispersal variance, on the allele rows and D; equal loci
     with q = p run as one allele row u = p = q (see `simulate_pqd`). The
-    p_x q_x source is evaluated by central differences at every
-    Runge-Kutta stage of the reaction substep; freezing it per substep
+    p_x q_x source is evaluated by central differences at both
+    right-hand-side calls of the midpoint substep; freezing it per substep
     costs an order of accuracy.
 
   * `simulate_gametes` integrates the four gamete frequencies with
@@ -24,22 +24,27 @@ three-stage rule, though merging half-reactions costs it 1.2-1.7x in error.
     in the rescaled frame (unit diffusion),
 
         u_t = u_xx + genetics.reduced_reaction(u, u_x, S, r, eps)
-            = u_xx + S f(u) + eps g(u) + (2/r)(S (2u-1) + eps) u_x^2,
+            = u_xx + (S (2u-1) + eps) (u (1-u) + (2/r) u_x^2),
 
-    recomputing u_x at every Runge-Kutta stage so the split is strictly
-    symmetric. Pass r = inf to drop the gradient coupling (plain bistable
-    control). Speeds measured here convert to the original frame by the
-    factor sigma/sqrt(2). A (k, n) initial state is k independent fronts.
+    selection times heterozygosity plus the QLE disequilibrium (2/r) u_x^2,
+    recomputing u_x at both right-hand-side calls of the midpoint substep
+    so the split is strictly symmetric. Pass r = inf to drop the gradient
+    coupling (plain bistable control). Speeds measured here convert to the
+    original frame by the factor sigma/sqrt(2). A (k, n) initial state is
+    k independent fronts.
 
 Each simulator only builds its reaction right-hand side, once per run;
 the shared driver checks the initial data, steps, records and tracks the
 fronts, and a run ends at t_end or at the first record its stop rule
-accepts. Diffusion is one Crank-Nicolson step on no-flux boundaries for
-the whole (components, nodes) state: u+ = 2y - u with A y = u, A = I - aT
-made symmetric at its edge rows, factored once per run by LAPACK's `pttrf`
-and solved by one `pttrs` per step. `Tridiagonal` is the one band type of
-the stability operators and the BVP Newton Jacobian. Runs are
-deterministic given their config; independent runs share no state.
+accepts. Before it allocates or steps, a run is refused (`RunSizeError`)
+beyond `MAX_STEPS` time steps, `MAX_NODES` grid nodes or
+`MAX_RECORD_VALUES` recorded values. Diffusion is one Crank-Nicolson
+step on no-flux boundaries for the whole (components, nodes) state:
+u+ = 2y - u with A y = u, A = I - aT made symmetric at its edge rows,
+factored once per run by LAPACK's `pttrf` and solved by one `pttrs` per
+step. `Tridiagonal` is the one band type of the stability operators and
+the BVP Newton Jacobian. Runs are deterministic given their config;
+independent runs share no state.
 
 Every reaction comes from `genetics`; this module imports nothing from
 the standing-front, speed or stability layers, so a simulation loads
@@ -60,11 +65,17 @@ from .errors import (
     FieldInvariantError,
     FrontTrackingError,
     InsufficientSamplesError,
+    RunSizeError,
 )
 from .genetics import FitnessParams, reduced_reaction
 
 RANGE_TOL = 1e-6          # abort threshold for field-range violations
 BOUNDARY_INIT_TOL = 1e-6  # required closeness of initial data to limit states
+
+# Size limits of one run, checked before it allocates or steps (`RunSizeError`)
+MAX_STEPS = 10_000_000             # time steps, t_end / dt
+MAX_NODES = 1_000_000              # grid nodes
+MAX_RECORD_VALUES = 100_000_000    # recorded values, rows x records x nodes (800 MB)
 
 # Tags tracked by the vertex of |value| at its top node; the rest by their 1/2
 # level crossing, every front decreasing except z, which rises.
@@ -84,6 +95,7 @@ class Grid1D:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got n={self.n}")
+        _check_size("node count", self.n, MAX_NODES)
 
     @property
     def dx(self) -> float:
@@ -96,6 +108,7 @@ class Grid1D:
     @staticmethod
     def symmetric(half_width: float, dx: float) -> "Grid1D":
         genetics.check_positive(dx=dx, **{"half-width": half_width})
+        _check_size("node count", 2.0 * (half_width / dx) + 1.0, MAX_NODES)  # before int(inf)
         half = int(round(half_width / dx))
         if half < 1:
             raise ValueError(f"need half-width > dx/2 for a node either side of x = 0, "
@@ -116,10 +129,17 @@ class SimConfig:
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         steps = self.t_end / self.dt
+        _check_size("step count", steps, MAX_STEPS)
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"t_end={self.t_end} is not a whole number of steps dt={self.dt}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+
+
+def _check_size(what: str, size: float, limit: int) -> None:
+    """Raise `RunSizeError`, naming the size and its limit, for a size above the limit."""
+    if not size <= limit:
+        raise RunSizeError(f"{what} of {size:.6g} exceeds the limit {limit}", size=size, limit=limit)
 
 
 def field_bounds(tag: str) -> tuple[float, float]:
@@ -306,6 +326,9 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
     _check_boundary_init(dict(zip(tags, state[rows])))
     _range_guard(0.0, dict(zip(tags, state[rows])))
     n_steps = int(round(cfg.t_end / cfg.dt))
+    records = -(-n_steps // cfg.record_every) + 1  # steps 0, k, 2k, ... and the last
+    _check_size(f"record store ({len(tags)} rows x {records} records x {grid.n} nodes)",
+               len(tags) * records * grid.n, MAX_RECORD_VALUES)
     record_steps = list(range(0, n_steps + 1, cfg.record_every))
     if record_steps[-1] != n_steps:
         record_steps.append(n_steps)
@@ -417,7 +440,7 @@ def simulate_reduced(init, S: float, eps: float, r: float,
     Works in the rescaled frame (unit diffusion); convert measured speeds
     to the original frame by multiplying with sigma/sqrt(2). The gradient
     coupling scales with 2/r; pass r = inf for the uncoupled bistable
-    control. u_x is recomputed at every Runge-Kutta stage. A (k, n) init
+    control. u_x is recomputed at both midpoint calls. A (k, n) init
     is k independent fronts, each repeating its own run bit for bit and,
     for k > 1, tagged u_reduced0, u_reduced1, ...; one front is u_reduced.
     stop is the driver's stop rule (see `_run_strang`).

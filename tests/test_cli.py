@@ -3,11 +3,12 @@
 import concurrent.futures
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from clinewave import cli
+from clinewave import cli, pde
 from clinewave.cli import _error_payload, _parse_r_grid, _resolve, build_parser, main
 from clinewave.errors import ClinewaveError, NewtonDivergenceError, NoHeteroclinicError
 from clinewave.pde import Grid1D
@@ -343,6 +344,41 @@ class TestConfigHandling:
         assert _error_payload(info.value, code) == {
             "error": "StallError", "message": "stalled", "exit_code": 4,
             "residual_ratio": 0.97, "stage": (2, "ramp")}
+
+
+class TestBoundedRuns:
+    """A run too large to start exits 3 within a second, before it allocates
+    or steps, with an error.json naming its size and the limit."""
+
+    @pytest.mark.parametrize("argv, limit", [
+        # t_end / dt = 5.01e300 passes the whole-number-of-steps test
+        (["compare", "--S", "0.305", "--r-grid", "0.334:0.334:0.1", "--s", "0.00139",
+          "--t-end", "5.01", "--dx", "0.277", "--dt", "1e-300"], "MAX_STEPS"),
+        (["simulate", "--model", "reduced", "--dt", "1e-300", "--t-end", "2.27"], "MAX_STEPS"),
+        # a record store of (3, 300001, 12001) values, 80.5 GiB
+        (["simulate", "--t-end", "3000", "--dt", "0.01", "--record-every", "1",
+          "--dx", "0.01"], "MAX_RECORD_VALUES"),
+        (["simulate", "--dx", "1e-5"], "MAX_NODES"),
+    ], ids=["compare-steps", "reduced-steps", "record-store", "nodes"])
+    def test_oversized_run_exits_3_within_a_second(self, tmp_path, argv, limit):
+        start = time.perf_counter()
+        code, out = run_cli(argv, tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("RunSizeError", 3)
+        assert err["limit"] == getattr(pde, limit) < err["size"]
+
+    @pytest.mark.parametrize("error", [MemoryError, OverflowError])
+    def test_allocation_and_count_overflows_exit_3(self, tmp_path, monkeypatch, error):
+        def oversized(*args, **kwargs):
+            raise error("too large")
+
+        monkeypatch.setattr(cli.pde, "simulate_reduced", oversized)
+        code, out = run_cli(["simulate", "--model", "reduced", "--t-end", "2"], tmp_path)
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == (error.__name__, 3)
 
 
 class TestSpeedCommand:

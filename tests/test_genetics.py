@@ -1,8 +1,10 @@
-"""Unit tests for the exact gamete recursion and its weak-selection limit.
+"""Unit tests for the exact gamete recursion, its weak-selection limit and
+the reduced equation's reaction.
 
 States are numpy rows (u, v, w, z), and the maps under test are the array
 functions the spatial simulators run: `_step_arrays` with its
-`fitness_tensor` (four-gamete model) and `pqd_reaction` ((p, q, D) model).
+`fitness_tensor` (four-gamete model), `pqd_reaction` ((p, q, D) model) and
+`reduced_reaction` (reduced scalar model).
 """
 
 from dataclasses import replace
@@ -15,9 +17,12 @@ from hypothesis import strategies as st
 from clinewave.genetics import (
     FitnessParams,
     _step_arrays,
+    bistable_f,
     fitness_tensor,
     gametes_from_pqd,
+    logistic_g,
     pqd_reaction,
+    reduced_reaction,
 )
 
 FP = FitnessParams(sA=0.01, sB=0.02, SA=0.1, SB=0.15, r=0.2, sigma2=2.0)
@@ -278,6 +283,43 @@ class TestChangeOfVariables:
                         break
                     worst = max(worst, abs(u * max(z, 0.0) - v * w))
         assert worst <= 0.25 + 1e-12
+
+
+ULP = np.finfo(float).eps
+
+
+def reduced_terms(u, du, S, r, eps):
+    """Oracle: the reduced reaction's three terms, summed term by term by the caller."""
+    return (S * bistable_f(u), eps * logistic_g(u),
+            (2.0 / r) * (S * (2.0 * u - 1.0) + eps) * du * du)
+
+
+class TestReducedReaction:
+    """`reduced_reaction` is one product, selection x (heterozygosity + QLE
+    disequilibrium); it must be the reduced equation's sum of terms and the
+    one-row (p, q, D) allele rate at the QLE disequilibrium, to rounding."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(u=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           du=st.floats(-1.0, 1.0), S=st.floats(1e-3, 3.0), r=st.floats(0.02, 10.0),
+           eps=st.sampled_from([0.0, 0.005, -0.005]))
+    def test_product_matches_the_sum_of_terms(self, u, du, S, r, eps):
+        terms = reduced_terms(u, du, S, r, eps)
+        largest = max(abs(term) for term in terms)
+        # a few ulps of the largest term; the floor covers subnormal inputs
+        assert abs(reduced_reaction(u, du, S, r, eps) - sum(terms)) <= (
+            8.0 * ULP * largest + np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.005, -0.005])
+    @pytest.mark.parametrize("S, r", [(0.1, 0.1), (0.1, 0.02), (1.0, 0.5)])
+    def test_is_the_one_row_pqd_rate_at_the_qle_disequilibrium(self, S, r, eps):
+        rng = np.random.default_rng(17)
+        u = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 5000)])
+        du = rng.uniform(-0.5, 0.5, u.size)
+        D_qle = (2.0 / r) * du * du
+        rate = pqd_reaction(np.array([u, D_qle]), np.array([[S]]), np.array([[eps]]), r)[0][0]
+        largest = np.max(np.abs(reduced_terms(u, du, S, r, eps)), axis=0)
+        assert np.all(np.abs(reduced_reaction(u, du, S, r, eps) - rate) <= 8.0 * ULP * largest)
 
 
 def test_fitness_params_validation():

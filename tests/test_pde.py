@@ -19,8 +19,9 @@ from clinewave.errors import (
     FieldInvariantError,
     FrontTrackingError,
     InsufficientSamplesError,
+    RunSizeError,
 )
-from clinewave.genetics import FitnessParams, bistable_f, logistic_g
+from clinewave.genetics import FitnessParams
 from clinewave.pde import (
     Grid1D,
     SimConfig,
@@ -83,6 +84,34 @@ class TestGridAndConfig:
         # whole step counts pass, rounding in t_end / dt included
         for dt, t_end in ((0.2, 200.0), (0.3, 0.8999999999999999), (0.1, 0.3), (0.25, 0.0)):
             SimConfig(dt=dt, t_end=t_end)
+
+    def test_step_and_node_limits(self):
+        SimConfig(dt=0.5, t_end=0.5 * pde.MAX_STEPS)
+        for dt, t_end in ((0.5, 0.5 * (pde.MAX_STEPS + 1)), (1e-300, 2.27), (1e-300, 1e10)):
+            with pytest.raises(RunSizeError, match="step count") as info:
+                SimConfig(dt=dt, t_end=t_end)  # 1e10 / 1e-300 is inf
+            assert info.value.diagnostics["limit"] == pde.MAX_STEPS
+        Grid1D(0.0, 1.0, pde.MAX_NODES)
+        with pytest.raises(RunSizeError, match="node count"):
+            Grid1D(0.0, 1.0, pde.MAX_NODES + 1)
+        # a half-width over dx above the float range is refused before int(inf)
+        with pytest.raises(RunSizeError, match="node count") as info:
+            Grid1D.symmetric(60.0, 1e-310)
+        assert info.value.diagnostics["size"] == math.inf
+
+    @pytest.mark.parametrize("record_every, records", [(4, 4), (5, 3), (1, 11), (20, 2)])
+    def test_record_store_limit_is_the_store_size(self, monkeypatch, record_every, records):
+        # the driver's record count is the store it would allocate: 10 steps
+        # record at 0, k, 2k, ... and the last step
+        grid = Grid1D.symmetric(80.0, 1.0)
+        init = pde.logistic_front(grid.x, 0.1)
+        cfg = SimConfig(dt=0.1, t_end=1.0, record_every=record_every)
+        monkeypatch.setattr(pde, "MAX_RECORD_VALUES", records * grid.n - 1)
+        with pytest.raises(RunSizeError, match=f"{records} records") as info:
+            simulate_reduced(init, 0.1, 0.0, 0.1, grid, cfg)
+        assert info.value.diagnostics["size"] == records * grid.n
+        monkeypatch.setattr(pde, "MAX_RECORD_VALUES", records * grid.n)
+        assert simulate_reduced(init, 0.1, 0.0, 0.1, grid, cfg).times.size == records
 
     def test_boundary_init_guard(self):
         grid = Grid1D.symmetric(5.0, 0.1)  # far too narrow for the front
@@ -381,8 +410,8 @@ def _reduced_reaction(S, eps, r, dx):
         def rhs(state):
             u = state[0]
             ux = np.gradient(u, dx)
-            du = (S * bistable_f(u) + eps * logistic_g(u)
-                  + (2.0 / r) * (S * (2.0 * u - 1.0) + eps) * ux * ux)
+            # the library's product form, selection x (heterozygosity + QLE D)
+            du = (S * (2.0 * u - 1.0) + eps) * (u * (1.0 - u) + (2.0 / r) * ux * ux)
             return du[np.newaxis, :]
 
         return rhs
