@@ -17,13 +17,15 @@ defaults; unknown config keys are rejected. Every run writes
 ``manifest.json`` with the fully resolved configuration (keys whose value
 equals the CLI default are listed under ``defaulted``; preset values
 the underlying sources do not pin down are listed under ``assumed``), a
-deterministic ``run_id``, and data CSVs with 17-significant-digit floats
-and no timestamps. ``--svg`` adds dependency-free line plots.
+deterministic ``run_id``, which also ends the default directory's name,
+and data CSVs with 17-significant-digit floats and no timestamps.
+``--svg`` adds dependency-free line plots.
 
 Exit codes: 0 success, 2 configuration error (an output directory
 that cannot be made or written is one), 3 invariant violation (a run
-beyond a `pde` size limit, or too large to count or allocate, is one),
-4 numerical failure. A failure writes ``error.json`` with the diagnostic
+beyond a `pde` size limit, an ``--r-grid`` of more than ``MAX_R_POINTS``
+points, or a run too large to count or allocate, is one), 4 numerical
+failure. A failure writes ``error.json`` with the diagnostic
 payload into the run's own directory (keyed by argv if the run fails
 before its parameters resolve). ``sweep`` runs each point through
 ``main``: a failing point leaves its own ``error.json``, the others still
@@ -65,6 +67,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_NUMERICAL = 4
+
+MAX_R_POINTS = 10_000  # points of one --r-grid, counted before any is built
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +216,19 @@ def _parse_r_grid(expr: str) -> list[float]:
         raise ConfigError(f"r-grid needs finite start, stop and step, got {expr!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"r-grid must increase, got {expr!r}")
-    count = math.floor((stop - start) / step + 1e-9)
-    return [round(start + i * step, 12) for i in range(count + 1)]
+    steps = (stop - start) / step + 1e-9
+    pde.check_size("r-grid point count", steps + 1.0, MAX_R_POINTS)
+    return [round(start + i * step, 12) for i in range(math.floor(steps) + 1)]
 
 
-def _out_dir(out: str | None, name: str, resolved: dict) -> Path:
+def _out_dir(out: str | None, name: str, rid: str) -> Path:
     if out:
         return Path(out)
     root = Path(os.environ.get("CLINEWAVE_OUT", "clinewave-runs"))
-    return root / f"{name}-{run_id(resolved)}"
+    return root / f"{name}-{rid}"
 
 
-def _manifest(outdir: Path, command: str, resolved: dict, defaulted: list[str],
+def _manifest(outdir: Path, command: str, resolved: dict, rid: str, defaulted: list[str],
               assumed: list[str], **extra) -> None:
     payload = {
         "command": command,
@@ -233,7 +238,7 @@ def _manifest(outdir: Path, command: str, resolved: dict, defaulted: list[str],
         "assumed": sorted(assumed),
         **extra,
     }
-    payload["run_id"] = run_id({"command": command, "resolved": resolved})
+    payload["run_id"] = rid
     write_json(outdir / "manifest.json", payload)
 
 
@@ -561,11 +566,11 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
 
 
 def dispatch(command: str, params: dict, defaulted: list[str], outdir: Path,
-             make_svg: bool) -> None:
-    """Run a resolved command into ``outdir`` and write its manifest."""
+             make_svg: bool, rid: str) -> None:
+    """Run a resolved command into ``outdir`` and write its manifest, with run id ``rid``."""
     summary = _RUNNERS[command](params, outdir, make_svg)
     assumed = _PRESETS.get((command, params.get("preset")), ({}, []))[1]
-    _manifest(outdir, command, params, defaulted, assumed, summary=summary)
+    _manifest(outdir, command, params, rid, defaulted, assumed, summary=summary)
 
 
 def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
@@ -599,7 +604,8 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
 
     resolved = {"command": "sweep", "subcommand": command, "base": base,
                 "vary": varied}
-    root = _out_dir(args.out, f"sweep-{command}", resolved)
+    rid = run_id({"command": "sweep", "resolved": resolved})
+    root = _out_dir(args.out, f"sweep-{command}", rid)
 
     keys = sorted(varied)
     labels, argvs = [], []
@@ -620,7 +626,7 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
     codes = [code for code, _ in results]
     errors = {label: {"error": payload["error"], "message": payload["message"]}
               for label, (_, payload) in zip(labels, results) if payload is not None}
-    _manifest(root, "sweep", resolved, [], [], runs=labels,
+    _manifest(root, "sweep", resolved, rid, [], [], runs=labels,
               exit_codes=dict(zip(labels, codes)), errors=errors)
     return root, max(codes, default=EXIT_OK)
 
@@ -716,15 +722,16 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
                 raise ConfigError(f"config file {args.config} has an invalid value") from exc
         params, defaulted = _resolve(args, command)
         preset = params.get("preset")
-        outdir = _out_dir(args.out, f"{command}-{preset}" if preset else command, params)
-        dispatch(command, params, defaulted, outdir, args.svg)
+        rid = run_id({"command": command, "resolved": params})  # names the directory too
+        outdir = _out_dir(args.out, f"{command}-{preset}" if preset else command, rid)
+        dispatch(command, params, defaulted, outdir, args.svg, rid)
         print(outdir)
         return EXIT_OK, None
     except Exception as exc:  # noqa: BLE001 - single CLI boundary
         code = _classify(exc)
         payload = _error_payload(exc, code)
         if outdir is None and (args.out or command):
-            outdir = _out_dir(args.out, command, {"argv": argv})
+            outdir = _out_dir(args.out, command, run_id({"argv": argv}))
         try:
             if outdir is not None:  # none without a subcommand or --out
                 write_json(outdir / "error.json", payload)

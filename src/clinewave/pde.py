@@ -38,7 +38,8 @@ the shared driver checks the initial data, steps, records and tracks the
 fronts, and a run ends at t_end or at the first record its stop rule
 accepts. Before it allocates or steps, a run is refused (`RunSizeError`)
 beyond `MAX_STEPS` time steps, `MAX_NODES` grid nodes or
-`MAX_RECORD_VALUES` recorded values. Diffusion is one Crank-Nicolson
+`MAX_RECORD_VALUES` recorded values; `check_size` refuses a size, however
+large, before int() meets it. Diffusion is one Crank-Nicolson
 step on no-flux boundaries for the whole (components, nodes) state:
 u+ = 2y - u with A y = u, A = I - aT made symmetric at its edge rows,
 factored once per run by LAPACK's `pttrf` and solved by one `pttrs` per
@@ -95,7 +96,7 @@ class Grid1D:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got n={self.n}")
-        _check_size("node count", self.n, MAX_NODES)
+        check_size("node count", self.n, MAX_NODES)
 
     @property
     def dx(self) -> float:
@@ -108,7 +109,7 @@ class Grid1D:
     @staticmethod
     def symmetric(half_width: float, dx: float) -> "Grid1D":
         genetics.check_positive(dx=dx, **{"half-width": half_width})
-        _check_size("node count", 2.0 * (half_width / dx) + 1.0, MAX_NODES)  # before int(inf)
+        check_size("node count", 2.0 * (half_width / dx) + 1.0, MAX_NODES)  # before int(inf)
         half = int(round(half_width / dx))
         if half < 1:
             raise ValueError(f"need half-width > dx/2 for a node either side of x = 0, "
@@ -129,14 +130,14 @@ class SimConfig:
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         steps = self.t_end / self.dt
-        _check_size("step count", steps, MAX_STEPS)
+        check_size("step count", steps, MAX_STEPS)
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(f"t_end={self.t_end} is not a whole number of steps dt={self.dt}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
-def _check_size(what: str, size: float, limit: int) -> None:
+def check_size(what: str, size: float, limit: int) -> None:
     """Raise `RunSizeError`, naming the size and its limit, for a size above the limit."""
     if not size <= limit:
         raise RunSizeError(f"{what} of {size:.6g} exceeds the limit {limit}", size=size, limit=limit)
@@ -327,8 +328,8 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
     _range_guard(0.0, dict(zip(tags, state[rows])))
     n_steps = int(round(cfg.t_end / cfg.dt))
     records = -(-n_steps // cfg.record_every) + 1  # steps 0, k, 2k, ... and the last
-    _check_size(f"record store ({len(tags)} rows x {records} records x {grid.n} nodes)",
-               len(tags) * records * grid.n, MAX_RECORD_VALUES)
+    check_size(f"record store ({len(tags)} rows x {records} records x {grid.n} nodes)",
+              len(tags) * records * grid.n, MAX_RECORD_VALUES)
     record_steps = list(range(0, n_steps + 1, cfg.record_every))
     if record_steps[-1] != n_steps:
         record_steps.append(n_steps)

@@ -29,9 +29,10 @@ bracket c1, 1/sqrt(S) < c1 < sqrt(2)/sqrt(S), only for S/r below about
 `solve_traveling_bvp` computes the genuinely nonlinear traveling wave by
 Newton from the standing front on the discretized profile equation, with
 the phase condition int (u - u0) u0' dx = 0 closing the system for the
-speed; it is the independent check that c(eps)/eps -> c1 as eps -> 0. Its
-Jacobian is `stability.linearization` (L's stencil with eps and c), whose
-`pde.Tridiagonal` bands go to `spsolve` as a sparse matrix.
+speed; it is the independent check that c(eps)/eps -> c1 as eps -> 0. The
+residual is `standing.front_residual` and its Jacobian `standing.linearization`
+(L's stencil with eps and c), whose `pde.Tridiagonal` bands go to `spsolve`
+as a sparse matrix.
 
 `compare_speeds` runs the full (p, q, D) system and reports measured
 original-frame front speeds against the predictions, which convert from
@@ -49,15 +50,9 @@ from scipy.sparse.linalg import spsolve
 
 from . import pde
 from .errors import NewtonDivergenceError, QuadratureError
-from .genetics import (
-    FitnessParams,
-    check_bistable,
-    check_positive,
-    default_half_width,
-    reduced_reaction,
-)
-from .stability import linearization
-from .standing import _PANEL, WaveProfile, _dx_dtheta, _panel_integrals, profile_from_quadrature
+from .genetics import FitnessParams, check_bistable, check_positive, default_half_width
+from .standing import (_PANEL, WaveProfile, _dx_dtheta, _panel_integrals, front_residual,
+                       linearization, profile_from_quadrature)
 
 # Newton stops once the residual and the phase defect fall below
 # NEWTON_TOL / dx^2. The residual's second difference carries rounding of
@@ -155,15 +150,6 @@ def zero_recombination_speed(s: float, S: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _traveling_residual(u, c, eps, S, r, dx):
-    """Interior residual of u'' + c u' + S f + eps g + (2/r)(S(2u-1)+eps) u'^2,
-    with the edges pinned at u = 1 on the left and u = 0 on the right."""
-    full = np.concatenate(([1.0], u, [0.0]))
-    upp = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (dx * dx)
-    up = (full[2:] - full[:-2]) / (2.0 * dx)
-    return upp + c * up + reduced_reaction(u, up, S, r, eps)
-
-
 def solve_traveling_bvp(
     S: float,
     r: float,
@@ -196,7 +182,7 @@ def solve_traveling_bvp(
         raise ValueError(f"eps must lie in [0, 0.1 S] = [0, {0.1 * S}], got {eps}")
     if u0 is None:
         u0 = profile_from_quadrature(S, r, dx=BVP_GRID_DX)
-    x, base, base_slope = u0.x, u0.u, u0.du
+    base, base_slope = u0.u, u0.du
     dx = u0.dx
     tol = NEWTON_TOL / (dx * dx)
 
@@ -206,7 +192,7 @@ def solve_traveling_bvp(
     best, rises = math.inf, 0
 
     for _ in range(NEWTON_MAX_ITER):
-        res = _traveling_residual(u, c, eps, S, r, dx)
+        res, up = front_residual(u, c, eps, S, r, dx)
         phase = float(np.dot(u - base[1:-1], phase_weight))
         norm = max(float(np.max(np.abs(res))), abs(phase))
         if norm < tol:
@@ -215,8 +201,6 @@ def solve_traveling_bvp(
         if rises == NEWTON_MAX_RISES:
             raise NewtonDivergenceError(f"Newton diverged at eps={eps}: residual {norm:.3e}",
                                         last_residual=norm)
-        full = np.concatenate(([1.0], u, [0.0]))
-        up = (full[2:] - full[:-2]) / (2.0 * dx)
         J = linearization(u, up, S, r, dx, eps=eps, c=c)
         # Keller's bordering: the Jacobian is the tridiagonal T bordered
         # by the column dR/dc = u' and the phase row w. One solve
@@ -240,7 +224,7 @@ def solve_traveling_bvp(
 
     values = np.concatenate(([1.0], u, [0.0]))
     slopes = np.gradient(values, dx)
-    return c, WaveProfile(x=x, u=values, du=slopes, S=S, r=r, method="bvp")
+    return c, WaveProfile(grid=u0.grid, u=values, du=slopes, S=S, r=r, method="bvp")
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +290,14 @@ def measure_full_system_speed(
     the front, and that plus twice the predicted travel ahead (s > 0).
     """
     fp = _lab_params(S, r, s, sigma2, dx, dt)
-    cfg = pde.SimConfig(dt=dt, t_end=t_end, record_every=max(1, int(round(2.0 / dt))))
+    # A record every 2 time units. Past MAX_STEPS steps a stride records only the
+    # run's ends, so the cap changes no record; it keeps inf out of round().
+    cfg = pde.SimConfig(dt=dt, t_end=t_end,
+                        record_every=max(1, round(min(2.0 / dt, pde.MAX_STEPS))))
     scale = math.sqrt(sigma2 / 2.0)
     clearance = default_half_width(S) * scale
     travel = 2.0 * s * c1_star(S, r) * scale * t_end
+    pde.check_size("node count", (2.0 * clearance + travel) / dx + 1.0, pde.MAX_NODES)
     behind = int(round(clearance / dx))
     ahead = int(round((clearance + travel) / dx))
     grid = pde.Grid1D(-behind * dx, ahead * dx, behind + ahead + 1)

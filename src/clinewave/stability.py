@@ -22,9 +22,9 @@ first-order wave speed coefficient, whose height-space form is `speed.c1_exact`.
 
 Both operators are assembled on the interior nodes of the profile grid
 with second-order central stencils and pinned (zero) boundary rows, as
-`pde.Tridiagonal` bands. L is `linearization` at eps = c = 0: the one
-stencil of the linearized front equation, which with eps and c is also
-the Newton Jacobian of `speed.solve_traveling_bvp`. Spectra are computed
+`pde.Tridiagonal` bands. L is `standing.linearization` at eps = c = 0: the
+Jacobian of `standing.front_residual`, which with eps and c is also the
+Newton Jacobian of `speed.solve_traveling_bvp`. Spectra are computed
 on the exactly symmetrized tridiagonal form, so all reported eigenvalues
 are real by construction; eigenvectors map back through the discrete
 weight `similarity_weight`. Assembled operators are immutable;
@@ -52,30 +52,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
-from .errors import ConvergenceError, ProfileTooShortError
+from .errors import ClinewaveError, ConvergenceError, ProfileTooShortError
 from .pde import SimConfig, Tridiagonal, front_position_values, simulate_reduced
 from .genetics import bistable_f, bistable_f_prime, logistic_g
-from .standing import WaveProfile
+from .standing import WaveProfile, linearization
 from scipy.interpolate import CubicSpline  # after standing's scipy.integrate: 0.3 MB less RSS
 
 SETTLE_TOL = 1e-6  # sup distance to the shifted control that counts as settled
 TAIL_WEIGHT_LIMIT = 1e-8  # share of an integral the tail corrections may carry
-
-
-def linearization(u: np.ndarray, du: np.ndarray, S: float, r: float, dx: float,
-                  eps: float = 0.0, c: float = 0.0) -> Tridiagonal:
-    """Central-difference Jacobian of u'' + c u' + `genetics.reduced_reaction`
-    (u, u', S, r, eps) about interior values u with slopes du, the boundary
-    values held fixed.
-
-    At eps = c = 0 it is L: the eps and c terms come after L's, so there
-    they add only zeros. The BVP's Newton loop passes its own eps and c.
-    """
-    b = (4.0 * S / r) * du * (2.0 * u - 1.0)
-    diag = (-2.0 / dx**2 + S * (bistable_f_prime(u) + (4.0 / r) * du * du)
-            + eps * (1.0 - 2.0 * u))
-    off = b / (2.0 * dx) + (c + (4.0 / r) * eps * du) / (2.0 * dx)
-    return Tridiagonal(1.0 / dx**2 - off[1:], diag, 1.0 / dx**2 + off[:-1])
 
 
 def assemble_L(u0: WaveProfile) -> Tridiagonal:
@@ -243,10 +227,20 @@ def second_kernel_solution(u0: WaveProfile) -> np.ndarray:
 
 
 def second_kernel_growth_rate(u0: WaveProfile) -> float:
-    """Tail growth rate of |v0| fitted over the outer right quarter."""
-    v0 = second_kernel_solution(u0)
+    """Tail growth rate of |v0| fitted over the outer right quarter.
+
+    Raises:
+        ClinewaveError: |v0| is not finite and positive there. On a domain
+            wide enough that a slope rounds to 0, or that the left half's
+            integral swamps the right's, the integral is lost to rounding.
+    """
     mask = u0.x >= u0.x[-1] / 2.0
-    return float(np.polyfit(u0.x[mask], np.log(np.abs(v0[mask])), 1)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v0 = np.abs(second_kernel_solution(u0)[mask])
+    if not np.all((v0 > 0.0) & (v0 < math.inf)):
+        raise ClinewaveError("second kernel solution lost to rounding in its fitted quarter; "
+                             "narrow the domain")
+    return float(np.polyfit(u0.x[mask], np.log(v0), 1)[0])
 
 
 # ---------------------------------------------------------------------------

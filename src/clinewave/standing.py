@@ -21,6 +21,10 @@ saddle (1, 0) along its unstable manifold y = sqrt(S) (x - 1) until it
 meets u = 1/2, recenters, and mirrors. The two must coincide; their
 agreement is the uniqueness check used throughout the test suite.
 
+The discretized front lives here too: `front_residual`, the traveling-front
+residual on a profile grid with pinned edges, and its Jacobian `linearization`,
+which is `stability`'s L at eps = c = 0. `speed.solve_traveling_bvp` runs
+Newton on the pair. Each profile stores the `pde.Grid1D` it was built on.
 Constructed profiles are immutable value objects and all constructors
 are pure functions, safe for concurrent use.
 """
@@ -32,11 +36,12 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
+import scipy.optimize  # noqa: F401 - scipy.integrate loads it; first, peak RSS is 0.15 MB lower
 from scipy.integrate import solve_ivp
 
 from .errors import ClinewaveError, ConvergenceError, NoHeteroclinicError
-from .genetics import check_positive, default_half_width, reduced_reaction
-from .pde import Grid1D
+from .genetics import bistable_f_prime, check_positive, default_half_width, reduced_reaction
+from .pde import Grid1D, Tridiagonal
 
 # Offset along the unstable manifold used to start the phase-plane shot.
 SHOOTING_DELTA = 1e-8
@@ -109,7 +114,8 @@ class WaveProfile:
     """Monotone front profile on a uniform grid, normalized to u(0) = 1/2.
 
     Attributes:
-        x: grid abscissae, uniform, symmetric about 0.
+        grid: the simulators' grid it is sampled on, symmetric about 0;
+            ``x`` and ``dx`` are its nodes and spacing.
         u: profile heights, strictly decreasing in (0, 1).
         du: slopes at the nodes (negative on the interior).
         S, r: reaction and recombination parameters the profile solves for.
@@ -118,7 +124,7 @@ class WaveProfile:
             construction is attempted anyway and this flag records the regime.
     """
 
-    x: np.ndarray
+    grid: Grid1D
     u: np.ndarray
     du: np.ndarray
     S: float
@@ -126,8 +132,8 @@ class WaveProfile:
     method: str
 
     @property
-    def grid(self) -> Grid1D:  # the simulators' grid on these nodes: its x is this x
-        return Grid1D(float(self.x[0]), float(self.x[-1]), self.x.size)
+    def x(self) -> np.ndarray:
+        return self.grid.x
 
     @property
     def dx(self) -> float:
@@ -162,6 +168,7 @@ def _exp_tail(x: np.ndarray, x_edge: float, u_edge: float, S: float, limit: floa
     return limit + excess * decay, -rate * abs(excess) * decay
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a slope law past double range: checked below
 def profile_from_quadrature(
     S: float, r: float, x_max: float | None = None, dx: float = 0.02
 ) -> WaveProfile:
@@ -176,14 +183,15 @@ def profile_from_quadrature(
 
     Raises:
         ConvergenceError: a node still moves after ``_NEWTON_MAX`` steps.
+        ClinewaveError: the slopes are not finite or vanish at x = 0, where
+            the slope law's terms leave double range (S/r or r^2/S extreme).
     """
     x_max = default_half_width(S) if x_max is None else x_max
     check_positive(S=S, r=r, dx=dx, x_max=x_max)
-    half = int(round(x_max / dx))
-    if half < 3:  # ode_residual's seven-point stencil
+    grid = Grid1D.symmetric(x_max, dx)  # the simulators' layout; refuses an oversized grid
+    if grid.n < 7:  # ode_residual's seven-point stencil
         raise ValueError(f"half-width x_max={x_max} at dx={dx} gives fewer than 7 nodes")
-    x = Grid1D.symmetric(x_max, dx).x  # the layout of every simulator grid
-    xr = x[half:]
+    xr = grid.x[grid.n // 2:]
     h = partial(_dx_dtheta, S=S, r=r)
     edges = np.zeros(1)  # x at theta = 0, _PANEL, 2 _PANEL, ...
     while edges[-1] < xr[-1]:  # dx/dtheta <= 2/sqrt(S): a lower bound on panels
@@ -203,7 +211,10 @@ def profile_from_quadrature(
     e = np.exp(-2.0 * theta)
     u = np.concatenate((1.0 / (1.0 + e[:0:-1]), e / (1.0 + e)))
     du = -np.sqrt(first_integral_P(u, S, r))  # P >= 0 on u in [0, 1]: no clamp needed
-    return WaveProfile(x=x, u=u, du=du, S=S, r=r, method="quadrature")
+    if not (np.isfinite(du).all() and du[grid.n // 2] < 0.0):
+        raise ClinewaveError(f"slope law out of double range at S={S}, r={r}: "
+                             f"u'(0) = {du[grid.n // 2]}")
+    return WaveProfile(grid=grid, u=u, du=du, S=S, r=r, method="quadrature")
 
 
 def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
@@ -277,7 +288,7 @@ def profile_from_shooting(reference: WaveProfile) -> WaveProfile:
     du[center + 1:] = du[:center][::-1]
     u[center] = 0.5
 
-    profile = WaveProfile(x=x, u=u, du=du, S=S, r=r, method="shooting")
+    profile = WaveProfile(grid=reference.grid, u=u, du=du, S=S, r=r, method="shooting")
     gap = float(np.max(np.abs(u - reference.u)))
     if gap > SHOOTING_TOL:
         raise ClinewaveError(
@@ -305,6 +316,31 @@ def ode_residual(profile: WaveProfile) -> np.ndarray:
         - 45.0 * du[2:-4] + 9.0 * du[1:-5] - du[:-6]
     ) / (60.0 * dx)
     return d2u + reduced_reaction(u[3:-3], du[3:-3], S, r)
+
+
+def front_residual(u: np.ndarray, c: float, eps: float, S: float, r: float, dx: float):
+    """Interior residual of u'' + c u' + `genetics.reduced_reaction`(u, u', S, r, eps)
+    by central differences, with the edges pinned at u = 1 on the left and
+    u = 0 on the right. Returns the residual and the slopes u' it used."""
+    full = np.concatenate(([1.0], u, [0.0]))
+    upp = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / (dx * dx)
+    up = (full[2:] - full[:-2]) / (2.0 * dx)
+    return upp + c * up + reduced_reaction(u, up, S, r, eps), up
+
+
+def linearization(u: np.ndarray, du: np.ndarray, S: float, r: float, dx: float,
+                  eps: float = 0.0, c: float = 0.0) -> Tridiagonal:
+    """Jacobian of `front_residual` about interior values u with slopes du,
+    the boundary values held fixed.
+
+    At eps = c = 0 it is L: the eps and c terms come after L's, so there
+    they add only zeros. The BVP's Newton loop passes its own eps and c.
+    """
+    b = (4.0 * S / r) * du * (2.0 * u - 1.0)
+    diag = (-2.0 / dx**2 + S * (bistable_f_prime(u) + (4.0 / r) * du * du)
+            + eps * (1.0 - 2.0 * u))
+    off = b / (2.0 * dx) + (c + (4.0 / r) * eps * du) / (2.0 * dx)
+    return Tridiagonal(1.0 / dx**2 - off[1:], diag, 1.0 / dx**2 + off[:-1])
 
 
 def symmetry_defect(profile: WaveProfile) -> float:

@@ -109,6 +109,18 @@ class TestStandingCommand:
         assert "left tail underflowed" in written["error.json"]["message"]
         assert "report.json" not in written
 
+    @pytest.mark.parametrize("argv", [["--r", "1e300"], ["--S", "1e-300", "--x-max", "60"]],
+                             ids=["r-squared-overflows", "slope-underflows"])
+    def test_slope_law_past_double_range_exits_4(self, tmp_path, argv):
+        # r^2/8S = inf gave NaN slopes (exit 0, null diagnostics); at S = 1e-300
+        # P underflows to 0, and the zero slopes reached the tail fit
+        code, out = run_cli(["standing"] + argv, tmp_path)
+        assert code == 4
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ClinewaveError"
+        assert err["message"].startswith("slope law out of double range")
+        assert not (out / "report.json").exists()
+
     def test_deterministic_bytes(self, tmp_path):
         _, out_a = run_cli(["standing", "--S", "0.25", "--r", "0.25"], tmp_path, "a")
         _, out_b = run_cli(["standing", "--S", "0.25", "--r", "0.25"], tmp_path, "b")
@@ -359,7 +371,17 @@ class TestBoundedRuns:
         (["simulate", "--t-end", "3000", "--dt", "0.01", "--record-every", "1",
           "--dx", "0.01"], "MAX_RECORD_VALUES"),
         (["simulate", "--dx", "1e-5"], "MAX_NODES"),
-    ], ids=["compare-steps", "reduced-steps", "record-store", "nodes"])
+        # sizes that overflow to inf, and so used to reach int() as OverflowError
+        (["standing", "--dx", "1e-310"], "MAX_NODES"),
+        (["stability", "--dx", "1e-310"], "MAX_NODES"),
+        (["compare", "--dx", "1e-310", "--r-grid", "0.5:0.5:0.1", "--t-end", "2"], "MAX_NODES"),
+        (["compare", "--dt", "1e-310", "--r-grid", "0.5:0.5:0.1", "--t-end", "2"], "MAX_STEPS"),
+        # grids of 4e299 and 1e300 points, which used to be built one by one
+        (["speed", "--r-grid", "0.1:0.5:1e-300"], "MAX_R_POINTS"),
+        (["speed", "--r-grid", "0.1:1e300:1"], "MAX_R_POINTS"),
+    ], ids=["compare-steps", "reduced-steps", "record-store", "nodes", "standing-nodes",
+            "stability-nodes", "compare-nodes", "compare-stride", "r-grid-step",
+            "r-grid-stop"])
     def test_oversized_run_exits_3_within_a_second(self, tmp_path, argv, limit):
         start = time.perf_counter()
         code, out = run_cli(argv, tmp_path)
@@ -367,7 +389,9 @@ class TestBoundedRuns:
         assert code == 3
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["exit_code"]) == ("RunSizeError", 3)
-        assert err["limit"] == getattr(pde, limit) < err["size"]
+        size = math.inf if err["size"] is None else err["size"]  # strict JSON writes inf as null
+        assert (size == math.inf) == (" of inf " in err["message"])
+        assert err["limit"] == getattr(cli if limit == "MAX_R_POINTS" else pde, limit) < size
 
     @pytest.mark.parametrize("error", [MemoryError, OverflowError])
     def test_allocation_and_count_overflows_exit_3(self, tmp_path, monkeypatch, error):
@@ -451,6 +475,17 @@ class TestStabilityCommand:
         assert len(eigvals) == 1 + 4
         vecs = np.loadtxt(out / "eigenvectors.csv", delimiter=",", skiprows=1)
         assert vecs.shape[1] == 1 + 4
+
+    @pytest.mark.parametrize("x_max", ["110", "120"])
+    def test_second_kernel_lost_to_rounding_exits_4(self, tmp_path, x_max):
+        # 110: the right quarter cancels to 0; 120: the left tail's slopes round
+        # to 0, so the integral is inf. Both used to write a null growth rate.
+        code, out = run_cli(["stability", "--x-max", x_max], tmp_path)
+        assert code == 4
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ClinewaveError"
+        assert "second kernel solution lost to rounding" in err["message"]
+        assert not (out / "residuals.json").exists()
 
 
 class TestSimulateCommand:
@@ -583,6 +618,17 @@ class TestOutputRoot:
         assert code == 0
         runs = list((tmp_path / "envroot").glob("speed-*/speed_table.csv"))
         assert len(runs) == 1
+
+    def test_directory_ends_in_the_manifest_run_id(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CLINEWAVE_OUT", str(tmp_path / "envroot"))
+        assert main(["speed", "--S", "0.1", "--r", "0.2"]) == 0
+        assert main(["sweep", "speed", "--vary", "r=0.2,0.3", "--threads", "1",
+                     "--", "--S", "0.1"]) == 0
+        runs = sorted((tmp_path / "envroot").iterdir())
+        assert [run.name.rsplit("-", 1)[0] for run in runs] == ["speed", "sweep-speed"]
+        for run in runs:
+            manifest = json.loads((run / "manifest.json").read_text())
+            assert run.name.endswith("-" + manifest["run_id"])
 
     def test_failed_run_writes_error_json_into_its_own_directory(self, tmp_path,
                                                                   monkeypatch):

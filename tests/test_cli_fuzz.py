@@ -1,0 +1,109 @@
+"""Seeded fuzz of the command line: whatever the values, a run ends with
+exit code 0, 2, 3 or 4, and every non-zero exit leaves an ``error.json``.
+
+Command lines are drawn from the option registry, ``cli._OPTIONS``: each
+option is passed or left out at random, and a passed one takes a value near
+its registry default, or with probability ``EDGE_P`` one of ``EDGES``.
+``--r-grid`` takes a small grid or one of ``R_GRID_EDGES``, and ``--t-end``
+stays short unless it draws an edge value. Each command line goes through
+``cli._run`` in this process, one at a time; no ``sweep`` and no
+``--threads``, so the test starts no process or thread.
+"""
+
+import contextlib
+import io
+import json
+import random
+import time
+
+from clinewave import cli
+
+SEED = 20261020
+CASES = 100
+EDGE_P = 0.08
+EDGES = ["0", "-0.1", "nan", "inf", "1e300", "1e-300"]
+R_GRID_EDGES = ["0.1:0.5:1e-300", "0.1:1e300:1", "0.1:0.5:0", "0.5:0.1:0.1",
+                "0.1:0.5:nan", "0.2:0.2:1e300", "0:0.1:0.05", "1e-300:1e-300:1"]
+# stand-ins for the options whose registry default is None
+NONE_DEFAULTS = {"SA": 0.1, "SB": 0.1, "half-width": 60.0, "x-max": 60.0, "r": 0.2, "s": 0.01}
+SKIP = {"config", "out", "svg"}
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INVARIANT, cli.EXIT_NUMERICAL}
+
+
+def _near(rng: random.Random, default: float) -> float:
+    if default == 0.0:  # asymmetries and offsets
+        return round(rng.uniform(0.0, 0.05), 6)
+    return float(f"{default * 2.0 ** rng.uniform(-1.0, 1.0):.6g}")
+
+
+def _value(rng: random.Random, name: str, kwargs: dict) -> str:
+    if "choices" in kwargs:
+        return rng.choice(kwargs["choices"])
+    if name == "r-grid":
+        if rng.random() < EDGE_P:
+            return rng.choice(R_GRID_EDGES)
+        start = round(rng.uniform(0.1, 0.45), 3)
+        return f"{start}:{round(start + rng.uniform(0.0, 0.1), 3)}:{round(rng.uniform(0.05, 0.1), 3)}"
+    if rng.random() < EDGE_P:
+        return rng.choice(EDGES)
+    default = kwargs.get("default")
+    default = NONE_DEFAULTS[name] if default is None else default
+    if kwargs.get("type") is int:
+        return str(max(1, round(_near(rng, default))))
+    return repr(_near(rng, default))
+
+
+def _command_line(rng: random.Random) -> list[str]:
+    command = rng.choice(sorted(cli._OPTIONS))
+    argv = [command]
+    values = {}
+    for name, kwargs in cli._OPTIONS[command]:
+        if name not in SKIP and name != "t-end" and rng.random() < 0.5:
+            values[name] = _value(rng, name, kwargs)
+    # Most draws leave out the flags their command line cannot use, so that
+    # they reach a run; the rest keep them and exercise the refusal.
+    if rng.random() < 0.8:
+        if command == "speed":  # --r or --r-grid, one of them
+            keep = rng.choice(["r", "r-grid"])
+            values.pop("r-grid" if keep == "r" else "r", None)
+            values.setdefault(keep, _value(rng, keep, {}))
+        if command == "simulate":
+            model = values.get("model", "pqd")
+            unread = cli._FULL_MODEL_FLAGS if model == "reduced" else {"eps", "init"}
+            for key in list(values):
+                if key.replace("-", "_") in unread or (key == "preset" and model != "pqd"):
+                    del values[key]
+        if values.get("preset") == "fig2":
+            values.pop("S", None)
+            values.pop("r", None)
+    if command in ("simulate", "compare"):  # short runs, a whole number of steps
+        if rng.random() < EDGE_P:
+            values["t-end"] = rng.choice(EDGES)
+        else:
+            try:
+                dt = float(values.get("dt", 0.5 if values.get("preset") == "fig1" else 0.2))
+            except ValueError:
+                dt = 0.2
+            steps = rng.randint(2, 10) if command == "simulate" else rng.randint(50, 80)
+            values["t-end"] = repr(dt * steps) if 0.0 < dt < 1.0 else "2.0"
+    for name, value in values.items():
+        argv += [f"--{name}", value]
+    return argv
+
+
+def test_every_command_line_exits_with_a_known_code(tmp_path):
+    rng = random.Random(SEED)
+    start = time.perf_counter()
+    seen = set()
+    for case in range(CASES):
+        argv = _command_line(rng)
+        out = tmp_path / f"case{case}"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code, payload = cli._run(argv + ["--out", str(out)])
+        assert code in EXIT_CODES, argv
+        if code != cli.EXIT_OK:
+            error = json.loads((out / "error.json").read_text())
+            assert (error["exit_code"], error["error"]) == (code, payload["error"]), argv
+        seen.add(code)
+    assert time.perf_counter() - start < 10.0
+    assert seen == EXIT_CODES  # the draws reach every outcome

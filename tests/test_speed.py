@@ -10,10 +10,9 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import spsolve
 
 from clinewave import speed
-from clinewave.stability import linearization, solvability_ratio
+from clinewave.stability import solvability_ratio
 from clinewave.errors import NewtonDivergenceError, ProfileTooShortError, QuadratureError
 from clinewave.speed import (
-    _traveling_residual,
     SpeedReport,
     c1_exact,
     c1_series,
@@ -24,7 +23,7 @@ from clinewave.speed import (
     zero_recombination_speed,
 )
 from clinewave.genetics import bistable_f_prime, default_half_width
-from clinewave.standing import profile_from_quadrature
+from clinewave.standing import front_residual, linearization, profile_from_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +339,7 @@ def _reference_bvp(S, r, eps, u0, stages=1):
     phase_weight = u0.du[1:-1] * dx
     for eps_k in [eps * (0.5 ** k) for k in range(stages - 1, -1, -1)]:
         for _ in range(40):
-            res = _traveling_residual(u, c, eps_k, S, r, dx)
+            res = front_residual(u, c, eps_k, S, r, dx)[0]
             phase = float(np.dot(u - base[1:-1], phase_weight))
             if max(float(np.max(np.abs(res))), abs(phase)) < 1e-12:
                 break
@@ -401,10 +400,11 @@ class TestOneNewtonRunMatchesContinuation:
 
 
 class TestLinearizationIsTheResidualJacobian:
-    """`stability.linearization` with c and eps is the Jacobian of the
-    traveling-wave residual, column by column against central differences.
-    The residual is at most cubic in each node value, so the differences
-    carry only rounding and an h^2 term far below the bound."""
+    """`standing.linearization` with c and eps is the Jacobian of the
+    traveling-wave residual `standing.front_residual`, column by column
+    against central differences. The residual is at most cubic in each node
+    value, so the differences carry only rounding and an h^2 term far below
+    the bound."""
 
     @pytest.mark.parametrize("c, eps", [(0.0, 0.0), (0.3, 0.01), (-0.2, 0.007)])
     def test_matches_central_differences(self, c, eps):
@@ -421,8 +421,8 @@ class TestLinearizationIsTheResidualJacobian:
         for j in range(u.size):
             step = np.zeros_like(u)
             step[j] = h
-            fd[:, j] = (_traveling_residual(u + step, c, eps, S, r, dx)
-                        - _traveling_residual(u - step, c, eps, S, r, dx)) / (2.0 * h)
+            fd[:, j] = (front_residual(u + step, c, eps, S, r, dx)[0]
+                        - front_residual(u - step, c, eps, S, r, dx)[0]) / (2.0 * h)
         np.testing.assert_allclose(dense, fd, rtol=0.0, atol=1e-8)
 
 

@@ -254,12 +254,12 @@ def oracle_relaxation_shift(u0, h, eps_amp, cfg):
     raise AssertionError("oracle did not settle")
 
 
-class TestRelaxationLegs:
+class TestRelaxationRun:
     """The control and the perturbed run are the two rows of one run, which
     stops at the first settled record."""
 
     # records at t = 20, 40, 60, 75: the even bump settles at 60, the odd
-    # one at the end of the short last leg
+    # one at t_end = 75, the record every run takes at its last step
     CFG = SimConfig(dt=0.25, t_end=75.0, record_every=80)
 
     @pytest.mark.parametrize("shape, t_settled", [("even", 60.0), ("odd", 75.0)])
@@ -270,7 +270,7 @@ class TestRelaxationLegs:
         assert res == oracle_relaxation_shift(u0, h, 0.02, self.CFG)
         assert res.t_settled == t_settled
 
-    def test_legs_stop_at_the_settled_record(self, u0, monkeypatch):
+    def test_run_stops_at_the_settled_record(self, u0, monkeypatch):
         runs = []
 
         def recording(*args, **kwargs):
@@ -297,7 +297,7 @@ class TestRelaxationLegs:
     # each for the opening half, one substep per step to 80 and the closing
     # half at its record
     @pytest.mark.parametrize("row", [0, 1], ids=["control", "perturbed"])
-    def test_later_leg_failure_carries_absolute_time(self, u0, monkeypatch, row):
+    def test_failure_past_the_first_record_carries_its_time(self, u0, monkeypatch, row):
         calls = []
 
         def row_blows_up(u, du, *args):

@@ -281,11 +281,12 @@ class TestHalfOrbitShot:
 class TestDecayRateEdges:
     def test_exact_exponential_input(self):
         S = 0.2
-        x = np.arange(-30.0, 30.0 + 0.05, 0.05)
+        grid = Grid1D.symmetric(30.0, 0.05)
+        x = grid.x
         u = np.exp(-math.sqrt(S) * x) / (1.0 + np.exp(-2.0 * math.sqrt(S) * x))
         # values only matter on the fitted quarter; build a WaveProfile shell
         u = np.clip(u, 0.0, 1.0)
-        prof = WaveProfile(x=x, u=u, du=np.gradient(u, 0.05), S=S, r=0.25,
+        prof = WaveProfile(grid=grid, u=u, du=np.gradient(u, 0.05), S=S, r=0.25,
                            method="quadrature")
         assert decay_rate(prof) == pytest.approx(-math.sqrt(S), rel=1e-3)
 
@@ -299,9 +300,9 @@ class TestDecayRateEdges:
         assert decay_rate(prof) == pytest.approx(-math.sqrt(S), rel=1e-2)
 
     def test_insufficient_tail_raises(self):
-        x = np.arange(-2.0, 2.0 + 0.1, 0.1)
-        u = 0.5 - 0.2 * np.tanh(x)
-        prof = WaveProfile(x=x, u=u, du=np.gradient(u, 0.1), S=0.1, r=0.1,
+        grid = Grid1D.symmetric(2.0, 0.1)
+        u = 0.5 - 0.2 * np.tanh(grid.x)
+        prof = WaveProfile(grid=grid, u=u, du=np.gradient(u, 0.1), S=0.1, r=0.1,
                            method="quadrature")
         with pytest.raises(ClinewaveError):
             decay_rate(prof)
