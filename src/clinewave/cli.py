@@ -411,7 +411,7 @@ def run_speed(params: dict, outdir: Path, make_svg: bool) -> dict:
         row = {
             "r": r,
             "c1_exact": exact,
-            "c1_series2": speed.c1_series(S, r, 2),
+            "c1_series2": speed.c1_series(S, r),
             "c1_star": speed.c1_star(S, r),
         }
         if s is not None:
@@ -485,8 +485,8 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
         "lambda_1": float(vals[1]) if vals.size > 1 else None,
         "kernel_cosine_with_slope": cosine,
         "kernel_mode_residual": stability.kernel_mode_residual(op_L, prof),
-        "adjoint_kernel_residual": stability.adjoint_kernel_residual(prof),
-        "similarity_defect": stability.similarity_defect(prof),
+        "adjoint_kernel_residual": stability.adjoint_kernel_residual(op_L, prof),
+        "similarity_defect": stability.similarity_defect(op_L, prof),
         "solvability_ratio": stability.solvability_ratio(prof),
         "c1_exact": speed.c1_exact(S, r),
         "second_kernel_growth_rate": stability.second_kernel_growth_rate(prof),

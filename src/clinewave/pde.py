@@ -491,10 +491,9 @@ def front_position_values(values: np.ndarray, x: np.ndarray) -> float:
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
-def instantaneous_speed(traj: Trajectory, tag: str,
-                        window: tuple[float, float] | None = None) -> float:
+def instantaneous_speed(traj: Trajectory, tag: str, window: tuple[float, float]) -> float:
     """Front speed of a tracked field: the least-squares slope of its
-    positions over the window (the whole run by default).
+    positions over the time window.
 
     Raises:
         InsufficientSamplesError: fewer than 3 recorded positions in window.
@@ -503,8 +502,6 @@ def instantaneous_speed(traj: Trajectory, tag: str,
         raise KeyError(f"no tracked front for tag {tag!r}")
     t = traj.times
     pos = traj.front_positions[tag]
-    if window is None:
-        window = (float(t[0]), float(t[-1]))
     mask = (t >= window[0]) & (t <= window[1]) & np.isfinite(pos)
     samples = int(mask.sum())
     if samples < 3:

@@ -110,23 +110,17 @@ def c1_exact(S: float, r: float) -> float:
     return (r / (8.0 * S)) * num / den
 
 
-def c1_series(S: float, r: float, order: int = 2) -> float:
-    """Small-S/r expansion of the speed coefficient, truncated at ``order``."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+def c1_series(S: float, r: float) -> float:
+    """Two-term expansion (1/sqrt(S)) (1 + (4/15) S/r + (2/45) (S/r)^2)."""
     check_positive(S=S, r=r)
     ratio = S / r
-    total = 1.0
-    if order >= 1:
-        total += (4.0 / 15.0) * ratio
-    if order >= 2:
-        total += (2.0 / 45.0) * ratio * ratio
-    return total / math.sqrt(S)
+    return (1.0 + (4.0 / 15.0) * ratio + (2.0 / 45.0) * ratio * ratio) / math.sqrt(S)
 
 
 def c1_star(S: float, r: float) -> float:
     """First-order truncation (1/sqrt(S)) (1 + (4/15) S/r)."""
-    return c1_series(S, r, order=1)
+    check_positive(S=S, r=r)
+    return (1.0 + (4.0 / 15.0) * (S / r)) / math.sqrt(S)
 
 
 def single_cline_speed(s: float, S: float) -> float:
@@ -279,8 +273,7 @@ def _lab_params(S, r, s, sigma2, dx, dt) -> FitnessParams:
 
 
 def measure_full_system_speed(
-    S: float, r: float, s: float, sigma2: float,
-    t_end: float = 600.0, dt: float = 0.2, dx: float = 0.2,
+    S: float, r: float, s: float, sigma2: float, t_end: float, dt: float, dx: float,
 ) -> SpeedReport:
     """Run the (p, q, D) system with stacked fronts and fit the front speed.
 
@@ -306,13 +299,12 @@ def measure_full_system_speed(
     measured = pde.instantaneous_speed(traj, "p", window=(TRANSIENT_FRACTION * t_end, t_end))
     return SpeedReport(
         S=S, r=r, s=s, sigma2=sigma2,
-        c1_exact=c1_exact(S, r), c1_series=c1_series(S, r, 2), c1_star=c1_star(S, r),
+        c1_exact=c1_exact(S, r), c1_series=c1_series(S, r), c1_star=c1_star(S, r),
         measured_speed=measured,
     )
 
 
-def compare_speeds(sweep, t_end: float = 600.0, dt: float = 0.2,
-                   dx: float = 0.2) -> list[SpeedReport]:
+def compare_speeds(sweep, t_end: float, dt: float, dx: float) -> list[SpeedReport]:
     """Theory-versus-simulation table over a list of (S, r, s, sigma2)."""
     for point in sweep:  # every point is checked before the first run
         _lab_params(*point, dx, dt)

@@ -26,9 +26,10 @@ with second-order central stencils and pinned (zero) boundary rows, as
 Jacobian of `standing.front_residual`, which with eps and c is also the
 Newton Jacobian of `speed.solve_traveling_bvp`. Spectra are computed
 on the exactly symmetrized tridiagonal form, so all reported eigenvalues
-are real by construction; eigenvectors map back through the discrete
-weight `similarity_weight`. Assembled operators are immutable;
-independent parameter cases can run concurrently.
+are real by construction; eigenvectors map back through the diagonal
+scale of that symmetrization, which is built from the operator's own
+off-diagonal bands. Assembled operators are immutable; independent
+parameter cases can run concurrently.
 
 `relaxation_shift` closes the loop dynamically: a perturbed front and
 an unperturbed control are evolved as the two rows of one run, which
@@ -52,10 +53,10 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
-from .errors import ClinewaveError, ConvergenceError, ProfileTooShortError
+from .errors import ConvergenceError, ProfileTooShortError
 from .pde import SimConfig, Tridiagonal, front_position_values, simulate_reduced
 from .genetics import bistable_f, bistable_f_prime, logistic_g
-from .standing import WaveProfile, linearization
+from .standing import WaveProfile, _log_slope, linearization
 from scipy.interpolate import CubicSpline  # after standing's scipy.integrate: 0.3 MB less RSS
 
 SETTLE_TOL = 1e-6  # sup distance to the shifted control that counts as settled
@@ -97,8 +98,8 @@ def _check_resolution(u0: WaveProfile) -> None:
         raise ValueError(f"grid too coarse: dx={u0.dx} exceeds 0.1/sqrt(S)={limit:.4g}")
 
 
-def similarity_defect(u0: WaveProfile) -> float:
-    """Defect of L - W^-1 M W acting on a smooth probe (O(dx^2)).
+def similarity_defect(op_L: Tridiagonal, u0: WaveProfile) -> float:
+    """Defect of L - W^-1 M W acting on a smooth probe (O(dx^2)); op_L is L at u0.
 
     The individual stencil bands of the two assemblies differ at O(1);
     the discrepancies cancel on smooth vectors, which is what similarity
@@ -107,7 +108,7 @@ def similarity_defect(u0: WaveProfile) -> float:
     w = similarity_weight(u0)
     x = u0.x[1:-1]
     probe = np.exp(-((4.0 * x / float(x[-1] - x[0])) ** 2))
-    lhs = assemble_L(u0).apply(probe)
+    lhs = op_L.apply(probe)
     rhs = assemble_M(u0).apply(w * probe) / w
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -129,7 +130,7 @@ def _symmetrize(op: Tridiagonal):
     return op.diag.copy(), e, np.exp(log_scale)
 
 
-def spectrum(op: Tridiagonal, k: int = 6):
+def spectrum(op: Tridiagonal, k: int):
     """The k largest eigenvalues (descending) and their eigenvectors.
 
     L, M and the transpose of L all reduce to a symmetric tridiagonal
@@ -172,15 +173,14 @@ def _pair_with_psi(u0: WaveProfile, f: np.ndarray) -> float:
     return float(np.trapezoid(f * _adjoint_null_vector(u0), dx=u0.dx))
 
 
-def adjoint_kernel_residual(u0: WaveProfile) -> float:
-    """||L^T psi||_2 / ||psi||_2 for the weighted slope psi.
+def adjoint_kernel_residual(op_L: Tridiagonal, u0: WaveProfile) -> float:
+    """||L^T psi||_2 / ||psi||_2 for the weighted slope psi; op_L is L at u0.
 
     On a uniform grid the quadrature weights of the discrete L^2 pairing
     cancel in the ratio, so the plain transpose is the adjoint.
     """
-    op = assemble_L(u0)
     psi = _adjoint_null_vector(u0)[1:-1]
-    return float(np.linalg.norm(op.apply_transpose(psi)) / np.linalg.norm(psi))
+    return float(np.linalg.norm(op_L.apply_transpose(psi)) / np.linalg.norm(psi))
 
 
 def solvability_ratio(u0: WaveProfile) -> float:
@@ -216,14 +216,15 @@ def second_kernel_solution(u0: WaveProfile) -> np.ndarray:
 
     Built from the profile's exact slope data; the integrand grows like
     e^{2 sqrt(S) z} in the right tail, which is precisely the growth this
-    function is used to verify (v0 ~ e^{+sqrt(S) x}).
+    function is used to verify (v0 ~ e^{+sqrt(S) x}). The integral is summed
+    outward from x = 0 on the right half, and v0 is mirrored as odd, since u0'
+    and the weight are even.
     """
-    integrand = 1.0 / (u0.du**2 * u0.weight)
     center = u0.x.size // 2
-    cumulative = np.concatenate(([0.0], np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * u0.dx)))
-    cumulative -= cumulative[center]
-    return u0.du * cumulative
+    du = u0.du[center:]
+    integrand = 1.0 / (du**2 * u0.weight[center:])
+    half = du * np.concatenate(([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * u0.dx)))
+    return np.concatenate((-half[:0:-1], half))
 
 
 def second_kernel_growth_rate(u0: WaveProfile) -> float:
@@ -231,16 +232,13 @@ def second_kernel_growth_rate(u0: WaveProfile) -> float:
 
     Raises:
         ClinewaveError: |v0| is not finite and positive there. On a domain
-            wide enough that a slope rounds to 0, or that the left half's
-            integral swamps the right's, the integral is lost to rounding.
+            wide enough that the right tail's squared slopes underflow, the
+            integral is lost to rounding.
     """
     mask = u0.x >= u0.x[-1] / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         v0 = np.abs(second_kernel_solution(u0)[mask])
-    if not np.all((v0 > 0.0) & (v0 < math.inf)):
-        raise ClinewaveError("second kernel solution lost to rounding in its fitted quarter; "
-                             "narrow the domain")
-    return float(np.polyfit(u0.x[mask], np.log(v0), 1)[0])
+    return _log_slope(u0.x[mask], v0, "second kernel solution lost to rounding")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,7 @@ def relaxation_shift(
     u0: WaveProfile,
     h: np.ndarray,
     eps_amp: float,
-    cfg: SimConfig = SimConfig(dt=0.25, t_end=400.0, record_every=80),
+    cfg: SimConfig,
 ) -> RelaxationResult:
     """Relax u0 + eps_amp * h under the symmetric dynamics and measure the shift.
 

@@ -379,7 +379,11 @@ def decay_rate(profile: WaveProfile, side: str = "right") -> float:
             f"tail not resolved: edge height {edge:.3e} > 1e-3; extend the domain",
             edge_height=edge,
         )
-    if not np.all(vals > 0.0):
-        raise ClinewaveError(f"{side} tail underflowed in its fitted quarter; narrow the domain")
-    slope = np.polyfit(profile.x[mask], np.log(vals), 1)[0]
-    return float(slope)
+    return _log_slope(profile.x[mask], vals, f"{side} tail underflowed")
+
+
+def _log_slope(x: np.ndarray, values: np.ndarray, lost: str) -> float:
+    """Least-squares slope of log(values) against x, once every value is finite and positive."""
+    if not np.all((values > 0.0) & (values < math.inf)):
+        raise ClinewaveError(f"{lost} in its fitted quarter; narrow the domain")
+    return float(np.polyfit(x, np.log(values), 1)[0])

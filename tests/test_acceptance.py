@@ -76,7 +76,7 @@ def test_criterion_02_first_integral_identity(profiles):
 
 
 def test_criterion_03_speed_coefficient():
-    gap = abs(speed.c1_exact(0.02, 0.5) - speed.c1_series(0.02, 0.5, 2))
+    gap = abs(speed.c1_exact(0.02, 0.5) - speed.c1_series(0.02, 0.5))
     rel = gap / speed.c1_exact(0.02, 0.5)
     grid_vals = [speed.c1_exact(0.1, r) for r in (0.1, 0.2, 0.3, 0.4, 0.5)]
     decreasing = all(a > b for a, b in zip(grid_vals, grid_vals[1:]))
@@ -164,7 +164,7 @@ def test_criterion_07_stacking(fig1_runs):
 
 def test_criterion_08_full_system_speed_comparison():
     reports = speed.compare_speeds(
-        [(0.1, r, 0.01, 2.0) for r in (0.5, 0.3, 0.2, 0.15)])
+        [(0.1, r, 0.01, 2.0) for r in (0.5, 0.3, 0.2, 0.15)], t_end=600.0, dt=0.2, dx=0.2)
     gaps = [rep.relative_gap for rep in reports]
     monotone = all(a < b for a, b in zip(gaps, gaps[1:]))
     ok = gaps[0] < 0.10 and monotone
@@ -192,7 +192,7 @@ def test_criterion_10_adjoint_kernel(profile_spectral):
     res = {}
     for dx in (0.05, 0.025, 0.0125):
         prof = standing.profile_from_quadrature(0.1, 0.1, x_max=80.0, dx=dx)
-        res[dx] = stability.adjoint_kernel_residual(prof)
+        res[dx] = stability.adjoint_kernel_residual(stability.assemble_L(prof), prof)
     r1 = res[0.05] / res[0.025]
     r2 = res[0.025] / res[0.0125]
     rate = stability.second_kernel_growth_rate(profile_spectral)
@@ -206,13 +206,14 @@ def test_criterion_10_adjoint_kernel(profile_spectral):
 
 def test_criterion_11_relaxation_shift(profile_spectral):
     u0 = profile_spectral
+    cfg = pde.SimConfig(dt=0.25, t_end=400.0, record_every=80)
     bump = np.exp(-(u0.x**2))
-    first = stability.relaxation_shift(u0, bump, 0.01)
-    second = stability.relaxation_shift(u0, bump, 0.02)
+    first = stability.relaxation_shift(u0, bump, 0.01, cfg)
+    second = stability.relaxation_shift(u0, bump, 0.02, cfg)
     ratio = second.measured_shift / first.measured_shift
     odd = u0.x * np.exp(-(u0.x**2))
     raw, _ = stability.perturbation_projection(u0, odd)
-    res_odd = stability.relaxation_shift(u0, odd, 0.02)
+    res_odd = stability.relaxation_shift(u0, odd, 0.02, cfg)
     ok = (abs(ratio - 2.0) < 0.1 and abs(raw) < 1e-12
           and abs(res_odd.measured_shift) < 1e-3)
     check(11, ok,

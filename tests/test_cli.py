@@ -477,15 +477,38 @@ class TestStabilityCommand:
         assert vecs.shape[1] == 1 + 4
 
     @pytest.mark.parametrize("x_max", ["110", "120"])
-    def test_second_kernel_lost_to_rounding_exits_4(self, tmp_path, x_max):
-        # 110: the right quarter cancels to 0; 120: the left tail's slopes round
-        # to 0, so the integral is inf. Both used to write a null growth rate.
+    def test_second_kernel_rate_holds_on_wide_domains(self, tmp_path, x_max):
+        # both exited 4 while the integral was summed from the left edge: the
+        # right quarter, a difference of two sums, cancelled to 0 (110), or the
+        # left tail's slopes rounded to 0 and made it inf (120)
         code, out = run_cli(["stability", "--x-max", x_max], tmp_path)
+        assert code == 0
+        res = json.loads((out / "residuals.json").read_text())
+        assert abs(res["second_kernel_growth_rate"] - math.sqrt(0.1)) < 1e-6
+
+    def test_second_kernel_lost_to_rounding_exits_4(self, tmp_path):
+        # the right tail's squared slopes underflow, so the integral is inf;
+        # this used to write a null growth rate
+        code, out = run_cli(["stability", "--x-max", "1200"], tmp_path)
         assert code == 4
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ClinewaveError"
         assert "second kernel solution lost to rounding" in err["message"]
         assert not (out / "residuals.json").exists()
+
+    def test_one_run_assembles_each_operator_once(self, tmp_path, monkeypatch):
+        from clinewave import stability
+
+        calls = []
+        for name in ("assemble_L", "assemble_M"):
+            def counted(u0, name=name, assemble=getattr(stability, name)):
+                calls.append(name)
+                return assemble(u0)
+
+            monkeypatch.setattr(stability, name, counted)
+        code, _ = run_cli(["stability"], tmp_path)
+        assert code == 0
+        assert sorted(calls) == ["assemble_L", "assemble_M"]
 
 
 class TestSimulateCommand:

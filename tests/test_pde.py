@@ -828,14 +828,15 @@ class TestInstantaneousSpeed:
 
     def test_exactly_linear_positions(self):
         traj = self._linear_trajectory(0.0321)
-        assert instantaneous_speed(traj, "u_reduced") == pytest.approx(0.0321, rel=1e-12)
+        assert instantaneous_speed(traj, "u_reduced", window=(0.0, 50.0)) == pytest.approx(
+            0.0321, rel=1e-12)
 
     def test_standing_wave_speed_is_zero(self):
         u0 = profile_from_quadrature(0.1, 0.1, x_max=60.0, dx=0.1)
         grid = Grid1D(-60.0, 60.0, u0.x.size)
         cfg = SimConfig(dt=0.2, t_end=50.0, record_every=50)
         traj = simulate_reduced(u0.u, 0.1, 0.0, 0.1, grid, cfg)
-        assert abs(instantaneous_speed(traj, "u_reduced")) < grid.dx / 50.0
+        assert abs(instantaneous_speed(traj, "u_reduced", window=(0.0, 50.0))) < grid.dx / 50.0
 
     def test_window_too_small(self):
         traj = self._linear_trajectory(0.01)
@@ -845,7 +846,7 @@ class TestInstantaneousSpeed:
     def test_unknown_tag(self):
         traj = self._linear_trajectory(0.01)
         with pytest.raises(KeyError):
-            instantaneous_speed(traj, "q")
+            instantaneous_speed(traj, "q", window=(0.0, 50.0))
 
 
 class TestTrajectoryExport:

@@ -66,8 +66,8 @@ class TestAssembly:
         assert op_M.diag[0] == pytest.approx(expected, rel=1e-6)
         assert op_M.diag[-1] == pytest.approx(expected, rel=1e-6)
 
-    def test_similarity_with_the_weight(self, u0):
-        assert similarity_defect(u0) < 1e-4
+    def test_similarity_with_the_weight(self, op_L, u0):
+        assert similarity_defect(op_L, u0) < 1e-4
 
     def test_translation_mode_in_kernel(self, op_L, u0):
         # L applied to the discretized slope: O(dx^2) residual.
@@ -144,8 +144,8 @@ class TestSpectrum:
 
 
 class TestAdjointKernel:
-    def test_residual_small_at_baseline(self, u0):
-        assert adjoint_kernel_residual(u0) < 1e-3
+    def test_residual_small_at_baseline(self, op_L, u0):
+        assert adjoint_kernel_residual(op_L, u0) < 1e-3
 
     def test_residual_refines_at_second_order(self):
         # Quartering under each halving of dx; the wide domain keeps the
@@ -153,7 +153,7 @@ class TestAdjointKernel:
         res = {}
         for dx in (0.05, 0.025, 0.0125):
             prof = profile_from_quadrature(S, R, x_max=80.0, dx=dx)
-            res[dx] = adjoint_kernel_residual(prof)
+            res[dx] = adjoint_kernel_residual(assemble_L(prof), prof)
         assert res[0.05] / res[0.025] == pytest.approx(4.0, rel=0.2)
         assert res[0.025] / res[0.0125] == pytest.approx(4.0, rel=0.2)
 
@@ -186,8 +186,10 @@ class TestSecondKernelSolution:
 
 
 class TestRelaxation:
+    CFG = SimConfig(dt=0.25, t_end=400.0, record_every=80)
+
     def test_translation_perturbation_shifts_by_minus_eps(self, u0):
-        res = relaxation_shift(u0, u0.du, 0.02)
+        res = relaxation_shift(u0, u0.du, 0.02, self.CFG)
         assert res.shift_per_eps == pytest.approx(-1.0, abs=0.02)
         assert res.predicted_shift / 0.02 == pytest.approx(-1.0, rel=1e-6)
 
@@ -195,13 +197,13 @@ class TestRelaxation:
         h = u0.x * np.exp(-(u0.x**2))
         raw, _ = perturbation_projection(u0, h)
         assert abs(raw) < 1e-14
-        res = relaxation_shift(u0, h, 0.02)
+        res = relaxation_shift(u0, h, 0.02, self.CFG)
         assert abs(res.measured_shift) < 1e-3
 
     def test_shift_scales_linearly_and_matches_normalized_projection(self, u0):
         h = np.exp(-(u0.x**2))
-        first = relaxation_shift(u0, h, 0.01)
-        second = relaxation_shift(u0, h, 0.02)
+        first = relaxation_shift(u0, h, 0.01, self.CFG)
+        second = relaxation_shift(u0, h, 0.02, self.CFG)
         assert second.measured_shift / first.measured_shift == pytest.approx(2.0, rel=0.05)
         # the normalized projection is the prediction that matches the
         # dynamics; the raw integral misses by the normalization factor
@@ -213,14 +215,14 @@ class TestRelaxation:
         # 0 used to divide by zero, NaN to fail the range guard at t = 0
         for eps_amp in (0.0, math.nan, 0.2):
             with pytest.raises(ValueError):
-                relaxation_shift(u0, u0.du, eps_amp)
+                relaxation_shift(u0, u0.du, eps_amp, self.CFG)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_perturbation_rejected(self, u0, bad):
         h = u0.du.copy()
         h[h.size // 2] = bad
         with pytest.raises(ValueError, match="perturbation"):
-            relaxation_shift(u0, h, 0.02)
+            relaxation_shift(u0, h, 0.02, self.CFG)
 
     def test_nonconvergence_raises(self, u0):
         with pytest.raises(ConvergenceError):
