@@ -1,9 +1,8 @@
 """1-D reaction-diffusion integrators for the cline system and front tracking.
 
-Three solvers share one Strang-split core (`_run_strang`). Its reaction
-substeps are the explicit midpoint rule: second order like the split, two
-right-hand-side calls, and at equal calls more accurate than RK4 or a
-three-stage rule, though merging half-reactions costs it 1.2-1.7x in error.
+Three solvers share one driver (`_run`), a second-order IMEX scheme:
+Crank-Nicolson diffusion and an Adams-Bashforth (AB2) reaction, one
+reaction right-hand-side call per step, with no splitting error.
 
   * `simulate_pqd` integrates allele frequencies and linkage disequilibrium
 
@@ -12,9 +11,8 @@ three-stage rule, though merging half-reactions costs it 1.2-1.7x in error.
 
     with s2 the dispersal variance, on the allele rows and D; equal loci
     with q = p run as one allele row u = p = q (see `simulate_pqd`). The
-    p_x q_x source is evaluated by central differences at both
-    right-hand-side calls of the midpoint substep; freezing it per substep
-    costs an order of accuracy.
+    p_x q_x source is evaluated by central differences inside the
+    reaction, from the state each step starts from.
 
   * `simulate_gametes` integrates the four gamete frequencies with
     reaction R(y) = exact one-generation map minus identity, applied
@@ -27,11 +25,10 @@ three-stage rule, though merging half-reactions costs it 1.2-1.7x in error.
             = u_xx + (S (2u-1) + eps) (u (1-u) + (2/r) u_x^2),
 
     selection times heterozygosity plus the QLE disequilibrium (2/r) u_x^2,
-    recomputing u_x at both right-hand-side calls of the midpoint substep
-    so the split is strictly symmetric. Pass r = inf to drop the gradient
-    coupling (plain bistable control). Speeds measured here convert to the
-    original frame by the factor sigma/sqrt(2). A (k, n) initial state is
-    k independent fronts.
+    with u_x recomputed at every reaction call. Pass r = inf to drop the
+    gradient coupling (plain bistable control). Speeds measured here convert
+    to the original frame by the factor sigma/sqrt(2). A (k, n) initial
+    state is k independent fronts.
 
 Each simulator only builds its reaction right-hand side, once per run;
 the shared driver checks the initial data, steps, records and tracks the
@@ -39,13 +36,15 @@ fronts, and a run ends at t_end or at the first record its stop rule
 accepts. Before it allocates or steps, a run is refused (`RunSizeError`)
 beyond `MAX_STEPS` time steps, `MAX_NODES` grid nodes or
 `MAX_RECORD_VALUES` recorded values; `check_size` refuses a size, however
-large, before int() meets it. Diffusion is one Crank-Nicolson
-step on no-flux boundaries for the whole (components, nodes) state:
-u+ = 2y - u with A y = u, A = I - aT made symmetric at its edge rows,
-factored once per run by LAPACK's `pttrf` and solved by one `pttrs` per
-step. `Tridiagonal` is the one band type of the stability operators and
-the BVP Newton Jacobian. Runs are deterministic given their config;
-independent runs share no state.
+large, before int() meets it. A step on no-flux boundaries for the whole
+(components, nodes) state is u+ = 2y - u with
+A y = u + (dt/2) (3/2 f(u) - 1/2 f(u-)), u- the previous state,
+A = I - aT made symmetric at its edge rows, factored once per run by
+LAPACK's `pttrf` and solved by one `pttrs` per step. The explicit
+reaction is stable for dt (r + 2 max(SA, SB)) < 1; every preset runs at
+0.15 or less. `Tridiagonal` is the one band type of the stability
+operators and the BVP Newton Jacobian. Runs are deterministic given
+their config; independent runs share no state.
 
 Every reaction comes from `genetics`; this module imports nothing from
 the standing-front, speed or stability layers, so a simulation loads
@@ -138,9 +137,11 @@ class SimConfig:
 
 
 def check_size(what: str, size: float, limit: int) -> None:
-    """Raise `RunSizeError`, naming the size and its limit, for a size above the limit."""
+    """Raise `RunSizeError`, naming the size and its limit, for a size above the limit.
+    A non-finite size is carried as the string "inf" or "nan", which strict JSON can hold."""
     if not size <= limit:
-        raise RunSizeError(f"{what} of {size:.6g} exceeds the limit {limit}", size=size, limit=limit)
+        raise RunSizeError(f"{what} of {size:.6g} exceeds the limit {limit}", limit=limit,
+                           size=size if -math.inf < size < math.inf else str(size))
 
 
 def field_bounds(tag: str) -> tuple[float, float]:
@@ -256,10 +257,6 @@ def _check_boundary_init(fields: dict[str, np.ndarray]) -> None:
                 )
 
 
-def _midpoint(rhs, y, dt):
-    return y + dt * rhs(y + 0.5 * dt * rhs(y))
-
-
 def _gradient(u: np.ndarray, dx: float) -> np.ndarray:
     """Central differences, one-sided at the edges: np.gradient(u, dx, axis=-1), bit for bit."""
     out = np.empty_like(u)
@@ -292,25 +289,22 @@ def _range_guard(t: float, fields: dict[str, np.ndarray]) -> None:
             raise FieldInvariantError(message, t=t, snapshot=dict(fields))
 
 
-def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
-                rows=slice(None)) -> Trajectory:
-    """The one run driver: Strang splitting with merged half-reactions.
+def _run(init, tags, grid, cfg, nu, rhs, summary, stop=None, rows=slice(None)) -> Trajectory:
+    """The one run driver: Crank-Nicolson diffusion, Adams-Bashforth reaction (CN-AB2).
 
-    Each step is half reaction, diffusion, half reaction, but between two
-    records the closing half of one step and the opening half of the next
-    are taken as one reaction substep of length dt:
+    Each step solves
 
-        R(dt/2) D R(dt) D ... R(dt) D R(dt/2)
+        A y = u_n + (dt/2) (3/2 f(u_n) - 1/2 f(u_n-1)),   u_n+1 = 2y - u_n
 
-    A substep R(h) is the explicit midpoint rule y + h f(y + (h/2) f(y)):
-    two rhs calls, local error O(h^3), so the scheme keeps Strang's second
-    order. A record is taken every record_every steps and at the last step;
-    only there does the loop split back into halves, so every recorded state
-    is a complete Strang state (at record_every = 1, the classic loop).
-    Merging halves the calls but costs a second-order rule accuracy: on the
-    fig1 grid at dt = 0.5 the merged fields are 2.0e-5 (pqd) and 3.1e-5
-    (gametes) from the classic loop's, with 1.24x and 1.72x its dt error.
-    Finiteness is checked before every diffusion, ranges at the records.
+    with A the Crank-Nicolson matrix below and f = rhs: one reaction call
+    per step, second order in dt (Ascher, Ruuth & Wetton 1995). The first
+    step takes f(u_-1) = f(u_0), which is forward Euler. There is no
+    splitting error, so a discrete steady state of reaction plus diffusion
+    is a fixed point of the step. The explicit half is stable for
+    dt |lambda| < 1 on the reaction's real spectrum. Records are the states
+    of every record_every-th step and of the last, so the recorded bits do
+    not depend on record_every. Finiteness is checked on the explicit
+    right-hand side before every solve, ranges at the records.
 
     A run ends at t_end, or at the first record its stop rule accepts:
     stop(record) is asked with each stored record after t = 0, once the
@@ -336,41 +330,42 @@ def _run_strang(init, tags, grid, cfg, nu, rhs, summary, stop=None,
     store = np.empty((len(tags), len(record_steps), grid.n))
     store[:, 0] = state[rows]
     slot = 1
-    # Crank-Nicolson, A u+ = (I + a T) u with A = I - a T, a = nu dt / (2 dx^2)
-    # and T the second differences; a no-flux edge row mirrors its inner
-    # neighbor into a ghost node, which doubles that neighbor's coefficient.
-    # I + a T = 2I - A, so u+ = 2y - u with A y = u. Both sides of A's edge
-    # rows are halved (weights `edges`), which leaves A symmetric positive
-    # definite: diagonal 1 + 2a (1/2 + a at the edges), off-diagonal -a.
+    # Crank-Nicolson, A u+ = (I + a T) u + dt F with A = I - a T, a = nu dt / (2 dx^2),
+    # T the second differences and F the AB2 reaction; a no-flux edge row mirrors
+    # its inner neighbor into a ghost node, which doubles that neighbor's
+    # coefficient. I + a T = 2I - A, so u+ = 2y - u with A y = u + (dt/2) F. Both
+    # sides of A's edge rows are halved (weights `edges`), which leaves A symmetric
+    # positive definite: diagonal 1 + 2a (1/2 + a at the edges), off-diagonal -a.
     a = nu * cfg.dt / (2.0 * grid.dx**2)
     edges = np.ones(grid.n)
     edges[[0, -1]] = 0.5
     factors = dpttrf(edges * (1.0 + 2.0 * a), np.full(grid.n - 1, -a))[:2]
     half = 0.5 * cfg.dt
-    lead = half  # reaction time before the next diffusion
     with np.errstate(over="ignore", invalid="ignore"):
+        f_old = f = rhs(state)  # f(u_-1) = f(u_0): the first step is forward Euler
         for step in range(1, n_steps + 1):
-            state = _midpoint(rhs, state, lead)
-            if not np.isfinite(state).all():
+            explicit = 1.5 * f - 0.5 * f_old
+            explicit *= half
+            explicit += state
+            if not np.isfinite(explicit).all():
                 raise FieldInvariantError(
                     f"state became non-finite at t={step * cfg.dt} "
                     "(reaction overshoot; reduce dt or smooth the initial data)",
-                    t=step * cfg.dt, snapshot=dict(zip(tags, state[rows])),
+                    t=step * cfg.dt, snapshot=dict(zip(tags, explicit[rows])),
                 )
-            y = solve_banded(factors, state * edges)
+            explicit *= edges
+            y = solve_banded(factors, explicit)
             y *= 2.0
             y -= state
             state = y
             if step % cfg.record_every == 0 or step == n_steps:
-                state = _midpoint(rhs, state, half)
-                lead = half
                 _range_guard(step * cfg.dt, dict(zip(tags, state[rows])))
                 store[:, slot] = state[rows]
                 slot += 1
                 if stop is not None and stop(store[:, slot - 1]):
                     break
-            else:
-                lead = cfg.dt
+            if step < n_steps:
+                f_old, f = f, rhs(state)
     fields = dict(zip(tags, store[:, :slot]))
     tracked, fronts = {}, {}
     for tag, row in zip(tags, np.arange(len(state))[rows]):
@@ -393,6 +388,8 @@ def simulate_pqd(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Traje
     """Integrate the (p, q, D) system. Equal loci (sA = sB, SA = SB) started
     with q equal to p bit for bit keep p = q: they run the rows (u, D) and
     record u as p and q, the bits of the three-row run (`genetics.pqd_reaction`).
+    The driver calls the reaction once per step, at the step's starting
+    state, with the s2 p_x q_x source by central differences of that state.
 
     Args:
         init: tuple of three arrays (p, q, D) on the grid, fronts near
@@ -411,9 +408,9 @@ def simulate_pqd(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Traje
         out[-1] += fp.sigma2 * slope[0] * slope[-1]
         return out
 
-    return _run_strang(start[[0, 2]] if one_row else start, ["p", "q", "D"], grid, cfg,
-                       fp.sigma2 / 2.0, rhs, {"model": "pqd", "params": asdict(fp)},
-                       rows=[0, 0, 1] if one_row else slice(None))
+    return _run(start[[0, 2]] if one_row else start, ["p", "q", "D"], grid, cfg,
+                fp.sigma2 / 2.0, rhs, {"model": "pqd", "params": asdict(fp)},
+                rows=[0, 0, 1] if one_row else slice(None))
 
 
 def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> Trajectory:
@@ -430,8 +427,8 @@ def simulate_gametes(init, fp: FitnessParams, grid: Grid1D, cfg: SimConfig) -> T
         out -= state
         return out
 
-    return _run_strang(init, ["u", "v", "w", "z"], grid, cfg, fp.sigma2 / 2.0, rhs,
-                       {"model": "gametes", "params": asdict(fp)})
+    return _run(init, ["u", "v", "w", "z"], grid, cfg, fp.sigma2 / 2.0, rhs,
+                {"model": "gametes", "params": asdict(fp)})
 
 
 def simulate_reduced(init, S: float, eps: float, r: float,
@@ -441,10 +438,10 @@ def simulate_reduced(init, S: float, eps: float, r: float,
     Works in the rescaled frame (unit diffusion); convert measured speeds
     to the original frame by multiplying with sigma/sqrt(2). The gradient
     coupling scales with 2/r; pass r = inf for the uncoupled bistable
-    control. u_x is recomputed at both midpoint calls. A (k, n) init
+    control. u_x is recomputed at each reaction call. A (k, n) init
     is k independent fronts, each repeating its own run bit for bit and,
     for k > 1, tagged u_reduced0, u_reduced1, ...; one front is u_reduced.
-    stop is the driver's stop rule (see `_run_strang`).
+    stop is the driver's stop rule (see `_run`).
     """
     dx = grid.dx
 
@@ -453,8 +450,8 @@ def simulate_reduced(init, S: float, eps: float, r: float,
 
     rows = 1 if np.ndim(init) == 1 else len(init)
     tags = ["u_reduced"] if rows == 1 else [f"u_reduced{i}" for i in range(rows)]
-    return _run_strang(init, tags, grid, cfg, 1.0, rhs,
-                       {"model": "reduced", "params": {"S": S, "eps": eps, "r": r}}, stop)
+    return _run(init, tags, grid, cfg, 1.0, rhs,
+                {"model": "reduced", "params": {"S": S, "eps": eps, "r": r}}, stop)
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_criterion_11_relaxation_shift(profile_spectral):
 
 
 def test_criterion_12_order_of_accuracy():
-    # Strang splitting: error against a dt/4 reference drops ~5x per
+    # CN-AB2 time stepping: error against a dt/4 reference drops ~5x per
     # halving for a clean second-order scheme (4x if the reference were
     # exact).
     grid = pde.Grid1D.symmetric(130.0, 0.2)
@@ -235,7 +235,7 @@ def test_criterion_12_order_of_accuracy():
         ends[dt] = traj.fields["u_reduced"][-1]
     ratio = (np.max(np.abs(ends[0.4] - ends[0.1]))
              / np.max(np.abs(ends[0.2] - ends[0.1])))
-    splitting_ok = 3.5 < ratio < 5.6
+    stepping_ok = 3.5 < ratio < 5.6
 
     # Quadrature refinement: the profile-based speed integral is already
     # converged at the working resolution.
@@ -244,7 +244,7 @@ def test_criterion_12_order_of_accuracy():
     quad_shift = abs(stability.solvability_ratio(a) - stability.solvability_ratio(b))
     quad_ok = quad_shift < 1e-8
 
-    ok = splitting_ok and quad_ok
+    ok = stepping_ok and quad_ok
     check(12, ok,
-          f"Strang halving ratio {ratio:.2f} (2nd order: ~4-5), "
+          f"dt halving ratio {ratio:.2f} (2nd order: ~4-5), "
           f"speed-integral change under grid doubling {quad_shift:.2e} (<1e-8)")

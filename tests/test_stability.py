@@ -295,9 +295,8 @@ class TestRelaxationRun:
                        for t_end in (160.0, 400.0))
         assert short == long
 
-    # the 163rd reaction call is the first midpoint stage of step 81: two calls
-    # each for the opening half, one substep per step to 80 and the closing
-    # half at its record
+    # the 81st reaction call is f(u_80), the one call of step 81: one call per
+    # step, each evaluating the state the step starts from
     @pytest.mark.parametrize("row", [0, 1], ids=["control", "perturbed"])
     def test_failure_past_the_first_record_carries_its_time(self, u0, monkeypatch, row):
         calls = []
@@ -305,7 +304,7 @@ class TestRelaxationRun:
         def row_blows_up(u, du, *args):
             calls.append(1)
             out = reduced_reaction(u, du, *args)
-            if len(calls) == 163:
+            if len(calls) == 81:
                 out[row] = math.inf
             return out
 
@@ -313,8 +312,8 @@ class TestRelaxationRun:
         cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
         with pytest.raises(FieldInvariantError) as info:
             relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
-        # the failing step's two stages, then the finiteness check
-        assert len(calls) == 164
+        # the failing step's call, then the finiteness check
+        assert len(calls) == 81
         assert info.value.diagnostics["t"] == 20.25
         assert "at t=20.25 " in str(info.value)
         snapshot = info.value.diagnostics["snapshot"]
