@@ -19,7 +19,7 @@ equals the CLI default are listed under ``defaulted``; preset values
 the underlying sources do not pin down are listed under ``assumed``), a
 deterministic ``run_id``, which also ends the default directory's name,
 and data CSVs with 17-significant-digit floats and no timestamps.
-``--svg`` adds dependency-free line plots.
+``--svg`` then draws every table the run wrote (`svgplot.plot_tables`).
 
 Exit codes: 0 success, 2 configuration error (an output directory
 that cannot be made or written is one), 3 invariant violation (a run
@@ -37,9 +37,10 @@ The default output root is ``./clinewave-runs``, overridable by the
 ``CLINEWAVE_OUT`` environment variable or ``--out``.
 
 At module level this driver imports only ``pde`` and the scipy-free
-modules; each runner imports the layer it runs, so ``simulate``,
-``--help`` and a sweep's own process never load the standing-front,
-speed or stability layers or the scipy stacks behind them.
+modules; each runner imports the layer it runs, and ``svgplot`` loads
+only under ``--svg``, so ``simulate``, ``--help`` and a sweep's own
+process never load the standing-front, speed or stability layers or the
+scipy stacks behind them.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .errors import (
 )
 from .genetics import FitnessParams, check_positive, default_half_width, gametes_from_pqd
 from .reporting import run_id, write_csv, write_json
-from .svgplot import line_plot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,15 +264,14 @@ def _profile_report(prof, label: str) -> dict:
     return report
 
 
-def run_standing(params: dict, outdir: Path, make_svg: bool) -> dict:
+def run_standing(params: dict, outdir: Path) -> dict:
     from . import standing
 
     if params["preset"] == "fig2":  # both phase-plane regimes
         summary = {}
         for label, (S, r) in (("condition-holds", (0.6, 0.25)),
                               ("condition-fails", (0.85, 0.15))):
-            summary[label] = run_standing(dict(params, S=S, r=r, preset=None),
-                                          outdir / label, make_svg)
+            summary[label] = run_standing(dict(params, S=S, r=r, preset=None), outdir / label)
         return summary
     S, r = params["S"], params["r"]
     quad = standing.profile_from_quadrature(S, r, x_max=params["x_max"], dx=params["dx"])
@@ -288,16 +287,10 @@ def run_standing(params: dict, outdir: Path, make_svg: bool) -> dict:
         "expected_decay_rate": -math.sqrt(S),
     }
     write_json(outdir / "report.json", report)
-    if make_svg:
-        line_plot(outdir / "profile.svg",
-                  [("height", quad.x, quad.u), ("slope", quad.x, quad.du)],
-                  title=f"standing front S={S} r={r}", xlabel="x")
-        line_plot(outdir / "phase_plane.svg", [("orbit", shot.u, shot.du)],
-                  title="phase-plane orbit", xlabel="u", ylabel="du/dx")
     return report
 
 
-def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
+def _simulate(params: dict, model: str) -> pde.Trajectory:
     """Check the parameters of one model, set up its run, and run it."""
     S = params["S"]
     check_positive(S=S)
@@ -326,34 +319,27 @@ def _simulate(params: dict, model: str) -> tuple[pde.Grid1D, pde.Trajectory]:
             init = standing.profile_from_quadrature(S, params["r"], x_max=half, dx=params["dx"]).u
         else:
             init = pde.logistic_front(grid.x, S)
-        return grid, pde.simulate_reduced(init, S, params["eps"], params["r"], grid, cfg)
+        return pde.simulate_reduced(init, S, params["eps"], params["r"], grid, cfg)
     p, q, D = pde.stacked_pqd_init(grid, S, params["sigma2"],
                                    offset_p=params["offset_p"],
                                    offset_q=params["offset_q"])
     if model == "pqd":
-        return grid, pde.simulate_pqd((p, q, D), fp, grid, cfg)
-    return grid, pde.simulate_gametes(gametes_from_pqd(p, q, D), fp, grid, cfg)
+        return pde.simulate_pqd((p, q, D), fp, grid, cfg)
+    return pde.simulate_gametes(gametes_from_pqd(p, q, D), fp, grid, cfg)
 
 
-def run_simulate(params: dict, outdir: Path, make_svg: bool) -> dict:
+def run_simulate(params: dict, outdir: Path) -> dict:
     if params["preset"] == "fig1":
-        return _fig1_panels(params, outdir, make_svg)
-    grid, traj = _simulate(params, params["model"])
+        return _fig1_panels(params, outdir)
+    traj = _simulate(params, params["model"])
     traj.to_csv(outdir / "trajectory.csv")
     tags = sorted(traj.front_positions)
     write_csv(outdir / "fronts.csv", ["t"] + [f"front_{t}" for t in tags],
               np.column_stack([traj.times] + [traj.front_positions[t] for t in tags]))
-    if make_svg:
-        last = traj.times.size - 1
-        for tag in sorted(traj.fields):
-            line_plot(outdir / f"{tag}.svg",
-                      [(f"t={traj.times[i]:g}", grid.x, traj.fields[tag][i])
-                       for i in (0, last // 2, last)],
-                      title=tag, xlabel="x", ylabel=tag)
     return {"trajectory": traj.manifest()}
 
 
-def _fig1_panels(params: dict, outdir: Path, make_svg: bool) -> dict:
+def _fig1_panels(params: dict, outdir: Path) -> dict:
     """Stacking showcase: the (p,q,D) and gamete runs of one configuration.
 
     Emits six panel files: allele-frequency snapshots (x, p, q, D) and
@@ -363,36 +349,31 @@ def _fig1_panels(params: dict, outdir: Path, make_svg: bool) -> dict:
     if params["model"] != "pqd":
         raise ConfigError(f"--preset fig1 runs both the pqd and gametes models, "
                           f"so --model {params['model']} does not apply")
-    grid, traj_pqd = _simulate(params, "pqd")
-    _, traj_g = _simulate(params, "gametes")
+    traj_pqd = _simulate(params, "pqd")
+    traj_g = _simulate(params, "gametes")
 
     picks = [0, traj_pqd.times.size // 8, traj_pqd.times.size - 1]
     for panel, idx in enumerate(picks):
         write_csv(outdir / f"fig1_pqd_t{panel}.csv", ["x", "p", "q", "D"],
-                  np.column_stack([grid.x] + [traj_pqd.fields[k][idx]
-                                              for k in ("p", "q", "D")]))
+                  np.column_stack([traj_pqd.grid.x] + [traj_pqd.fields[k][idx]
+                                                       for k in ("p", "q", "D")]))
         write_csv(outdir / f"fig1_gametes_t{panel}.csv", ["x", "u", "v", "w", "z"],
-                  np.column_stack([grid.x] + [traj_g.fields[k][idx]
-                                              for k in ("u", "v", "w", "z")]))
+                  np.column_stack([traj_pqd.grid.x] + [traj_g.fields[k][idx]
+                                                       for k in ("u", "v", "w", "z")]))
     traj_pqd.to_csv(outdir / "trajectory_pqd.csv")
     traj_g.to_csv(outdir / "trajectory_gametes.csv")
     sep = np.abs(traj_pqd.front_positions["p"] - traj_pqd.front_positions["q"])
     write_csv(outdir / "front_separation.csv", ["t", "separation"],
               np.column_stack([traj_pqd.times, sep]))
-    if make_svg:
-        for panel, idx in enumerate(picks):
-            line_plot(outdir / f"fig1_panel_t{panel}.svg",
-                      [(k, grid.x, traj_pqd.fields[k][idx]) for k in ("p", "q", "D")],
-                      title=f"t = {traj_pqd.times[idx]:g}", xlabel="x")
     return {
         "final_separation": float(sep[-1]),
-        "stacked": bool(sep[-1] < grid.dx),
+        "stacked": bool(sep[-1] < traj_pqd.grid.dx),
         "gamete_sum_error": float(np.max(np.abs(
             sum(traj_g.fields[k] for k in ("u", "v", "w", "z")) - 1.0))),
     }
 
 
-def run_speed(params: dict, outdir: Path, make_svg: bool) -> dict:
+def run_speed(params: dict, outdir: Path) -> dict:
     from . import speed
 
     S = params["S"]
@@ -423,17 +404,10 @@ def run_speed(params: dict, outdir: Path, make_svg: bool) -> dict:
     header = list(rows[0])
     write_csv(outdir / "speed_table.csv", header,
               [[row[k] for k in header] for row in rows])
-    if make_svg:
-        rs = [row["r"] for row in rows]
-        series = [("c1_exact", rs, [row["c1_exact"] for row in rows]),
-                  ("c1_star", rs, [row["c1_star"] for row in rows])]
-        line_plot(outdir / "speed_table.svg", series,
-                  title=f"first-order speed coefficient, S={S}",
-                  xlabel="recombination r", ylabel="coefficient")
     return {"rows": len(rows)}
 
 
-def run_compare(params: dict, outdir: Path, make_svg: bool) -> dict:
+def run_compare(params: dict, outdir: Path) -> dict:
     from . import speed
 
     S = params["S"]
@@ -452,18 +426,10 @@ def run_compare(params: dict, outdir: Path, make_svg: bool) -> dict:
           rep.s * rep.c1_exact * rep.frame_factor, rep.relative_gap]
          for rep in reports],
     )
-    if make_svg:
-        rs = [rep.r for rep in reports]
-        line_plot(outdir / "speed_comparison.svg",
-                  [("measured", rs, [rep.measured_speed for rep in reports]),
-                   ("first-order theory", rs,
-                    [rep.predicted_original for rep in reports])],
-                  title=f"front speed, S={S}, s={params['s']}",
-                  xlabel="recombination r", ylabel="speed")
     return {"max_relative_gap": max(rep.relative_gap for rep in reports)}
 
 
-def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
+def run_stability(params: dict, outdir: Path) -> dict:
     from . import speed, stability, standing
 
     S, r = params["S"], params["r"]
@@ -493,11 +459,6 @@ def run_stability(params: dict, outdir: Path, make_svg: bool) -> dict:
         "expected_growth_rate": math.sqrt(S),
     }
     write_json(outdir / "residuals.json", report)
-    if make_svg:
-        line_plot(outdir / "modes.svg",
-                  [(f"mode {i} ({vals[i]:.4f})", x, vecs[:, i])
-                   for i in range(min(3, vals.size))],
-                  title=f"leading modes, S={S} r={r}", xlabel="x")
     return report
 
 
@@ -567,8 +528,13 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
 
 def dispatch(command: str, params: dict, defaulted: list[str], outdir: Path,
              make_svg: bool, rid: str) -> None:
-    """Run a resolved command into ``outdir`` and write its manifest, with run id ``rid``."""
-    summary = _RUNNERS[command](params, outdir, make_svg)
+    """Run a resolved command into ``outdir``, plot its tables under ``make_svg``,
+    and write its manifest, with run id ``rid``."""
+    summary = _RUNNERS[command](params, outdir)
+    if make_svg:
+        from .svgplot import plot_tables
+
+        plot_tables(outdir)
     assumed = _PRESETS.get((command, params.get("preset")), ({}, []))[1]
     _manifest(outdir, command, params, rid, defaulted, assumed, summary=summary)
 

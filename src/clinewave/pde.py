@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -140,7 +141,8 @@ def check_size(what: str, size: float, limit: int) -> None:
     """Raise `RunSizeError`, naming the size and its limit, for a size above the limit.
     A non-finite size is carried as the string "inf" or "nan", which strict JSON can hold."""
     if not size <= limit:
-        raise RunSizeError(f"{what} of {size:.6g} exceeds the limit {limit}", limit=limit,
+        shown = Decimal(size).normalize() if isinstance(size, int) else size  # past float range too
+        raise RunSizeError(f"{what} of {shown:.6g} exceeds the limit {limit}", limit=limit,
                            size=size if -math.inf < size < math.inf else str(size))
 
 

@@ -1,8 +1,8 @@
 """Minimal self-contained SVG line plots (no external renderer).
 
-One axes box, linear ticks, a polyline per series, and a text legend.
-Deliberately spartan: these files exist so a run directory can be eyeballed
-without any plotting stack installed.
+`plot_tables` draws each CSV table of a run directory with `line_plot`: one axes box,
+linear ticks, a polyline per series, and a text legend. Deliberately spartan: these
+files exist so a run directory can be eyeballed without any plotting stack installed.
 """
 
 from __future__ import annotations
@@ -32,14 +32,15 @@ def _ticks(lo: float, hi: float, count: int = 6):
     return ticks
 
 
-def _fmt_tick(v: float) -> str:
-    return f"{v:.6g}"
-
-
-def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
-    """Write an SVG with one polyline per (label, x, y) triple in ``series``."""
-    xs = np.concatenate([np.asarray(x, float) for _, x, _ in series])
-    ys = np.concatenate([np.asarray(y, float) for _, _, y in series])
+def line_plot(path, series, title: str = "", xlabel: str = "") -> None:
+    """Write an SVG with one polyline per (label, x, y) triple in ``series``,
+    leaving out a series with no finite point; with none left, write nothing."""
+    series = [(label, np.asarray(x, float), np.asarray(y, float)) for label, x, y in series]
+    series = [(label, x, y) for label, x, y in series if np.any(np.isfinite(x) & np.isfinite(y))]
+    if not series:
+        return
+    xs = np.concatenate([x for _, x, _ in series])
+    ys = np.concatenate([y for _, _, y in series])
     finite = np.isfinite(xs) & np.isfinite(ys)
     x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
     y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
@@ -76,29 +77,22 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "")
             f'<line x1="{px(t):.1f}" y1="{_MARGIN_T + plot_h}" x2="{px(t):.1f}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>'
             f'<text x="{px(t):.1f}" y="{_MARGIN_T + plot_h + 20}" '
-            f'text-anchor="middle">{_fmt_tick(t)}</text>'
+            f'text-anchor="middle">{t:.6g}</text>'
         )
     for t in _ticks(y_lo, y_hi):
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{py(t):.1f}" x2="{_MARGIN_L}" '
             f'y2="{py(t):.1f}" stroke="#333"/>'
             f'<text x="{_MARGIN_L - 9}" y="{py(t):.1f}" text-anchor="end" '
-            f'dominant-baseline="middle">{_fmt_tick(t)}</text>'
+            f'dominant-baseline="middle">{t:.6g}</text>'
         )
     if xlabel:
         parts.append(
             f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 14}" '
             f'text-anchor="middle">{xlabel}</text>'
         )
-    if ylabel:
-        parts.append(
-            f'<text x="18" y="{_MARGIN_T + plot_h / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2})">{ylabel}</text>'
-        )
     for idx, (label, x, y) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
         keep = np.isfinite(x) & np.isfinite(y)
         pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[keep], y[keep]))
         parts.append(
@@ -113,6 +107,35 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "")
                 f'<text x="{lx + 28}" y="{ly}">{label}</text>'
             )
     parts.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n")
+
+
+def plot_tables(outdir) -> None:
+    """Draw every CSV table under ``outdir``, searched recursively, next to it.
+
+    A table gets ``<stem>.svg``: every column plotted against its first column.
+    A table whose first two columns are ``t, x`` (a trajectory) gets one
+    ``<stem>_<field>.svg`` per field, at its first, middle and last time.
+    A table with a text column is a record, not a series, and gets no SVG.
+    A column with no finite value is skipped, and a table with no rows gets no SVG."""
+    for path in sorted(Path(outdir).rglob("*.csv")):
+        header, *rows = path.read_text().splitlines()
+        if not rows:
+            continue
+        try:
+            data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        except ValueError:  # a text column
+            continue
+        names = header.split(",")
+        if names[:2] != ["t", "x"]:
+            line_plot(path.with_suffix(".svg"),
+                      [(name, data[:, 0], column) for name, column in zip(names[1:], data.T[1:])],
+                      title=path.stem, xlabel=names[0])
+            continue
+        nx = np.count_nonzero(data[:, 0] == data[0, 0])  # rows per record
+        records = data.reshape(-1, nx, len(names))  # (time, node, column)
+        for j, field in enumerate(names[2:], start=2):
+            line_plot(path.with_name(f"{path.stem}_{field}.svg"),
+                      [(f"t={records[i, 0, 0]:g}", records[i, :, 1], records[i, :, j])
+                       for i in (0, (len(records) - 1) // 2, -1)],
+                      title=f"{path.stem}: {field}", xlabel="x")

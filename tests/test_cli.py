@@ -44,7 +44,8 @@ class TestStandingCommand:
         assert code == 0
         for name in ("profile_quadrature.csv", "profile_shooting.csv",
                      "phase_plane_orbit.csv", "report.json", "manifest.json",
-                     "profile.svg", "phase_plane.svg"):
+                     "profile_quadrature.svg", "profile_shooting.svg",
+                     "phase_plane_orbit.svg"):
             assert (out / name).exists()
         report = json.loads((out / "report.json").read_text())
         assert report["cross_method_sup_gap"] < 1e-6
@@ -181,6 +182,36 @@ class TestConfigHandling:
         code = main(["standing", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+
+    def test_unreadable_config_exits_2_with_error_json(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["standing", "--config", str(tmp_path / "missing.txt"),
+                     "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+
+    @pytest.mark.parametrize("value, code, svgs", [("yes", 0, 3), ("no", 0, 0), ("maybe", 2, 0)])
+    def test_svg_config_line(self, tmp_path, value, code, svgs):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"svg = {value}\ndx = 0.05\n")
+        out = tmp_path / "x"
+        assert main(["standing", "--config", str(cfg), "--out", str(out)]) == code
+        assert len(list(out.glob("*.svg"))) == svgs
+        if code:
+            assert json.loads((out / "error.json").read_text())["error"] == "ConfigError"
+
+    def test_out_without_a_value_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CLINEWAVE_OUT", str(tmp_path / "envroot"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["standing", "--out"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--record-every", "0"], ["--sB", "0.2", "--SB", "0.1"]],
+                             ids=["record-every-0", "sB-above-SB"])
+    def test_bad_simulate_value_exits_3_with_error_json(self, tmp_path, flags):
+        out = tmp_path / "bad"
+        assert main(["simulate", *flags, "--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ValueError", 3)
 
     def test_bad_flag_value_exits_2_with_error_json(self, tmp_path):
         out = tmp_path / "x"
@@ -436,10 +467,11 @@ class TestSpeedCommand:
         assert _parse_r_grid("0.3:0.3:0.1") == [0.3]
 
     @pytest.mark.parametrize("grid", ["0.1:inf:0.1", "0.1:0.5:nan", "nan:0.5:0.1",
-                                      "0.1:0.5:inf"])
+                                      "0.1:0.5:inf", "abc", "0.5:0.1:0.1"])
     def test_non_finite_r_grid_exits_2_with_error_json(self, tmp_path, grid):
         # an infinite stop used to escape as OverflowError, a NaN or an
-        # infinite step as an invariant violation (exit 3)
+        # infinite step as an invariant violation (exit 3); a grid that does
+        # not parse or does not increase is a configuration error too
         out = tmp_path / "bad"
         assert main(["speed", "--S", "0.1", "--r-grid", grid, "--out", str(out)]) == 2
         err = json.loads((out / "error.json").read_text())
@@ -781,6 +813,14 @@ class TestSweepCommand:
         out = tmp_path / "x"
         assert main(["sweep", "standing", "--vary", "r=", "--out", str(out)]) == 2
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("vary", [["--vary", "S"], []], ids=["no-values", "no-vary"])
+    def test_vary_missing_or_malformed_exits_2(self, tmp_path, vary):
+        out = tmp_path / "x"
+        assert main(["sweep", "standing", *vary, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
         assert not (out / "manifest.json").exists()
 
     def test_repeated_vary_key_exits_2(self, tmp_path):

@@ -3,7 +3,7 @@
 `simulate`, `--help` and a sweep's own process need numpy and
 `scipy.linalg` only; the standing-front, speed and stability layers and
 the scipy stacks behind them load when a command that runs them is
-dispatched. `speed` and `compare` run the standing and speed layers but
+dispatched, and `svgplot` only under `--svg`. `speed` and `compare` run the standing and speed layers but
 never the stability layer or the `scipy.interpolate` behind it. The checks
 run in a child process, since this one has imported every layer already.
 """
@@ -21,7 +21,7 @@ from clinewave import genetics, pde, speed, stability, standing
 ROOT = Path(__file__).resolve().parents[1]
 
 HEAVY = ["scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse",
-         "clinewave.standing", "clinewave.speed", "clinewave.stability"]
+         "clinewave.standing", "clinewave.speed", "clinewave.stability", "clinewave.svgplot"]
 
 # argv: output root, the runs' label, then the module names that must stay unloaded
 _CHILD = """

@@ -99,6 +99,16 @@ class TestGridAndConfig:
             Grid1D.symmetric(60.0, 1e-310)
         assert info.value.diagnostics["size"] == "inf"
 
+    @pytest.mark.parametrize("call", [lambda: pde.check_size("x", 10**400, 10),
+                                      lambda: Grid1D(0.0, 1.0, 10**400)],
+                             ids=["check_size", "Grid1D"])
+    def test_int_size_past_float_range_is_a_run_size_error(self, call):
+        # formatting the message converted the int to float: OverflowError
+        with pytest.raises(RunSizeError, match="1e\\+400 exceeds the limit") as info:
+            call()
+        assert info.value.diagnostics["size"] == 10**400
+        assert info.value.diagnostics["limit"] in (10, pde.MAX_NODES)
+
     @pytest.mark.parametrize("record_every, records", [(4, 4), (5, 3), (1, 11), (20, 2)])
     def test_record_store_limit_is_the_store_size(self, monkeypatch, record_every, records):
         # the driver's record count is the store it would allocate: 10 steps
