@@ -9,29 +9,29 @@ compare    theory versus full-system measured speeds
 stability  spectra, kernel residuals, and the solvability identity
 sweep      fan a subcommand out over a parameter product (process pool)
 
-Every run takes one path: resolve the parameters, pick the run
-directory, call the subcommand's runner, write the manifest. Flags win
-over a flat ``key = value`` file (``--config``), both win over the
-values of a ``--preset``, which are plain data like the registry
-defaults; unknown config keys are rejected. Every run writes
-``manifest.json`` with the fully resolved configuration (keys whose value
-equals the CLI default are listed under ``defaulted``; preset values
+Every run takes one path: resolve the parameters, pick the run directory,
+call the subcommand's runner, write the manifest. The flat ``key = value``
+lines of a ``--config`` file go in ahead of the flags and are parsed once
+with them, so flags win; both win over a ``--preset``'s values, plain data
+like the registry defaults; unknown config keys are rejected. Every run
+writes ``manifest.json`` with the fully resolved configuration (keys whose
+value equals the CLI default are listed under ``defaulted``; preset values
 the underlying sources do not pin down are listed under ``assumed``), a
 deterministic ``run_id``, which also ends the default directory's name,
 and data CSVs with 17-significant-digit floats and no timestamps.
 ``--svg`` then draws every table the run wrote (`svgplot.plot_tables`).
 
-Exit codes: 0 success, 2 configuration error (an output directory
-that cannot be made or written is one), 3 invariant violation (a run
-beyond a `pde` size limit, an ``--r-grid`` of more than ``MAX_R_POINTS``
-points, or a run too large to count or allocate, is one), 4 numerical
-failure. A failure writes ``error.json`` with the diagnostic
-payload into the run's own directory (keyed by argv if the run fails
-before its parameters resolve). ``sweep`` runs each point through
-``main``: a failing point leaves its own ``error.json``, the others still
-run, the sweep manifest records each point's exit code and, under
-``errors``, each failed point's error class and message, and the sweep
-returns the worst.
+Exit codes: 0 success, 2 configuration error (an output directory that
+cannot be made or written is one), 3 invariant violation (a run beyond a
+`pde` size limit, an ``--r-grid`` of more than ``MAX_R_POINTS`` points, or
+a run too large to count or allocate, is one), 4 numerical failure. A
+failure writes ``error.json`` with the diagnostic payload into the run's
+own directory, or, if the run fails before its parameters resolve
+(``--out`` with no value, like any command line that does not parse), into
+one keyed by argv. ``sweep`` runs each point through ``main``: a failing
+point leaves its own ``error.json``, the others still run, the sweep
+manifest records each point's exit code and, under ``errors``, each failed
+point's error class and message, and the sweep returns the worst.
 
 The default output root is ``./clinewave-runs``, overridable by the
 ``CLINEWAVE_OUT`` environment variable or ``--out``.
@@ -654,38 +654,30 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
     if argv and argv[0] == "sweep" and "--" in argv:
         split = argv.index("--")
         argv, sweep_base = argv[:split], argv[split + 1:]
-    parser = build_parser()
-    # Where error.json goes if the full parse fails: the subcommand and
-    # --out as far as they can be read from a command line that may not parse.
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("command", nargs="?")
-    pre.add_argument("--out")
-    try:
-        args = pre.parse_known_args(argv)[0]
-    except argparse.ArgumentError:
-        args = argparse.Namespace(command=None, out=None)
-    command = args.command if args.command in (*_RUNNERS, "sweep") else None
+    # --out, --config and --help ahead of the parse; all optional values, so no line fails
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--out", nargs="?")
+    pre.add_argument("--config", nargs="?")
+    pre.add_argument("-h", "--help", nargs="?", const=True)
+    args = pre.parse_known_args(argv)[0]
+    command = argv[0] if argv and argv[0] in (*_RUNNERS, "sweep") else None
     outdir = None  # the run's own directory, once its parameters resolve
     try:
+        line = argv
+        if command in _RUNNERS and args.config and not args.help:  # flags after, so they win
+            line = [command] + parse_config_file(args.config, command) + argv[1:]
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(line)
         except SystemExit as exc:  # argparse has printed the reason
             if not exc.code:  # --help, --version
                 return EXIT_OK, None
-            raise ConfigError(f"invalid command line: {' '.join(argv)}") from exc
-        command = args.command
+            raise ConfigError(f"invalid command line: {' '.join(line)}") from exc
+        if args.command != command:  # a token, as --, ahead of the subcommand
+            raise ConfigError(f"the subcommand must come first: {' '.join(argv)}")
         if command == "sweep":
             outdir, code = run_sweep(args, sweep_base)
             print(outdir)
             return code, None
-        if args.config:
-            user_argv = list(argv)
-            user_argv.remove(command)  # the subcommand token only
-            config_argv = parse_config_file(args.config, command)
-            try:
-                args = parser.parse_args([command] + config_argv + user_argv)
-            except SystemExit as exc:  # argparse has printed the reason
-                raise ConfigError(f"config file {args.config} has an invalid value") from exc
         params, defaulted = _resolve(args, command)
         preset = params.get("preset")
         rid = run_id({"command": command, "resolved": params})  # names the directory too

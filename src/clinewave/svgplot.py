@@ -8,6 +8,7 @@ files exist so a run directory can be eyeballed without any plotting stack insta
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,24 +16,29 @@ import numpy as np
 _WIDTH, _HEIGHT = 720, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 40, 56
 _COLORS = ["#1f6fb2", "#d1495b", "#3a7d44", "#8e6c8a", "#c77d2c", "#3d3d3d"]
+_MAX = sys.float_info.max
 
 
-def _ticks(lo: float, hi: float, count: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(count - 1, 1)
+def _span(values) -> tuple[float, float]:
+    """The range of ``values``, made drawable: a single value widens by 0.5
+    each way, or by half its size where 0.5 rounds away, within float range."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi - lo < sys.float_info.min:  # one value, or two a subnormal apart
+        half = 0.5 if lo - 0.5 < hi + 0.5 else abs(lo) / 2
+        lo, hi = lo - half, hi + half
+    return max(lo, -_MAX), min(hi, _MAX)
+
+
+def _ticks(lo: float, hi: float):
+    raw = (hi / 2 - lo / 2) / 2.5  # a fifth of the span: six ticks at most
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * abs(step):
-        ticks.append(0.0 if abs(t) < 1e-15 * abs(step) else t)
-        t += step
-    return ticks
+    ticks = [first + i * step for i in range(6)]
+    return [0.0 if abs(t) < 1e-15 * step else t for t in ticks if t <= hi + 1e-12 * step]
 
 
-def line_plot(path, series, title: str = "", xlabel: str = "") -> None:
+def line_plot(path, series, title: str, xlabel: str) -> None:
     """Write an SVG with one polyline per (label, x, y) triple in ``series``,
     leaving out a series with no finite point; with none left, write nothing."""
     series = [(label, np.asarray(x, float), np.asarray(y, float)) for label, x, y in series]
@@ -42,23 +48,19 @@ def line_plot(path, series, title: str = "", xlabel: str = "") -> None:
     xs = np.concatenate([x for _, x, _ in series])
     ys = np.concatenate([y for _, _, y in series])
     finite = np.isfinite(xs) & np.isfinite(ys)
-    x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
-    y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _span(xs[finite])
+    y_lo, y_hi = _span(ys[finite])
     pad = 0.04 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = max(y_lo - pad, -_MAX), min(y_hi + pad, _MAX)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x):
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+    def px(x):  # spans in halves, as a span of the whole float range overflows
+        return _MARGIN_L + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * plot_w
 
     def py(y):
-        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi / 2 - y / 2) / (y_hi / 2 - y_lo / 2) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -66,12 +68,9 @@ def line_plot(path, series, title: str = "", xlabel: str = "") -> None:
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
+        f'<text x="{_WIDTH / 2}" y="{_MARGIN_T - 14}" text-anchor="middle" '
+        f'font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2}" y="{_MARGIN_T - 14}" text-anchor="middle" '
-            f'font-size="15">{title}</text>'
-        )
     for t in _ticks(x_lo, x_hi):
         parts.append(
             f'<line x1="{px(t):.1f}" y1="{_MARGIN_T + plot_h}" x2="{px(t):.1f}" '
@@ -86,11 +85,8 @@ def line_plot(path, series, title: str = "", xlabel: str = "") -> None:
             f'<text x="{_MARGIN_L - 9}" y="{py(t):.1f}" text-anchor="end" '
             f'dominant-baseline="middle">{t:.6g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 14}" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
+    parts.append(f'<text x="{_MARGIN_L + plot_w / 2}" y="{_HEIGHT - 14}" '
+                 f'text-anchor="middle">{xlabel}</text>')
     for idx, (label, x, y) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
         keep = np.isfinite(x) & np.isfinite(y)

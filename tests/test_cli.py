@@ -144,7 +144,7 @@ class TestConfigHandling:
         assert manifest["resolved"]["r"] == 0.3  # flag wins
 
     def test_config_keeps_flag_values_equal_to_the_command(self, tmp_path, monkeypatch):
-        # "--out standing" must survive the re-parse that adds the config
+        # "--out standing" must survive the splice that adds the config
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("S = 0.25\nr = 0.25\ndx = 0.05\n")
         monkeypatch.chdir(tmp_path)
@@ -204,6 +204,10 @@ class TestConfigHandling:
         monkeypatch.setenv("CLINEWAVE_OUT", str(tmp_path / "envroot"))
         monkeypatch.chdir(tmp_path)
         assert main(["standing", "--out"]) == 2
+        # like any command line that does not parse: keyed by the command line
+        [path] = (tmp_path / "envroot").rglob("error.json")
+        err = json.loads(path.read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
 
     @pytest.mark.parametrize("flags", [["--record-every", "0"], ["--sB", "0.2", "--SB", "0.1"]],
                              ids=["record-every-0", "sB-above-SB"])
@@ -223,6 +227,7 @@ class TestConfigHandling:
         monkeypatch.setenv("CLINEWAVE_OUT", str(tmp_path / "envroot"))
         assert main(["--version"]) == 0
         assert main(["simulate", "--help", "--out", str(tmp_path / "x")]) == 0
+        assert main(["standing", "--config", str(tmp_path / "missing.txt"), "--help"]) == 0
         assert not (tmp_path / "envroot").exists() and not (tmp_path / "x").exists()
 
     def test_invariant_violation_exits_3_with_error_json(self, tmp_path):

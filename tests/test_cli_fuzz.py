@@ -7,7 +7,10 @@ its registry default, or with probability ``EDGE_P`` one of ``EDGES``.
 ``--r-grid`` takes a small grid or one of ``R_GRID_EDGES``, and ``--t-end``
 stays short unless it draws an edge value. Each command line goes through
 ``cli._run`` in this process, one at a time; no ``sweep`` and no
-``--threads``, so the test starts no process or thread.
+``--threads``, so the test starts no process or thread. Every
+``CONFIG_EVERY``-th command line runs a second time with a random subset of
+its flags moved into a ``--config`` file: both runs must end alike, and a
+successful pair must write the same ``manifest.json`` bytes.
 """
 
 import contextlib
@@ -28,6 +31,7 @@ R_GRID_EDGES = ["0.1:0.5:1e-300", "0.1:1e300:1", "0.1:0.5:0", "0.5:0.1:0.1",
 NONE_DEFAULTS = {"SA": 0.1, "SB": 0.1, "half-width": 60.0, "x-max": 60.0, "r": 0.2, "s": 0.01}
 SKIP = {"config", "out", "svg"}
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INVARIANT, cli.EXIT_NUMERICAL}
+CONFIG_EVERY = 5
 
 
 def _near(rng: random.Random, default: float) -> float:
@@ -91,19 +95,46 @@ def _command_line(rng: random.Random) -> list[str]:
     return argv
 
 
+def _with_config(rng: random.Random, argv: list[str], path) -> list[str]:
+    """``argv`` with a random subset of its flags moved into a config file at ``path``."""
+    pairs = list(zip(argv[1::2], argv[2::2]))
+    moved = [rng.random() < 0.5 for _ in pairs]
+    path.write_text("".join(f"{flag[2:]} = {value}\n"
+                            for (flag, value), move in zip(pairs, moved) if move))
+    kept = [token for pair, move in zip(pairs, moved) if not move for token in pair]
+    return [argv[0], "--config", str(path)] + kept
+
+
+def _run_quietly(argv: list[str], out) -> tuple[int, dict | None]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code, payload = cli._run(argv + ["--out", str(out)])
+    assert code in EXIT_CODES, argv
+    if code != cli.EXIT_OK:
+        error = json.loads((out / "error.json").read_text())
+        assert (error["exit_code"], error["error"]) == (code, payload["error"]), argv
+    return code, payload
+
+
 def test_every_command_line_exits_with_a_known_code(tmp_path):
     rng = random.Random(SEED)
+    split_rng = random.Random(SEED + 1)  # leaves the command-line draws as they are
     start = time.perf_counter()
     seen = set()
     for case in range(CASES):
         argv = _command_line(rng)
         out = tmp_path / f"case{case}"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code, payload = cli._run(argv + ["--out", str(out)])
-        assert code in EXIT_CODES, argv
-        if code != cli.EXIT_OK:
-            error = json.loads((out / "error.json").read_text())
-            assert (error["exit_code"], error["error"]) == (code, payload["error"]), argv
+        code, payload = _run_quietly(argv, out)
         seen.add(code)
+        if case % CONFIG_EVERY:
+            continue
+        config_argv = _with_config(split_rng, argv, tmp_path / f"case{case}.txt")
+        config_out = tmp_path / f"case{case}-config"
+        config_code, config_payload = _run_quietly(config_argv, config_out)
+        assert config_code == code, (argv, config_argv)
+        if code == cli.EXIT_OK:
+            assert ((config_out / "manifest.json").read_bytes()
+                    == (out / "manifest.json").read_bytes()), (argv, config_argv)
+        else:
+            assert config_payload["error"] == payload["error"], (argv, config_argv)
     assert time.perf_counter() - start < 10.0
     assert seen == EXIT_CODES  # the draws reach every outcome

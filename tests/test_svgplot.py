@@ -14,12 +14,24 @@ def test_single_x_value_is_plotted_mid_axis(tmp_path):
     # one r-point of a speed comparison: every series has the same x
     path = tmp_path / "plot.svg"
     line_plot(path, [("measured", [0.5], [0.031]), ("predicted", [0.5], [0.033])],
-              xlabel="r")
+              "speed_plot_data", "r")
     text = path.read_text()
     points = re.findall(r'<polyline points="([^"]*)"', text)
     assert len(points) == 2
     # the x range widens to [0, 1], putting 0.5 at the middle of the axes box
     assert {float(p.split(",")[0]) for p in points} == {72 + 0.5 * (720 - 72 - 24)}
+
+
+@pytest.mark.parametrize("x, y", [([1e17], [1e17]), ([0.0, 1.0], [-1e308, 1e308])],
+                         ids=["widening-rounds-away", "span-past-float-range"])
+def test_every_finite_series_is_plotted_inside_the_axes(tmp_path, x, y):
+    path = tmp_path / "plot.svg"
+    line_plot(path, [("a", x, y)], "plot", "x")
+    points = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}polyline").get("points")
+    assert len(points.split()) == len(x)
+    for point in points.split():
+        px, py = map(float, point.split(","))
+        assert 72 <= px <= 720 - 24 and 40 <= py <= 460 - 56
 
 
 def _predicted_svgs(outdir):
