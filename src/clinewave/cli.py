@@ -13,7 +13,9 @@ Every run takes one path: resolve the parameters, pick the run directory,
 call the subcommand's runner, write the manifest. The flat ``key = value``
 lines of a ``--config`` file go in ahead of the flags and are parsed once
 with them, so flags win; both win over a ``--preset``'s values, plain data
-like the registry defaults; unknown config keys are rejected. Every run
+like the registry defaults. A config file takes the subcommand's options
+plus ``out`` and ``svg``, and a sweep's ``--vary`` its options only; a flag
+the preset or model does not read (``_UNREAD``) is refused. Every run
 writes ``manifest.json`` with the fully resolved configuration (keys whose
 value equals the CLI default are listed under ``defaulted``; preset values
 the underlying sources do not pin down are listed under ``assumed``), a
@@ -145,8 +147,7 @@ _SWEEP_OPTIONS = [
 
 def _add_options(parser: argparse.ArgumentParser, options, **override) -> None:
     for name, kwargs in options:
-        parser.add_argument(f"--{name}", dest=name.replace("-", "_"),
-                            **dict(kwargs, **override))
+        parser.add_argument(f"--{name}", **dict(kwargs, **override))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,22 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _known_keys(command: str) -> set[str]:
-    return {name for name, _ in _COMMON + _OPTIONS[command]}
-
-
 def parse_config_file(path: str, command: str) -> list[str]:
     """Translate a flat key = value file into an argv fragment.
 
     Raises:
-        ConfigError: unreadable file, bad line, or a key the subcommand
-            does not define.
+        ConfigError: unreadable file, bad line, or a key other than the
+            subcommand's options, ``out`` and ``svg``.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    known = _known_keys(command)
+    known = {name for name, _ in _OPTIONS[command]} | {"out", "svg"}
     argv: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -346,9 +343,6 @@ def _fig1_panels(params: dict, outdir: Path) -> dict:
     gamete snapshots (x, u, v, w, z) at the start, during the transient,
     and at the end, plus both full trajectories.
     """
-    if params["model"] != "pqd":
-        raise ConfigError(f"--preset fig1 runs both the pqd and gametes models, "
-                          f"so --model {params['model']} does not apply")
     traj_pqd = _simulate(params, "pqd")
     traj_g = _simulate(params, "gametes")
 
@@ -476,13 +470,17 @@ _PRESETS = {
          "dx": 0.2, "dt": 0.5, "t_end": 3000.0, "record_every": 200},
         ["offset_p", "offset_q", "half_width", "dx", "dt", "t_end", "snapshot_times"]),
     ("standing", "fig2"): ({}, ["x_max", "dx"]),
-    ("compare", "fig3"): (
-        {"S": 0.1, "r_grid": "0.15:0.5:0.05", "s": 0.01, "sigma2": 2.0},
-        ["r_grid", "t_end", "dt", "dx", "initial_offset=0"]),
+    ("compare", "fig3"): ({}, ["r_grid", "t_end", "dt", "dx", "initial_offset=0"]),
 }
 
-# simulate flags of the pqd and gametes models (and fig1), unread by reduced
-_FULL_MODEL_FLAGS = {"sA", "sB", "SA", "SB", "sigma2", "offset_p", "offset_q"}
+# (command, preset or model) -> the flags that run does not read
+_UNREAD = {
+    ("standing", "fig2"): ["S", "r"],  # fixed to its two regimes
+    ("simulate", "fig1"): ["model", "eps", "init"],  # runs both pqd and gametes
+    ("simulate", "pqd"): ["eps", "init"],
+    ("simulate", "gametes"): ["eps", "init"],
+    ("simulate", "reduced"): ["sA", "sB", "SA", "SB", "sigma2", "offset-p", "offset-q"],
+}
 
 _RUNNERS = {
     "simulate": run_simulate,
@@ -496,9 +494,8 @@ _RUNNERS = {
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
     """Flags given win, then preset values, then the registry defaults.
 
-    A flag that the preset or model cannot honour (``--S``/``--r`` with
-    fig2, ``--eps``/``--init`` with pqd and gametes, ``--sA`` with reduced)
-    is a ``ConfigError`` rather than a value recorded but never used.
+    A flag that the preset or model does not read (``_UNREAD``) is a
+    ``ConfigError`` rather than a value recorded but never used.
 
     ``params`` is the resolved configuration, the command included.
     ``defaulted`` lists the keys whose resolved value equals the registry
@@ -507,9 +504,6 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
     params = {"command": command}
     defaulted = []
     passed = vars(args)
-    if (command, passed.get("preset")) == ("standing", "fig2") and {"S", "r"} & passed.keys():
-        raise ConfigError("--preset fig2 fixes S and r to its two regimes, "
-                          "so --S and --r do not apply")
     preset_vals = _PRESETS.get((command, passed.get("preset")), ({}, []))[0]
     for name, kwargs in _OPTIONS[command]:
         key = name.replace("-", "_")
@@ -518,11 +512,11 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, list[str]]:
         params[key] = value
         if value == default:
             defaulted.append(key)
-    if command == "simulate":
-        unread = _FULL_MODEL_FLAGS if params["model"] == "reduced" else {"eps", "init"}
-        flags = sorted("--" + key.replace("_", "-") for key in unread & passed.keys())
-        if flags:
-            raise ConfigError(f"--model {params['model']} does not use {', '.join(flags)}")
+    option = "preset" if params.get("preset") else "model"
+    flags = [f"--{name}" for name in _UNREAD.get((command, params.get(option)), [])
+             if name.replace("-", "_") in passed]
+    if flags:
+        raise ConfigError(f"--{option} {params[option]} does not use {', '.join(flags)}")
     return params, defaulted
 
 
@@ -547,7 +541,7 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
     command = args.subcommand
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    known = _known_keys(command)
+    known = {name for name, _ in _OPTIONS[command]}  # --config, --out, --svg are the sweep's
     varied: dict[str, list[str]] = {}
     for item in args.vary:
         if "=" not in item:
@@ -561,6 +555,8 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
         varied[key] = [v.strip() for v in values.split(",") if v.strip()]
         if not varied[key]:
             raise ConfigError(f"--vary key {key!r} has no values")
+        if len(set(varied[key])) < len(varied[key]):
+            raise ConfigError(f"--vary key {key!r} repeats a value")
     if not varied:
         raise ConfigError("sweep needs at least one --vary KEY=V1,V2,...")
     # the sweep's own --config and --svg apply to every point

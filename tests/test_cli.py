@@ -183,6 +183,18 @@ class TestConfigHandling:
         assert code == 2
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
 
+    def test_config_line_in_a_config_file_exits_2(self, tmp_path):
+        # used to be accepted and ignored: the run took dx 0.02, not inner's 0.05
+        (tmp_path / "inner.txt").write_text("dx = 0.05\n")
+        outer = tmp_path / "outer.txt"
+        outer.write_text(f"config = {tmp_path / 'inner.txt'}\nS = 0.2\n")
+        out = tmp_path / "x"
+        assert main(["standing", "--config", str(outer), "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert f"{outer}:1:" in err["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
     def test_unreadable_config_exits_2_with_error_json(self, tmp_path):
         out = tmp_path / "x"
         assert main(["standing", "--config", str(tmp_path / "missing.txt"),
@@ -581,22 +593,23 @@ class TestSimulateCommand:
         assert header == "t,x,u,v,w,z"
 
 
+def _unread_flag_value(command, name):
+    """A value the parser takes for ``--name``: its last choice, else a number."""
+    return dict(cli._OPTIONS[command])[name].get("choices", ["0.2"])[-1]
+
+
 class TestModelFlags:
-    """A simulate flag that the chosen model does not read is rejected, not
-    recorded in the manifest and ignored by the run."""
+    """A flag that the chosen preset or model does not read is rejected, not
+    recorded in the manifest and ignored by the run: one case per entry of
+    ``cli._UNREAD`` and flag."""
 
     @pytest.mark.parametrize("args", [
-        [*model, flag, value]
-        for model in (["--model", "pqd"], ["--model", "gametes"], ["--preset", "fig1"])
-        for flag, value in (("--eps", "0.01"), ("--init", "logistic"))
-    ] + [
-        ["--model", "reduced", flag, value]
-        for flag, value in (("--sA", "0.05"), ("--sB", "0.05"), ("--SA", "0.2"),
-                            ("--SB", "0.2"), ("--sigma2", "8"), ("--offset-p", "20"),
-                            ("--offset-q", "20"))
+        [command, "--preset" if (command, which) in cli._PRESETS else "--model", which,
+         f"--{name}", _unread_flag_value(command, name)]
+        for (command, which), names in cli._UNREAD.items() for name in names
     ])
     def test_unused_flag_exits_2(self, tmp_path, args):
-        code, out = run_cli(["simulate", *args], tmp_path)
+        code, out = run_cli(args, tmp_path)
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ConfigError"
@@ -636,6 +649,16 @@ class TestFig1Preset:
         code, _ = run_cli(["simulate", "--preset", "fig1", "--model", "gametes"]
                           + self.SHORT, tmp_path)
         assert code == 2
+
+    def test_model_flag_exits_2_even_at_the_preset_model(self, tmp_path):
+        # fig1 runs both models, so --model pqd is refused by its presence
+        code, out = run_cli(["simulate", "--preset", "fig1", "--model", "pqd"]
+                            + self.SHORT, tmp_path)
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError"
+        assert "--model" in err["message"]
+        assert not (out / "manifest.json").exists()
 
     def test_lost_fronts_write_null_not_nan(self, tmp_path):
         # the fronts run off the domain, so the final separation is NaN
@@ -827,6 +850,30 @@ class TestSweepCommand:
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("vary", ["out=xa,xb", "svg=true,false", "config=a.txt"])
+    def test_vary_of_a_sweep_flag_exits_2_before_any_point(self, tmp_path, monkeypatch, vary):
+        # --out, --svg and --config belong to the sweep: a varied out used to
+        # exit 0 with xa and xb never made, a varied svg failed every point
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "x"
+        assert main(["sweep", "speed", "--vary", vary, "--threads", "1",
+                     "--out", str(out), "--", "--r", "0.1"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x"]
+
+    def test_repeated_vary_value_exits_2_before_any_point(self, tmp_path):
+        # used to exit 0 with two processes writing r=0.2/ at once, and a
+        # manifest of 3 runs but 2 exit codes
+        out = tmp_path / "x"
+        assert main(["sweep", "speed", "--vary", "r=0.2,0.2,0.20", "--threads", "2",
+                     "--out", str(out), "--", "--s", "0.01"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert "'r'" in err["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_repeated_vary_key_exits_2(self, tmp_path):
         out = tmp_path / "x"

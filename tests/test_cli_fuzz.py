@@ -71,15 +71,9 @@ def _command_line(rng: random.Random) -> list[str]:
             keep = rng.choice(["r", "r-grid"])
             values.pop("r-grid" if keep == "r" else "r", None)
             values.setdefault(keep, _value(rng, keep, {}))
-        if command == "simulate":
-            model = values.get("model", "pqd")
-            unread = cli._FULL_MODEL_FLAGS if model == "reduced" else {"eps", "init"}
-            for key in list(values):
-                if key.replace("-", "_") in unread or (key == "preset" and model != "pqd"):
-                    del values[key]
-        if values.get("preset") == "fig2":
-            values.pop("S", None)
-            values.pop("r", None)
+        which = values.get("preset", values.get("model", "pqd"))  # pqd: the registry default
+        for name in cli._UNREAD.get((command, which), []):
+            values.pop(name, None)
     if command in ("simulate", "compare"):  # short runs, a whole number of steps
         if rng.random() < EDGE_P:
             values["t-end"] = rng.choice(EDGES)
