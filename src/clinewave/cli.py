@@ -14,8 +14,9 @@ call the subcommand's runner, write the manifest. The flat ``key = value``
 lines of a ``--config`` file go in ahead of the flags and are parsed once
 with them, so flags win; both win over a ``--preset``'s values, plain data
 like the registry defaults. A config file takes the subcommand's options
-plus ``out`` and ``svg``, and a sweep's ``--vary`` its options only; a flag
-the preset or model does not read (``_UNREAD``) is refused. Every run
+plus ``out`` and ``svg``, and a sweep's ``--vary`` its options only, each
+value once as its type parses it and none also after ``--``; a flag the
+preset or model does not read (``_UNREAD``) is refused. Every run
 writes ``manifest.json`` with the fully resolved configuration (keys whose
 value equals the CLI default are listed under ``defaulted``; preset values
 the underlying sources do not pin down are listed under ``assumed``), a
@@ -533,6 +534,15 @@ def dispatch(command: str, params: dict, defaulted: list[str], outdir: Path,
     _manifest(outdir, command, params, rid, defaulted, assumed, summary=summary)
 
 
+def _as_parsed(kwargs: dict, value: str) -> str:
+    """``value`` as its option's ``type`` reads it, by repr (so nan equals nan), or
+    ``value`` itself if that fails: such a point runs, and fails, on its own."""
+    try:
+        return repr(kwargs["type"](value))
+    except ValueError:
+        return value
+
+
 def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
     """Run every point of the product through ``main``.
 
@@ -541,24 +551,28 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
     command = args.subcommand
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    known = {name for name, _ in _OPTIONS[command]}  # --config, --out, --svg are the sweep's
+    options = dict(_OPTIONS[command])  # --config, --out, --svg are the sweep's
     varied: dict[str, list[str]] = {}
     for item in args.vary:
         if "=" not in item:
             raise ConfigError(f"--vary needs KEY=V1,V2,..., got {item!r}")
         key, values = item.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in options:
             raise ConfigError(f"--vary key {key!r} unknown for {command!r}")
         if key in varied:
             raise ConfigError(f"--vary key {key!r} given more than once")
         varied[key] = [v.strip() for v in values.split(",") if v.strip()]
         if not varied[key]:
             raise ConfigError(f"--vary key {key!r} has no values")
-        if len(set(varied[key])) < len(varied[key]):
+        if len({_as_parsed(options[key], v) for v in varied[key]}) < len(varied[key]):
             raise ConfigError(f"--vary key {key!r} repeats a value")
     if not varied:
         raise ConfigError("sweep needs at least one --vary KEY=V1,V2,...")
+    # each point's varied flag comes last and would win without a word
+    given = [f"--{k}" for k in sorted(varied) if any(t.split("=", 1)[0] == f"--{k}" for t in base)]
+    if given:
+        raise ConfigError(f"{', '.join(given)} after -- would lose to the varied values")
     # the sweep's own --config and --svg apply to every point
     base = (["--config", args.config] if args.config else []) + list(base)
     if args.svg:

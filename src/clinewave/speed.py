@@ -31,8 +31,8 @@ Newton from the standing front on the discretized profile equation, with
 the phase condition int (u - u0) u0' dx = 0 closing the system for the
 speed; it is the independent check that c(eps)/eps -> c1 as eps -> 0. The
 residual is `standing.front_residual` and its Jacobian `standing.linearization`
-(L's stencil with eps and c), whose `pde.Tridiagonal` bands go to `spsolve`
-as a sparse matrix.
+(L's stencil with eps and c), whose `pde.Tridiagonal` bands go to LAPACK
+`gtsv` in one call per Newton step.
 
 `compare_speeds` runs the full (p, q, D) system and reports measured
 original-frame front speeds against the predictions, which convert from
@@ -45,8 +45,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import spsolve
+import scipy.sparse as sps  # noqa: F401 - the benchmark's span tracer wraps speed.sps.lil_matrix
+from scipy.linalg.lapack import dgtsv
 
 from . import pde
 from .errors import NewtonDivergenceError, QuadratureError
@@ -144,6 +144,15 @@ def zero_recombination_speed(s: float, S: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def spsolve(J: pde.Tridiagonal, rhs: np.ndarray) -> np.ndarray:
+    """J x = rhs for every column of rhs by one LAPACK `dgtsv` call, LU with partial
+    pivoting, since J is not symmetric; all NaN at an exactly zero pivot (info > 0).
+    Named for the sparse solver the Newton step once called: the benchmark's
+    `speed.bvp.linear_solve` span wraps `speed.spsolve`."""
+    x, info = dgtsv(J.lower, J.diag, J.upper, rhs)[3:]
+    return x if info == 0 else np.full_like(x, math.nan)
+
+
 def solve_traveling_bvp(
     S: float,
     r: float,
@@ -196,11 +205,10 @@ def solve_traveling_bvp(
             raise NewtonDivergenceError(f"Newton diverged at eps={eps}: residual {norm:.3e}",
                                         last_residual=norm)
         J = linearization(u, up, S, r, dx, eps=eps, c=c)
-        # Keller's bordering: the Jacobian is the tridiagonal T bordered
+        # Keller's bordering: the Jacobian is the tridiagonal J bordered
         # by the column dR/dc = u' and the phase row w. One solve
-        # T [y z] = [-res u'] gives dc = (w.y + phase) / (w.z), du = y - z dc.
-        T = sps.diags([J.lower, J.diag, J.upper], [-1, 0, 1], format="csc")
-        y, z = spsolve(T, np.column_stack((-res, up))).T
+        # J [y z] = [-res u'] gives dc = (w.y + phase) / (w.z), du = y - z dc.
+        y, z = spsolve(J, np.column_stack((-res, up))).T
         wz = float(np.dot(phase_weight, z))
         dc = (float(np.dot(phase_weight, y)) + phase) / wz if wz != 0.0 else math.nan
         du = y - z * dc

@@ -875,6 +875,29 @@ class TestSweepCommand:
         assert "'r'" in err["message"]
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
+    @pytest.mark.parametrize("vary", ["r=0.2,0.20", "r=2e-1,0.2", "r=nan,NaN"])
+    def test_value_repeated_once_parsed_exits_2_before_any_point(self, tmp_path, vary):
+        # r=0.2,0.20 used to run one point twice, in r=0.2/ and r=0.20/
+        out = tmp_path / "x"
+        assert main(["sweep", "speed", "--vary", vary, "--threads", "1",
+                     "--out", str(out), "--", "--s", "0.01"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert "repeats a value" in err["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.parametrize("flag", [["--r", "0.4"], ["--r=0.4"]], ids=["spaced", "joined"])
+    def test_varied_flag_after_the_separator_exits_2_before_any_point(self, tmp_path, flag):
+        # used to exit 0 with every point on its varied r and the manifest's
+        # base recording an --r 0.4 that no point used
+        out = tmp_path / "x"
+        assert main(["sweep", "speed", "--vary", "r=0.2,0.3", "--threads", "1",
+                     "--out", str(out), "--", *flag, "--s", "0.01"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert "--r " in err["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
     def test_repeated_vary_key_exits_2(self, tmp_path):
         out = tmp_path / "x"
         assert main(["sweep", "standing", "--vary", "dx=abc", "--vary", "dx=xyz",

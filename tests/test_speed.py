@@ -33,12 +33,13 @@ def profile_01():
 
 @pytest.fixture
 def spsolve_calls(monkeypatch):
-    """One entry per `spsolve` call that `speed` makes."""
+    """One entry per `speed.spsolve` call, the Newton step's banded solve."""
     calls = []
+    original = speed.spsolve
 
     def counting_spsolve(*args, **kwargs):
         calls.append(1)
-        return spsolve(*args, **kwargs)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(speed, "spsolve", counting_spsolve)
     return calls
@@ -296,6 +297,21 @@ class TestTravelingBVP:
         flat = dataclasses.replace(profile_01, du=np.zeros_like(profile_01.du))
         with pytest.raises(NewtonDivergenceError) as err:
             solve_traveling_bvp(0.1, 0.1, 1e-3, u0=flat)
+        assert len(spsolve_calls) == 1
+        residual = err.value.diagnostics["last_residual"]
+        assert math.isfinite(residual) and residual > 0.0
+
+    def test_zero_pivot_fails_at_the_first_step(self, profile_01, spsolve_calls, monkeypatch):
+        # an all-zero first column leaves gtsv an exactly zero pivot (info > 0):
+        # the step is singular, not a solve of whatever the bands were left holding
+        def singular(*args, **kwargs):
+            J = linearization(*args, **kwargs)
+            J.diag[0] = J.lower[0] = 0.0
+            return J
+
+        monkeypatch.setattr(speed, "linearization", singular)
+        with pytest.raises(NewtonDivergenceError, match="singular") as err:
+            solve_traveling_bvp(0.1, 0.1, 1e-3, u0=profile_01)
         assert len(spsolve_calls) == 1
         residual = err.value.diagnostics["last_residual"]
         assert math.isfinite(residual) and residual > 0.0
