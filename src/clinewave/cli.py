@@ -15,8 +15,11 @@ lines of a ``--config`` file go in ahead of the flags and are parsed once
 with them, so flags win; both win over a ``--preset``'s values, plain data
 like the registry defaults. A config file takes the subcommand's options
 plus ``out`` and ``svg``, and a sweep's ``--vary`` its options only, each
-value once as its type parses it and none also after ``--``; a flag the
-preset or model does not read (``_UNREAD``) is refused. Every run
+value once as its type parses it. A sweep's points share one line, its
+config file's lines, the flags after its ``--`` and its ``--svg``, parsed
+once: a varied key that line sets, however spelled, or an ``--out`` or
+``--config`` in it, is refused, as is a flag the preset or model does
+not read (``_UNREAD``) anywhere. Every run
 writes ``manifest.json`` with the fully resolved configuration (keys whose
 value equals the CLI default are listed under ``defaulted``; preset values
 the underlying sources do not pin down are listed under ``assumed``), a
@@ -173,19 +176,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config_file(path: str, command: str) -> list[str]:
-    """Translate a flat key = value file into an argv fragment.
+def config_first(command: str, path: str | None, flags: list[str]) -> list[str]:
+    """``command``'s line: the flat key = value lines of the config file at
+    ``path``, if any, as flags, then ``flags``, which so win.
 
     Raises:
         ConfigError: unreadable file, bad line, or a key other than the
             subcommand's options, ``out`` and ``svg``.
     """
+    argv = [command]
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text() if path else ""
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     known = {name for name, _ in _OPTIONS[command]} | {"out", "svg"}
-    argv: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,7 +206,7 @@ def parse_config_file(path: str, command: str) -> list[str]:
                 raise ConfigError(f"{path}:{lineno}: svg must be boolean, got {value!r}")
         else:
             argv.extend([f"--{key}", value])
-    return argv
+    return argv + flags
 
 
 def _parse_r_grid(expr: str) -> list[float]:
@@ -543,8 +547,9 @@ def _as_parsed(kwargs: dict, value: str) -> str:
         return value
 
 
-def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
-    """Run every point of the product through ``main``.
+def run_sweep(args: argparse.Namespace, base: list[str],
+              point: argparse.Namespace) -> tuple[Path, int]:
+    """Run each point of the product through ``main`` on ``base``, parsed as ``point``.
 
     Returns the sweep directory and the worst exit code of its points.
     """
@@ -569,15 +574,11 @@ def run_sweep(args: argparse.Namespace, base: list[str]) -> tuple[Path, int]:
             raise ConfigError(f"--vary key {key!r} repeats a value")
     if not varied:
         raise ConfigError("sweep needs at least one --vary KEY=V1,V2,...")
-    # each point's varied flag comes last and would win without a word
-    given = [f"--{k}" for k in sorted(varied) if any(t.split("=", 1)[0] == f"--{k}" for t in base)]
+    # each point's own varied flags and --out come last, and its config lines first
+    given = [f"--{k}" for k in [*sorted(varied), "out", "config"]
+             if getattr(point, k.replace("-", "_"), None) is not None]
     if given:
-        raise ConfigError(f"{', '.join(given)} after -- would lose to the varied values")
-    # the sweep's own --config and --svg apply to every point
-    base = (["--config", args.config] if args.config else []) + list(base)
-    if args.svg:
-        base.append("--svg")
-
+        raise ConfigError(f"the sweep sets {', '.join(given)} itself, not after -- or in --config")
     resolved = {"command": "sweep", "subcommand": command, "base": base,
                 "vary": varied}
     rid = run_id({"command": "sweep", "resolved": resolved})
@@ -660,10 +661,10 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
     """``main`` for one command line: its exit code and, if it failed, the
     ``error.json`` payload. Module-level, so a sweep's process pool can map it."""
     # base flags for swept runs follow a literal -- separator
-    sweep_base: list[str] = []
+    base: list[str] = []
     if argv and argv[0] == "sweep" and "--" in argv:
         split = argv.index("--")
-        argv, sweep_base = argv[:split], argv[split + 1:]
+        argv, base = argv[:split], argv[split + 1:]
     # --out, --config and --help ahead of the parse; all optional values, so no line fails
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--out", nargs="?")
@@ -674,10 +675,13 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
     outdir = None  # the run's own directory, once its parameters resolve
     try:
         line = argv
-        if command in _RUNNERS and args.config and not args.help:  # flags after, so they win
-            line = [command] + parse_config_file(args.config, command) + argv[1:]
+        if command in _RUNNERS and not args.help:
+            line = config_first(command, args.config, argv[1:])
         try:
             args = build_parser().parse_args(line)
+            if command == "sweep":  # every point's line, parsed once here
+                line = config_first(args.subcommand, args.config, base + ["--svg"] * args.svg)
+                point = build_parser().parse_args(line)
         except SystemExit as exc:  # argparse has printed the reason
             if not exc.code:  # --help, --version
                 return EXIT_OK, None
@@ -685,7 +689,7 @@ def _run(argv: list[str]) -> tuple[int, dict | None]:
         if args.command != command:  # a token, as --, ahead of the subcommand
             raise ConfigError(f"the subcommand must come first: {' '.join(argv)}")
         if command == "sweep":
-            outdir, code = run_sweep(args, sweep_base)
+            outdir, code = run_sweep(args, line[1:], point)
             print(outdir)
             return code, None
         params, defaulted = _resolve(args, command)

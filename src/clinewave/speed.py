@@ -167,7 +167,11 @@ def solve_traveling_bvp(
     square system. Newton runs at the requested eps from (u0, c = 0) and
     converges in two to five steps for eps <= 0.1 S, S <= 0.85, S/r <= 8.5.
     At dx = 0.05, S >= 0.5 and S/r >= 10 (e.g. S = 0.5, r = 0.02), where the
-    standing front's residual is 6 to 600, it stalls.
+    standing front's residual is 6 to 600, it stalls. Just before the stall
+    it converges, to a residual near 1e-13, on a wrong speed: from the cold
+    start at S = 0.5, eps = 1e-3, c / (eps c1_exact) - 1 is -1.40e-2 at
+    r = 0.052 and -7.08e-2 at r = 0.051, and at r = 0.05 Newton diverges.
+    ROADMAP item 21 (one continuation driver) owns the fix.
 
     Returns:
         (c, profile) with the residual below ``NEWTON_TOL / dx^2``.

@@ -808,6 +808,9 @@ class TestSweepCommand:
         for sub in ("S=0.1", "S=0.25"):
             resolved = json.loads((out / sub / "manifest.json").read_text())["resolved"]
             assert (resolved["r"], resolved["dx"]) == (0.25, 0.05)
+        # the file is read once, by the sweep: its base records the flags, not the path
+        top = json.loads((out / "manifest.json").read_text())
+        assert top["resolved"]["base"] == ["--r", "0.25", "--dx", "0.05"]
 
     def test_pool_asks_for_no_more_workers_than_points(self, tmp_path, monkeypatch):
         asked = []
@@ -897,6 +900,39 @@ class TestSweepCommand:
         assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
         assert "--r " in err["message"]
         assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.parametrize("config, vary, after", [
+        ("r = 0.4", "r=0.2,0.3", []),
+        ("", "r-grid=0.1:0.2:0.1,0.3:0.4:0.1", ["--r-g", "0.5:0.6:0.1"]),
+        ("", "r=0.2,0.3", ["--out", "elsewhere"]),
+        ("out = elsewhere", "r=0.2,0.3", []),
+        ("", "r=0.2", ["--config", "point.txt"]),
+        ("", "r=0.2,0.3", ["--s", "abc"]),
+    ], ids=["varied-in-config", "varied-as-prefix", "out-after", "out-in-config",
+            "config-after", "unparsable"])
+    def test_shared_line_refused_once_before_any_point(self, tmp_path, monkeypatch,
+                                                       config, vary, after):
+        # the first five used to exit 0 with the flag lost on every point: no
+        # point ran on the config's or the prefixed value, and no elsewhere/
+        # was made; the last failed every point the same way
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.txt").write_text(config + "\n")
+        (tmp_path / "point.txt").write_text("r = 0.4\n")
+        out = tmp_path / "x"
+        assert main(["sweep", "speed", "--vary", vary, "--threads", "1", "--config", "sweep.txt",
+                     "--out", str(out), "--", *after, "--s", "0.01"]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["point.txt", "sweep.txt", "x"]
+
+    def test_help_after_the_separator_prints_once_and_writes_nothing(self, tmp_path, capsys):
+        # used to exit 0 with a manifest of two points at exit code 0 that never ran
+        out = tmp_path / "x"
+        assert main(["sweep", "speed", "--vary", "r=0.2,0.3", "--threads", "1",
+                     "--out", str(out), "--", "--help"]) == 0
+        assert capsys.readouterr().out.count("usage: clinewave speed") == 1
+        assert not out.exists()
 
     def test_repeated_vary_key_exits_2(self, tmp_path):
         out = tmp_path / "x"

@@ -6,11 +6,15 @@ option is passed or left out at random, and a passed one takes a value near
 its registry default, or with probability ``EDGE_P`` one of ``EDGES``.
 ``--r-grid`` takes a small grid or one of ``R_GRID_EDGES``, and ``--t-end``
 stays short unless it draws an edge value. Each command line goes through
-``cli._run`` in this process, one at a time; no ``sweep`` and no
-``--threads``, so the test starts no process or thread. Every
-``CONFIG_EVERY``-th command line runs a second time with a random subset of
-its flags moved into a ``--config`` file: both runs must end alike, and a
-successful pair must write the same ``manifest.json`` bytes.
+``cli._run`` in this process, one at a time. Every ``CONFIG_EVERY``-th
+command line runs a second time with a random subset of its flags moved
+into a ``--config`` file, and every ``SWEEP_EVERY``-th one with a flag runs
+again as a one-point sweep on ``--threads 1``, which runs its point in this
+process, so the test starts no process or thread: one flag goes under
+``--vary``, a random subset of the rest into the sweep's ``--config`` file
+and the others after its ``--``. Each rerun must end with the direct run's
+exit code, and a successful one must write the same ``manifest.json``
+bytes, as a failed sweep point must its ``error.json``.
 """
 
 import contextlib
@@ -32,6 +36,7 @@ NONE_DEFAULTS = {"SA": 0.1, "SB": 0.1, "half-width": 60.0, "x-max": 60.0, "r": 0
 SKIP = {"config", "out", "svg"}
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INVARIANT, cli.EXIT_NUMERICAL}
 CONFIG_EVERY = 5
+SWEEP_EVERY = 5
 
 
 def _near(rng: random.Random, default: float) -> float:
@@ -99,11 +104,22 @@ def _with_config(rng: random.Random, argv: list[str], path) -> list[str]:
     return [argv[0], "--config", str(path)] + kept
 
 
+def _as_sweep(rng: random.Random, argv: list[str], path) -> tuple[list[str], str]:
+    """``argv`` as a one-point sweep, with a random one of its flags varied and
+    a random subset of the rest in a config file at ``path``; and the point's label."""
+    pairs = list(zip(argv[1::2], argv[2::2]))
+    flag, value = pairs.pop(rng.randrange(len(pairs)))
+    config_argv = _with_config(rng, argv[:1] + [token for pair in pairs for token in pair], path)
+    label = f"{flag[2:]}={value}"
+    return (["sweep", argv[0], "--vary", label, "--threads", "1"] + config_argv[1:3]
+            + ["--"] + config_argv[3:]), label
+
+
 def _run_quietly(argv: list[str], out) -> tuple[int, dict | None]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code, payload = cli._run(argv + ["--out", str(out)])
+        code, payload = cli._run(argv[:1] + ["--out", str(out)] + argv[1:])
     assert code in EXIT_CODES, argv
-    if code != cli.EXIT_OK:
+    if payload is not None:  # a failed run; a sweep's failed point writes its own
         error = json.loads((out / "error.json").read_text())
         assert (error["exit_code"], error["error"]) == (code, payload["error"]), argv
     return code, payload
@@ -112,6 +128,7 @@ def _run_quietly(argv: list[str], out) -> tuple[int, dict | None]:
 def test_every_command_line_exits_with_a_known_code(tmp_path):
     rng = random.Random(SEED)
     split_rng = random.Random(SEED + 1)  # leaves the command-line draws as they are
+    sweep_rng = random.Random(SEED + 2)
     start = time.perf_counter()
     seen = set()
     for case in range(CASES):
@@ -119,6 +136,16 @@ def test_every_command_line_exits_with_a_known_code(tmp_path):
         out = tmp_path / f"case{case}"
         code, payload = _run_quietly(argv, out)
         seen.add(code)
+        if len(argv) > 1 and case % SWEEP_EVERY == 1:
+            sweep_argv, label = _as_sweep(sweep_rng, argv, tmp_path / f"case{case}-sweep.txt")
+            sweep_out = tmp_path / f"case{case}-sweep"
+            sweep_code, _ = _run_quietly(sweep_argv, sweep_out)
+            assert sweep_code == code, (argv, sweep_argv)
+            runs = json.loads((sweep_out / "manifest.json").read_text())["runs"]
+            assert runs == [label], (argv, sweep_argv)
+            name = "manifest.json" if code == cli.EXIT_OK else "error.json"
+            assert ((sweep_out / label / name).read_bytes()
+                    == (out / name).read_bytes()), (argv, sweep_argv)
         if case % CONFIG_EVERY:
             continue
         config_argv = _with_config(split_rng, argv, tmp_path / f"case{case}.txt")

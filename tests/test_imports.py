@@ -49,7 +49,7 @@ runs = {
 codes = {}
 for label, argv in runs.items():
     with contextlib.redirect_stdout(io.StringIO()):
-        codes[label] = cli.main(argv + ["--out", f"{out}/{label}"])
+        codes[label] = cli.main(argv[:1] + ["--out", f"{out}/{label}"] + argv[1:])
     loaded[label] = [name for name in heavy if name in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
