@@ -27,8 +27,7 @@ reaction right-hand-side call per step, with no splitting error.
     selection times heterozygosity plus the QLE disequilibrium (2/r) u_x^2,
     with u_x recomputed at every reaction call. Pass r = inf to drop the
     gradient coupling (plain bistable control). Speeds measured here convert
-    to the original frame by the factor sigma/sqrt(2). A (k, n) initial
-    state is k independent fronts.
+    to the original frame by the factor sigma/sqrt(2).
 
 Each simulator only builds its reaction right-hand side, once per run;
 the shared driver checks the initial data, steps, records and tracks the
@@ -281,9 +280,9 @@ def _front_of(tag: str, values: np.ndarray, x: np.ndarray) -> float:
         return math.nan
 
 
-def _range_guard(t: float, fields: dict[str, np.ndarray]) -> None:
-    for tag, arr in fields.items():
-        if _out_of_range(tag, arr):
+def _range_guard(t: float, fields: dict[str, np.ndarray], checked: list[str]) -> None:
+    for tag in checked:  # the first tag of each state row: p = q checks its row once, as p
+        if _out_of_range(tag, fields[tag]):
             if tag == "D":
                 message = f"|D| exceeded 1/4 + {RANGE_TOL} at t={t}"
             else:
@@ -320,8 +319,10 @@ def _run(init, tags, grid, cfg, nu, rhs, summary, stop=None, rows=slice(None)) -
     summary names the model and its parameters; the config is added.
     """
     state = np.array(init, dtype=float, ndmin=2)
+    row_of = np.arange(len(state))[rows]  # the state row each tag records
+    checked = [tag for i, tag in enumerate(tags) if row_of[i] not in row_of[:i]]  # once a row
     _check_boundary_init(dict(zip(tags, state[rows])))
-    _range_guard(0.0, dict(zip(tags, state[rows])))
+    _range_guard(0.0, dict(zip(tags, state[rows])), checked)
     n_steps = int(round(cfg.t_end / cfg.dt))
     records = -(-n_steps // cfg.record_every) + 1  # steps 0, k, 2k, ... and the last
     check_size(f"record store ({len(tags)} rows x {records} records x {grid.n} nodes)",
@@ -361,7 +362,7 @@ def _run(init, tags, grid, cfg, nu, rhs, summary, stop=None, rows=slice(None)) -
             y -= state
             state = y
             if step % cfg.record_every == 0 or step == n_steps:
-                _range_guard(step * cfg.dt, dict(zip(tags, state[rows])))
+                _range_guard(step * cfg.dt, dict(zip(tags, state[rows])), checked)
                 store[:, slot] = state[rows]
                 slot += 1
                 if stop is not None and stop(store[:, slot - 1]):
@@ -370,7 +371,7 @@ def _run(init, tags, grid, cfg, nu, rhs, summary, stop=None, rows=slice(None)) -
                 f_old, f = f, rhs(state)
     fields = dict(zip(tags, store[:, :slot]))
     tracked, fronts = {}, {}
-    for tag, row in zip(tags, np.arange(len(state))[rows]):
+    for tag, row in zip(tags, row_of):
         if (key := (row, tag in _ABSMAX_TAGS, tag == "z")) not in tracked:  # row and rule
             tracked[key] = [_front_of(tag, rec, grid.x) for rec in fields[tag]]
         fronts[tag] = np.array(tracked[key])  # p = q tracks u once; q gets its own array
@@ -440,19 +441,18 @@ def simulate_reduced(init, S: float, eps: float, r: float,
     Works in the rescaled frame (unit diffusion); convert measured speeds
     to the original frame by multiplying with sigma/sqrt(2). The gradient
     coupling scales with 2/r; pass r = inf for the uncoupled bistable
-    control. u_x is recomputed at each reaction call. A (k, n) init
-    is k independent fronts, each repeating its own run bit for bit and,
-    for k > 1, tagged u_reduced0, u_reduced1, ...; one front is u_reduced.
-    stop is the driver's stop rule (see `_run`).
+    control. u_x is recomputed at each reaction call. init is one front on
+    the grid, tagged u_reduced (any other shape is a ValueError); stop is
+    the driver's stop rule (see `_run`).
     """
+    if np.shape(init) != (grid.n,):
+        raise ValueError(f"init must be one front of {grid.n} values, got shape {np.shape(init)}")
     dx = grid.dx
 
     def rhs(state):
         return reduced_reaction(state, _gradient(state, dx), S, r, eps)
 
-    rows = 1 if np.ndim(init) == 1 else len(init)
-    tags = ["u_reduced"] if rows == 1 else [f"u_reduced{i}" for i in range(rows)]
-    return _run(init, tags, grid, cfg, 1.0, rhs,
+    return _run(init, ["u_reduced"], grid, cfg, 1.0, rhs,
                 {"model": "reduced", "params": {"S": S, "eps": eps, "r": r}}, stop)
 
 

@@ -164,8 +164,10 @@ def solve_traveling_bvp(
     The discretized profile equation on a pinned grid (u = 1 on the far
     left, 0 on the far right) is augmented with the phase condition
     int (u - u0) u0' dx = 0, which makes the speed c an unknown of the
-    square system. Newton runs at the requested eps from (u0, c = 0) and
-    converges in two to five steps for eps <= 0.1 S, S <= 0.85, S/r <= 8.5.
+    square system. At eps = 0 it is the discrete standing front that
+    `stability.relaxation_shift` perturbs. Newton runs at the requested eps
+    from (u0, c = 0) and converges in two to five steps for eps <= 0.1 S,
+    S <= 0.85, S/r <= 8.5.
     At dx = 0.05, S >= 0.5 and S/r >= 10 (e.g. S = 0.5, r = 0.02), where the
     standing front's residual is 6 to 600, it stalls. Just before the stall
     it converges, to a residual near 1e-13, on a wrong speed: from the cold

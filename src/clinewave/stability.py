@@ -31,17 +31,17 @@ scale of that symmetrization, which is built from the operator's own
 off-diagonal bands. Assembled operators are immutable; independent
 parameter cases can run concurrently.
 
-`relaxation_shift` closes the loop dynamically: a perturbed front and
-an unperturbed control are evolved as the two rows of one run, which
-stops at the first record where the perturbed row has settled on a
-translate of the control at the same time; the run's t_end only caps
-the search. The translated control is the cubic spline through its
-nodes, which extrapolates past the grid edges; no matched tail is
-patched on there, since the shift is a few dx and on the default
-half-width the edge nodes sit within about 5e-9 of the limit states,
-200 times below ``SETTLE_TOL``. The measured shift is compared with the
-two candidate first-order predictions (the raw weighted projection and
-its normalized variant).
+`relaxation_shift` closes the loop dynamically: a perturbation of the
+discrete standing front (the zero of `standing.front_residual`, which
+`speed.solve_traveling_bvp` finds at eps = 0) runs until it has settled
+on a translate of that front; the run's t_end only caps the search. The
+translated front is the cubic spline through its nodes, which
+extrapolates past the grid edges; no matched tail is patched on there,
+since the shift is a few dx and on the default half-width the edge nodes
+sit within about 5e-9 of the limit states, 200 times below
+``SETTLE_TOL``. The measured shift is compared with the two candidate
+first-order predictions (the raw weighted projection and its normalized
+variant).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from scipy.optimize import minimize_scalar
 from .errors import ConvergenceError, ProfileTooShortError
 from .pde import SimConfig, Tridiagonal, front_position_values, simulate_reduced
 from .genetics import bistable_f, bistable_f_prime, logistic_g
+from .speed import solve_traveling_bvp
 from .standing import WaveProfile, _log_slope, linearization
 from scipy.interpolate import CubicSpline  # after standing's scipy.integrate: 0.3 MB less RSS
 
@@ -251,7 +252,7 @@ class RelaxationResult:
     """Outcome of relaxing a perturbed standing front.
 
     measured_shift is the front displacement of the settled state
-    relative to the unperturbed control at the same time; divide by the
+    relative to the discrete standing front; divide by the
     amplitude for the first-order rate. Both first-order predictions are
     reported: ``projection`` is the raw weighted integral
     int h u0' e^{(4S/r)(u0^2-u0)} dx and ``projection_normalized`` divides
@@ -285,21 +286,21 @@ def relaxation_shift(
     eps_amp: float,
     cfg: SimConfig,
 ) -> RelaxationResult:
-    """Relax u0 + eps_amp * h under the symmetric dynamics and measure the shift.
+    """Relax the discrete standing front plus eps_amp * h and measure the shift.
 
-    The perturbed state is evolved with the reduced equation (eps = 0)
-    beside an unperturbed control run from u0, as the two rows of one
-    `simulate_reduced` run, and each perturbed record is compared with the
-    control record at the same time. The common transient from the
-    continuum profile to the attractor of the discrete dynamics cancels in
-    that comparison: no O(dx^2) gap. The shift is the minimizer of the L2
-    distance to the translated control, seeded by the front positions;
-    settling means the remaining sup distance fell below ``SETTLE_TOL``,
-    and the run stops at the first settled record. cfg.t_end only caps
-    the search.
+    The discrete front, `solve_traveling_bvp` at eps = 0 from u0, rests
+    under the reduced equation up to its pinned edge rows, so no O(dx^2)
+    transient from the continuum profile enters. One `simulate_reduced`
+    run (eps = 0) evolves front + eps_amp * h, and each record is compared
+    with the front: the shift is the minimizer of the L2 distance to the
+    translated front, seeded by the front positions; settling means the
+    remaining sup distance fell below ``SETTLE_TOL``, and the run stops at
+    the first settled record. cfg.t_end only caps the search.
 
     Raises:
         ConvergenceError: distance still above tolerance at cfg.t_end.
+        NewtonDivergenceError: before any step, where that Newton diverges
+            (e.g. S = 0.5, r = 0.05 at dx = 0.05).
         ValueError: |eps_amp| zero, NaN or above 0.05, the linear regime;
             a perturbation not finite or off the profile grid.
     """
@@ -308,23 +309,24 @@ def relaxation_shift(
     h = np.asarray(h, dtype=float)
     if h.shape != u0.x.shape or not np.isfinite(h).all():
         raise ValueError("perturbation must be finite and sampled on the profile grid")
+    _, front = solve_traveling_bvp(u0.S, u0.r, 0.0, u0)  # the discrete standing front
     grid = u0.grid
+    front_at = CubicSpline(grid.x, front.u)  # extrapolates past the edges
+    front_x = front_position_values(front.u, grid.x)
     span = max(4.0 * abs(eps_amp), 8.0 * grid.dx)
     fit = {"dist": math.inf}  # shift and sup distance at the last record
 
     def settled(record: np.ndarray) -> bool:
-        control, state = record
-        control_at = CubicSpline(grid.x, control)  # extrapolates past the edges
-        guess = front_position_values(state, grid.x) - front_position_values(control, grid.x)
+        state = record[0]
+        guess = front_position_values(state, grid.x) - front_x
         shift = float(minimize_scalar(
-            lambda d: float(np.sum((state - control_at(grid.x - d)) ** 2)),
+            lambda d: float(np.sum((state - front_at(grid.x - d)) ** 2)),
             bounds=(guess - span, guess + span), method="bounded",
             options={"xatol": 1e-12}).x)
-        fit.update(shift=shift, dist=float(np.max(np.abs(state - control_at(grid.x - shift)))))
+        fit.update(shift=shift, dist=float(np.max(np.abs(state - front_at(grid.x - shift)))))
         return fit["dist"] < SETTLE_TOL
 
-    traj = simulate_reduced(np.stack((u0.u, u0.u + eps_amp * h)), u0.S, 0.0, u0.r,
-                            grid, cfg, stop=settled)
+    traj = simulate_reduced(front.u + eps_amp * h, u0.S, 0.0, u0.r, grid, cfg, stop=settled)
     if not fit["dist"] < SETTLE_TOL:
         raise ConvergenceError(
             f"perturbation did not settle below {SETTLE_TOL} by t={cfg.t_end} "

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -134,7 +135,7 @@ class TestGridAndConfig:
         for tag, values in (("p", [0.0, 1.5, 0.0]), ("D", [0.0, 0.3, 0.0]),
                             ("p", [np.nan, 0.5, 0.0]), ("D", [0.0, np.nan, 0.0])):
             with pytest.raises(FieldInvariantError):
-                pde._range_guard(1.0, {tag: np.array(values)})
+                pde._range_guard(1.0, {tag: np.array(values)}, [tag])
 
 
 class TestSimulatePQD:
@@ -483,7 +484,7 @@ def _driver_cn_step(monkeypatch, u, a):
     run (zero reaction) of one step on unit spacing with nu = 2a, its
     initial-data and range guards switched off."""
     monkeypatch.setattr(pde, "_check_boundary_init", lambda fields: None)
-    monkeypatch.setattr(pde, "_range_guard", lambda t, fields: None)
+    monkeypatch.setattr(pde, "_range_guard", lambda t, fields, checked: None)
     n = u.shape[-1]
     tags = [f"u{i}" for i in range(len(u))]
     traj = pde._run(u, tags, Grid1D(0.0, n - 1.0, n), SimConfig(dt=1.0, t_end=1.0),
@@ -507,7 +508,7 @@ class TestFactoredSolve:
 
     @pytest.mark.parametrize("n, a", [(657, 2.5), (2401, 50.0), (3, 1.0)])
     def test_each_row_steps_as_it_would_alone(self, monkeypatch, n, a):
-        # the p = q one-row run and a (k, n) reduced run rely on this
+        # the p = q one-row run relies on this: its row gets the bits of p and q
         u = np.random.default_rng(n).random((4, n))
         together = _driver_cn_step(monkeypatch, u, a)
         for i, row in enumerate(u):
@@ -530,7 +531,7 @@ class TestFactoredSolve:
         p, q, D = stacked_pqd_init(grid, 0.1, 2.0, offset_p=-2.0, offset_q=2.0)
         simulate_pqd((p, q, D), SYMMETRIC_FP, grid, cfg)
         simulate_gametes(genetics.gametes_from_pqd(p, q, D), SYMMETRIC_FP, grid, cfg)
-        simulate_reduced(np.array([p, q]), 0.1, 0.005, 0.1, grid, cfg)
+        simulate_reduced(p, 0.1, 0.005, 0.1, grid, cfg)
         assert counts == {"_run": 3, "dpttrf": 3, "solve_banded": 3 * 6}
 
 
@@ -580,6 +581,26 @@ class TestOneAlleleRow:
             assert np.array_equal(traj.front_positions["q"], traj.front_positions["p"])
             assert traj.front_positions["q"] is not traj.front_positions["p"]
 
+    @pytest.mark.parametrize("one_row", [True, False])
+    def test_ranges_are_checked_once_per_state_row(self, monkeypatch, one_row):
+        checked = []
+        rule = pde._out_of_range
+
+        def spy(tag, values):
+            checked.append(tag)
+            return rule(tag, values)
+
+        monkeypatch.setattr(pde, "_out_of_range", spy)
+        fp = SYMMETRIC_FP if one_row else dataclasses.replace(SYMMETRIC_FP, sB=1e-3)
+        traj = simulate_pqd(stacked_pqd_init(self.GRID, 0.1, 2.0), fp, self.GRID, self.CFG)
+        # the shared u = p = q row is checked once, as p
+        assert checked == (["p", "D"] if one_row else ["p", "q", "D"]) * traj.times.size
+        p, q, D = stacked_pqd_init(self.GRID, 0.1, 2.0)
+        p[p.size // 2] = q[q.size // 2] = 1.5
+        with pytest.raises(FieldInvariantError, match=r"^p left \[0,1\] .* at t=0\.0$") as info:
+            simulate_pqd((p, q, D), fp, self.GRID, self.CFG)
+        assert list(info.value.diagnostics["snapshot"]) == ["p", "q", "D"]
+
     @pytest.mark.parametrize("change", ["q one ulp up", "signed zero", "sA != sB", "SA != SB"])
     def test_anything_short_of_exact_runs_three_rows(self, monkeypatch, change):
         p, q, D = stacked_pqd_init(self.GRID, 0.1, 2.0)
@@ -600,7 +621,7 @@ class TestOneAlleleRow:
 
 class TestStopRule:
     """A run ends at t_end or at the first record its stop rule accepts, and
-    a (k, n) reduced run is k independent fronts."""
+    a reduced run is one front."""
 
     GRID = Grid1D.symmetric(130.0, 0.2)
     CFG = SimConfig(dt=0.2, t_end=12 * 0.2, record_every=4)  # records at steps 0, 4, 8, 12
@@ -650,17 +671,12 @@ class TestStopRule:
         assert list(traj.fields) == list(traj.front_positions) == ["u_reduced"]
         assert traj.times.size == 2
 
-    def test_rows_run_as_independent_fronts_bit_for_bit(self):
-        rows = np.stack([pde.logistic_front(self.GRID.x, 0.1, center=c) for c in (0.0, 3.0)])
-        both = self._run(rows)
-        assert sorted(both.fields) == ["u_reduced0", "u_reduced1"]
-        for i, row in enumerate(rows):
-            alone = self._run(row)
-            tag = f"u_reduced{i}"
-            assert np.array_equal(both.times, alone.times)
-            assert np.array_equal(both.fields[tag], alone.fields["u_reduced"]), tag
-            assert np.array_equal(both.front_positions[tag],
-                                  alone.front_positions["u_reduced"]), tag
+    @pytest.mark.parametrize("shape", [(2, 1301), (1300,), (1, 1301), ()],
+                             ids=["two-fronts", "short-front", "one-row-stack", "scalar"])
+    def test_any_init_but_one_front_is_refused_by_its_shape(self, shape):
+        init = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            self._run(init)
 
 
 def _fig1_fields(model, cfg):

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from clinewave import pde, stability
-from clinewave.errors import ConvergenceError, FieldInvariantError
+from clinewave.errors import ConvergenceError, FieldInvariantError, NewtonDivergenceError
 from clinewave.genetics import reduced_reaction
 from clinewave.pde import Grid1D, SimConfig, front_position_values, simulate_reduced
 from clinewave.stability import (
@@ -29,7 +29,7 @@ from clinewave.stability import (
     solvability_ratio,
     spectrum,
 )
-from clinewave.speed import c1_exact
+from clinewave.speed import c1_exact, solve_traveling_bvp
 from clinewave.standing import profile_from_quadrature
 
 S, R = 0.1, 0.1
@@ -231,9 +231,9 @@ class TestRelaxation:
 
 
 def oracle_relaxation_shift(u0, h, eps_amp, cfg):
-    """The one-run route at equal times: the control and the perturbed run
-    both go to t_end, then their records are scanned pairwise for the first
-    settled one."""
+    """The two-run route at equal times: an unperturbed control and the
+    perturbed front both run from u0 to t_end, then their records are scanned
+    pairwise for the first settled one."""
     grid = Grid1D(float(u0.x[0]), float(u0.x[-1]), u0.x.size)
     control = simulate_reduced(u0.u, u0.S, 0.0, u0.r, grid, cfg)
     perturbed = simulate_reduced(u0.u + eps_amp * h, u0.S, 0.0, u0.r, grid, cfg)
@@ -256,40 +256,59 @@ def oracle_relaxation_shift(u0, h, eps_amp, cfg):
     raise AssertionError("oracle did not settle")
 
 
+def _recording_runs(monkeypatch):
+    """The `simulate_reduced` runs that `relaxation_shift` makes, in order."""
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(simulate_reduced(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(stability, "simulate_reduced", recording)
+    return runs
+
+
 class TestRelaxationRun:
-    """The control and the perturbed run are the two rows of one run, which
-    stops at the first settled record."""
+    """The perturbed front is one run from the eps = 0 BVP front, the discrete
+    standing front, which stops at the first settled record."""
 
     # records at t = 20, 40, 60, 75: the even bump settles at 60, the odd
     # one at t_end = 75, the record every run takes at its last step
     CFG = SimConfig(dt=0.25, t_end=75.0, record_every=80)
 
     @pytest.mark.parametrize("shape, t_settled", [("even", 60.0), ("odd", 75.0)])
-    def test_equals_the_one_run_route(self, u0, shape, t_settled):
+    def test_equals_the_one_run_route(self, u0, shape, t_settled, monkeypatch):
         bump = np.exp(-(u0.x**2))
         h = bump if shape == "even" else u0.x * bump
+        oracle = oracle_relaxation_shift(u0, h, 0.02, self.CFG)
+        runs = _recording_runs(monkeypatch)
         res = relaxation_shift(u0, h, 0.02, self.CFG)
-        assert res == oracle_relaxation_shift(u0, h, 0.02, self.CFG)
-        assert res.t_settled == t_settled
+        # one run, started on the BVP front, not on u0
+        _, front = solve_traveling_bvp(u0.S, u0.r, 0.0, u0)
+        assert [list(run.fields) for run in runs] == [["u_reduced"]]
+        assert np.array_equal(runs[0].fields["u_reduced"][0], front.u + 0.02 * h)
+        assert res.t_settled == oracle.t_settled == t_settled
+        # the two routes differ by the control's O(dx^2) transient, which the
+        # odd bump's zero shift does not see
+        if shape == "even":
+            assert res.measured_shift == pytest.approx(oracle.measured_shift, rel=1e-5)
+        else:
+            assert res.measured_shift == pytest.approx(oracle.measured_shift, abs=1e-9)
+        assert (res.projection, res.projection_normalized) == \
+            (oracle.projection, oracle.projection_normalized)
 
     def test_run_stops_at_the_settled_record(self, u0, monkeypatch):
-        runs = []
-
-        def recording(*args, **kwargs):
-            runs.append(simulate_reduced(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(stability, "simulate_reduced", recording)
+        runs = _recording_runs(monkeypatch)
         cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
         res = relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
-        # one two-row run, which stops at the settled record, not at t_end
+        # one one-row run, which stops at the settled record, not at t_end
         assert len(runs) == 1
-        assert sorted(runs[0].fields) == ["u_reduced0", "u_reduced1"]
+        assert list(runs[0].fields) == ["u_reduced"]
         assert runs[0].times.tolist() == [0.0, 20.0, 40.0, 60.0]
         assert res.t_settled == 60.0
 
     def test_result_does_not_depend_on_t_end(self, u0):
-        # the control is compared at the same time, so t_end is only a cap
+        # the front compared with does not move, so t_end is only a cap
         h = np.exp(-(u0.x**2))
         short, long = (relaxation_shift(u0, h, 0.02, SimConfig(0.25, t_end, record_every=80))
                        for t_end in (160.0, 400.0))
@@ -297,18 +316,17 @@ class TestRelaxationRun:
 
     # the 81st reaction call is f(u_80), the one call of step 81: one call per
     # step, each evaluating the state the step starts from
-    @pytest.mark.parametrize("row", [0, 1], ids=["control", "perturbed"])
-    def test_failure_past_the_first_record_carries_its_time(self, u0, monkeypatch, row):
+    def test_failure_past_the_first_record_carries_its_time(self, u0, monkeypatch):
         calls = []
 
-        def row_blows_up(u, du, *args):
+        def blows_up(u, du, *args):
             calls.append(1)
             out = reduced_reaction(u, du, *args)
             if len(calls) == 81:
-                out[row] = math.inf
+                out[0] = math.inf
             return out
 
-        monkeypatch.setattr(pde, "reduced_reaction", row_blows_up)
+        monkeypatch.setattr(pde, "reduced_reaction", blows_up)
         cfg = SimConfig(dt=0.25, t_end=160.0, record_every=80)
         with pytest.raises(FieldInvariantError) as info:
             relaxation_shift(u0, np.exp(-(u0.x**2)), 0.02, cfg)
@@ -317,5 +335,26 @@ class TestRelaxationRun:
         assert info.value.diagnostics["t"] == 20.25
         assert "at t=20.25 " in str(info.value)
         snapshot = info.value.diagnostics["snapshot"]
-        assert not np.isfinite(snapshot[f"u_reduced{row}"]).all()
-        assert np.isfinite(snapshot[f"u_reduced{1 - row}"]).all()
+        assert list(snapshot) == ["u_reduced"]
+        assert not np.isfinite(snapshot["u_reduced"]).all()
+
+    def test_bvp_front_rests_under_the_reduced_run(self, u0):
+        # the control run from u0 only walked through this gap: u0 moves by
+        # about 3e-6 over t = 160, the BVP front by about 8e-9, since its edge
+        # rows are pinned where the run's are no-flux
+        c, front = solve_traveling_bvp(u0.S, u0.r, 0.0, u0)
+        assert abs(c) < 1e-12
+        cfg = SimConfig(dt=0.25, t_end=160.0, record_every=640)
+        moved = {name: np.max(np.abs(simulate_reduced(start, u0.S, 0.0, u0.r, u0.grid, cfg)
+                                      .fields["u_reduced"][-1] - start))
+                 for name, start in (("u0", u0.u), ("front", front.u))}
+        assert moved["front"] < 1e-7 < 1e-6 < moved["u0"]
+
+    def test_diverging_front_newton_raises_before_any_step(self, monkeypatch):
+        # at S/r = 10 the eps = 0 Newton diverges from the quadrature profile;
+        # the control run from it once blew up instead (t = 0.32 at dt = 0.02)
+        stiff = profile_from_quadrature(0.5, 0.05, dx=0.05)
+        runs = _recording_runs(monkeypatch)
+        with pytest.raises(NewtonDivergenceError):
+            relaxation_shift(stiff, np.exp(-(stiff.x**2)), 0.02, SimConfig(0.02, 2.0))
+        assert runs == []
